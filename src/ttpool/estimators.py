@@ -133,13 +133,39 @@ def batched_quad(k_block: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarra
 
 
 def bootstrap_counts(rng: np.random.Generator, draws: int, size: int, batch: int) -> np.ndarray:
-    """Efron-bootstrap count vectors: ``batch`` multinomial(draws; 1/size,...) rows."""
-    return rng.multinomial(draws, np.full(size, 1.0 / size), size=batch).astype(float)
+    """Efron-bootstrap count vectors, shape (batch, size), as whole-number floats.
+
+    Each row is an independent multinomial(draws; 1/size, ..., 1/size)
+    draw: the counts of ``draws`` uniform picks among ``size`` positions.
+    All picks come from one ``rng.integers`` call, shifted by a per-row
+    offset so that one flat ``bincount`` counts every row at once.  The
+    rows are a function of ``rng``'s state alone, so a seeded generator
+    gives the same counts on every run.
+    """
+    picks = rng.integers(0, size, (batch, draws))
+    picks += size * np.arange(batch)[:, None]
+    counts = np.bincount(picks.ravel(), minlength=batch * size)
+    return counts.reshape(batch, size).astype(float)
 
 
 def permutation_masks(rng: np.random.Generator, total: int, size_a: int, batch: int) -> np.ndarray:
-    """0/1 membership rows assigning exactly ``size_a`` of ``total`` slots to group a."""
-    order = np.argsort(rng.random((batch, total)), axis=1)
-    masks = np.zeros((batch, total))
-    masks[np.arange(batch)[:, None], order[:, :size_a]] = 1.0
-    return masks
+    """0/1 membership rows assigning exactly ``size_a`` of ``total`` slots to group a.
+
+    Each row is a uniformly random ``size_a``-subset: one uniform per
+    slot, and the ``size_a`` smallest join group a.  Only the
+    ``size_a``-th smallest value of a row is needed, so ``np.partition``
+    finds it and a comparison marks the subset.  The masks are the same
+    as ranking the uniforms with a full sort, for the same ``rng``.  A
+    row whose boundary value is tied keeps exactly ``size_a`` ones.
+    """
+    r = rng.random((batch, total))
+    if size_a == 0:
+        return np.zeros((batch, total))
+    kth = np.partition(r, size_a - 1, axis=1)[:, size_a - 1 : size_a]
+    chosen = r <= kth
+    tied = np.flatnonzero(np.count_nonzero(chosen, axis=1) != size_a)
+    if tied.size:
+        rows = np.argpartition(r[tied], size_a - 1, axis=1)[:, :size_a]
+        chosen[tied] = False
+        chosen[tied[:, None], rows] = True
+    return chosen.astype(float)

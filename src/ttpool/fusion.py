@@ -20,7 +20,7 @@ import numpy as np
 
 from .causality import two_sample_permutation
 from .errors import ConfigError, NonVStatEstimator, SampleTooSmall
-from .estimators import Estimator, batched_quad, mmd2_v
+from .estimators import Estimator, batched_quad, bootstrap_counts, mmd2_v
 from .kernels import GramCache
 from .quantile import inf_quantile
 
@@ -58,13 +58,6 @@ class FusionOutcome:
     resamples_used: int
 
 
-def bootstrap_weight_draws(
-    rng: np.random.Generator, size: int, batch: int
-) -> np.ndarray:
-    """Multinomial(size; 1/size, ..., 1/size) weight rows, one per bootstrap draw."""
-    return rng.multinomial(size, np.full(size, 1.0 / size), size=batch).astype(float)
-
-
 def _bootstrap_root_terms(k_block: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """sqrt(max(D^2_W, 0)) with D^2_W = (1/s^2) (W-1)' K (W-1) per weight row."""
     s = k_block.shape[0]
@@ -93,8 +86,8 @@ def equivalence_fusion(
 
     rng = np.random.default_rng(cfg.seed)
     b = cfg.num_bootstrap
-    w_c = bootstrap_weight_draws(rng, gram.m, b)
-    w_h = bootstrap_weight_draws(rng, gram.l, b)
+    w_c = bootstrap_counts(rng, gram.m, gram.m, b)
+    w_h = bootstrap_counts(rng, gram.l, gram.l, b)
     s = _bootstrap_root_terms(gram.k_cc, w_c) + _bootstrap_root_terms(gram.k_hh, w_h)
     critical = inf_quantile(s, 1.0 - cfg.alpha_f)
     return FusionOutcome(

@@ -61,9 +61,14 @@ def derive_stage_seeds(master_seed) -> tuple:
 
 
 def _stage_seeds(cfg: TTPConfig, master_seed) -> tuple:
+    """Configured stage seeds; a stage without one takes its master substream."""
     fusion_seed, causality_seed = cfg.fusion.seed, cfg.causality.seed
-    if fusion_seed is None and causality_seed is None:
-        return derive_stage_seeds(master_seed)
+    if fusion_seed is None or causality_seed is None:
+        derived_fusion, derived_causality = derive_stage_seeds(master_seed)
+        if fusion_seed is None:
+            fusion_seed = derived_fusion
+        if causality_seed is None:
+            causality_seed = derived_causality
     return fusion_seed, causality_seed
 
 

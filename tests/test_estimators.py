@@ -208,9 +208,13 @@ class TestResamplingHelpers:
             assert got[b] == pytest.approx(u[b] @ k @ v[b], rel=1e-12)
 
     def test_bootstrap_counts_sum_to_draws(self, rng):
-        counts = bootstrap_counts(rng, draws=13, size=5, batch=50)
-        assert counts.shape == (50, 5)
-        assert np.array_equal(counts.sum(axis=1), np.full(50, 13.0))
+        for draws, size in [(13, 5), (1, 1), (50, 50), (100, 50), (3, 40)]:
+            counts = bootstrap_counts(rng, draws, size, batch=50)
+            assert counts.dtype == np.float64
+            assert counts.shape == (50, size)
+            assert (counts >= 0).all()
+            assert np.array_equal(counts, np.round(counts))
+            assert np.array_equal(counts.sum(axis=1), np.full(50, float(draws)))
 
     def test_permutation_masks_row_sums(self, rng):
         masks = permutation_masks(rng, total=9, size_a=4, batch=40)
@@ -221,6 +225,50 @@ class TestResamplingHelpers:
     def test_permutation_masks_vary(self, rng):
         masks = permutation_masks(rng, total=10, size_a=5, batch=30)
         assert len({tuple(row) for row in masks}) > 1
+
+    @pytest.mark.parametrize(
+        "total,size_a,batch",
+        [(1, 1, 5), (5, 0, 4), (9, 1, 40), (9, 9, 40), (10, 4, 50), (150, 50, 64), (300, 299, 16)],
+    )
+    def test_permutation_masks_match_full_sort_reference(self, total, size_a, batch):
+        def reference(rng):
+            order = np.argsort(rng.random((batch, total)), axis=1)
+            masks = np.zeros((batch, total))
+            masks[np.arange(batch)[:, None], order[:, :size_a]] = 1.0
+            return masks
+
+        for seed in range(20):
+            got = permutation_masks(np.random.default_rng(seed), total, size_a, batch)
+            want = reference(np.random.default_rng(seed))
+            assert np.array_equal(got, want)
+            assert np.array_equal(got.sum(axis=1), np.full(batch, float(size_a)))
+
+    @pytest.mark.parametrize("tied_value", [0.0, 0.5])
+    def test_permutation_masks_tied_uniforms_keep_group_size(self, tied_value):
+        class TiedUniforms:
+            def random(self, shape):
+                r = np.random.default_rng(3).random(shape)
+                r[:, : shape[1] // 2] = tied_value
+                return r
+
+        masks = permutation_masks(TiedUniforms(), total=12, size_a=4, batch=25)
+        assert np.array_equal(masks.sum(axis=1), np.full(25, 4.0))
+        assert set(np.unique(masks)) <= {0.0, 1.0}
+
+    def test_bootstrap_counts_multinomial_moments(self):
+        # multinomial(draws; 1/s, ...): mean draws/s, variance
+        # draws(1/s)(1-1/s), covariance -draws/s^2.  Here these are 5,
+        # 4.17 and -0.83; their standard errors over B rows are about
+        # 0.005, 0.013 and 0.010, and each tolerance is at least 5 of them.
+        draws, size, batch = 30, 6, 200_000
+        counts = bootstrap_counts(np.random.default_rng(20240817), draws, size, batch)
+        p = 1.0 / size
+        mean, var, cov = draws * p, draws * p * (1 - p), -draws * p * p
+        emp_cov = np.cov(counts, rowvar=False)
+        off_diag = emp_cov[~np.eye(size, dtype=bool)]
+        assert np.abs(counts.mean(axis=0) - mean).max() < 0.03
+        assert np.abs(np.diag(emp_cov) - var).max() < 0.08
+        assert np.abs(off_diag - cov).max() < 0.05
 
 
 def test_dispatch_selects_estimator(rng):

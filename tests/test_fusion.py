@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from ttpool.errors import ConfigError, NonVStatEstimator
-from ttpool.estimators import Estimator, mmd2_v
+from ttpool.estimators import Estimator, bootstrap_counts, mmd2_v
 from ttpool.fusion import (
     FusionConfig,
     FusionMode,
     _bootstrap_root_terms,
-    bootstrap_weight_draws,
     classic_fusion,
     equivalence_fusion,
 )
@@ -45,18 +44,18 @@ class TestFusionConfig:
 
 class TestBootstrapWeights:
     def test_weights_sum_to_sample_size(self, rng):
-        w = bootstrap_weight_draws(rng, size=17, batch=40)
+        w = bootstrap_counts(rng, draws=17, size=17, batch=40)
         assert np.array_equal(w.sum(axis=1), np.full(40, 17.0))
 
     def test_root_terms_nonnegative(self, rng):
         gram = make_gram(rng)
-        w = bootstrap_weight_draws(rng, gram.m, 200)
+        w = bootstrap_counts(rng, gram.m, gram.m, 200)
         terms = _bootstrap_root_terms(gram.k_cc, w)
         assert (terms >= 0).all()
 
     def test_root_terms_match_loop_oracle(self, rng):
         gram = make_gram(rng, m=8, l=8, n=8)
-        w = bootstrap_weight_draws(rng, gram.m, 5)
+        w = bootstrap_counts(rng, gram.m, gram.m, 5)
         got = _bootstrap_root_terms(gram.k_cc, w)
         for b in range(5):
             d2 = 0.0

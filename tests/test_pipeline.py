@@ -87,6 +87,19 @@ class TestSeedReplay:
         assert report.seeds["fusion"] is not None
         assert report.seeds["causality"] is not None
 
+    def test_one_stage_seed_set_other_from_master(self):
+        arms = make_arms(7, shift_h=0.2, shift_t=0.4)
+        cfg = TTPConfig(fusion=FusionConfig(seed=1))
+        a = run_equivalence_ttp(*arms, cfg, master_seed=5)
+        b = run_equivalence_ttp(*arms, cfg, master_seed=5)
+        assert a.fusion == b.fusion
+        assert a.causality == b.causality
+        assert a.seeds == b.seeds
+        assert a.seeds["fusion"] == 1
+        assert a.seeds["causality"] is not None
+        _, causality_seed = derive_stage_seeds(5)
+        assert a.seeds["causality"]["spawn_key"] == list(causality_seed.spawn_key)
+
 
 class TestThetaLimits:
     def test_theta_zero_equals_standalone_two_sample(self):
