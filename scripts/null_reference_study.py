@@ -28,6 +28,7 @@ def parse_args(argv):
     p.add_argument("--ref-draws", type=int, default=20)
     p.add_argument("--levels", type=float, nargs="+", default=[0.9, 0.95])
     p.add_argument("--seed", type=int, default=5)
+    p.add_argument("--workers", type=int, default=4)
     return p.parse_args(argv)
 
 
@@ -44,7 +45,7 @@ def main(argv=None):
         )
         for row in null_distribution_study(
             scn, probe_levels=tuple(args.levels),
-            probe_generator=probe, ref_draws=args.ref_draws,
+            probe_generator=probe, ref_draws=args.ref_draws, workers=args.workers,
         ):
             rows.append([n, row.method, row.level, row.reference_quantile,
                          row.true_quantile, row.ks_distance])

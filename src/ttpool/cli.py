@@ -139,6 +139,8 @@ def load_config(command: str, config_path, overrides) -> dict:
         for key, value in raw.items():
             if key not in defaults:
                 raise ConfigError(f"unknown config key {key!r} for command {command!r}")
+            if isinstance(value, str):
+                value = _coerce_override(key, value, defaults[key])
             cfg[key] = value
     for item in overrides or []:
         if "=" not in item:
@@ -162,6 +164,14 @@ def _coerce_scalar(text: str, template):
 
 
 def _coerce_override(key: str, text: str, default):
+    """Parse a ``--set`` value or a config-file string into the key's type."""
+    try:
+        return _coerce_text(key, text, default)
+    except ValueError as exc:
+        raise ConfigError(f"cannot parse {key}={text!r}: {exc}") from exc
+
+
+def _coerce_text(key: str, text: str, default):
     if key in _SWEEP_KEYS or key in _LIST_KEYS:
         template = default[0] if isinstance(default, list) and default else default
         if key == "kernel.bandwidth":
@@ -511,12 +521,13 @@ def cmd_null_study(args) -> int:
     cfg = load_config("null-study", args.config, args.set)
     if args.seed is not None:
         cfg["seed"] = args.seed
-    if cfg["scenario.generator"] == "mean_shift" and float(cfg["scenario.mu_c_minus_mu_t"]) != 0.0:
-        raise ConfigError("null-study requires Qc = Qt (scenario.mu_c_minus_mu_t = 0)")
-    if cfg["scenario.generator"] == "var_shift" and float(cfg["scenario.var_c_over_var_t"]) != 1.0:
-        raise ConfigError("null-study requires Qc = Qt (scenario.var_c_over_var_t = 1)")
-
     cells = expand_sweeps(cfg)
+    for cell in cells:
+        gen = cell["scenario.generator"]
+        if gen == "mean_shift" and float(cell["scenario.mu_c_minus_mu_t"]) != 0.0:
+            raise ConfigError("null-study requires Qc = Qt (scenario.mu_c_minus_mu_t = 0)")
+        if gen == "var_shift" and float(cell["scenario.var_c_over_var_t"]) != 1.0:
+            raise ConfigError("null-study requires Qc = Qt (scenario.var_c_over_var_t = 1)")
     header = ["sizes.n", "method", "level", "reference_quantile", "true_quantile", "ks_distance"]
     rows = []
     for cell in cells:
@@ -532,6 +543,7 @@ def cmd_null_study(args) -> int:
             probe_levels=tuple(cell["nullstudy.probe_levels"]),
             probe_generator=probe,
             ref_draws=int(cell["nullstudy.ref_draws"]),
+            workers=args.workers,
         )
         for row in study:
             rows.append(
@@ -579,7 +591,9 @@ def _build_parser() -> argparse.ArgumentParser:
             metavar="KEY=VALUE",
             help="override a config key (repeatable; comma-separated values sweep)",
         )
-        p.add_argument("--workers", type=int, default=1, help="parallel workers for campaigns")
+        p.add_argument(
+            "--workers", type=int, default=1, help="parallel workers for simulate and null-study"
+        )
         p.add_argument("--seed", type=int, default=None, help="master seed override")
         p.set_defaults(handler=fn)
     return parser

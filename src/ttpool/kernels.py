@@ -5,6 +5,13 @@ The Gram cache holds two kernel matrices: one over all three arms
 three-arm pool, and one over current || treatment with the bandwidth
 resolved on the two-arm pool.  The no-merge analysis path uses the
 latter; everything else uses the former.
+
+A Gram build makes one pass over the squared distances: the three-arm
+pairwise distances give the three-arm median and, expanded to a square
+matrix, both kernel matrices (the two-arm one is a block slice of it).
+Each kernel is applied in place on its distance matrix, which is exactly
+symmetric with a zero diagonal, so only the ``x @ x.T`` term of the
+linear kernels is mirrored.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from enum import Enum
 from typing import Optional
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist
+from scipy.spatial.distance import cdist, pdist, squareform
 
 from .errors import DegenerateSample, DimensionMismatch, ConfigError
 
@@ -117,10 +124,55 @@ def resolve_bandwidth(spec: KernelSpec, pooled: np.ndarray) -> float:
     pooled = np.atleast_2d(np.asarray(pooled, dtype=float))
     if pooled.shape[0] < 2:
         raise DegenerateSample("median heuristic needs at least two points")
-    med = float(np.median(pdist(pooled, metric="sqeuclidean")))
+    return _median_bandwidth(spec, pdist(pooled, metric="sqeuclidean"))
+
+
+def _median_bandwidth(spec: KernelSpec, pair_sq: np.ndarray) -> float:
+    """The bandwidth from condensed pairwise squared distances.
+
+    ``pair_sq`` is reordered in place.  One ``partition`` places the upper
+    central order statistic; for an even count the lower one is the
+    largest value below it, and the two are averaged as ``np.median``
+    averages them.
+    """
+    if spec.bandwidth is not None:
+        return float(spec.bandwidth)
+    half = pair_sq.size // 2
+    pair_sq.partition(half)
+    upper = pair_sq[half]
+    med = float(upper if pair_sq.size % 2 else (pair_sq[:half].max() + upper) / 2.0)
+    if np.isnan(pair_sq[half:].max()):
+        raise DegenerateSample("pairwise distances include NaN; points must be finite")
     if med <= 0.0:
         raise DegenerateSample("median pairwise distance is zero; no valid bandwidth")
     return med
+
+
+def _apply_kernel(
+    spec: KernelSpec,
+    bandwidth: Optional[float],
+    sq: np.ndarray,
+    linear: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Overwrite the squared distances ``sq`` with kernel values and return them.
+
+    ``linear`` is the ``x @ y.T`` term that the linear+RBF kernel adds to
+    its RBF part.
+    """
+    fam = spec.family
+    if bandwidth is None or not bandwidth > 0:
+        raise ConfigError(f"kernel family {fam.value} requires a positive bandwidth")
+    if fam is KernelFamily.IMQ:
+        sq /= bandwidth
+        sq += 1.0
+        np.sqrt(sq, out=sq)
+        return np.divide(1.0, sq, out=sq)
+    sq /= -2.0 * bandwidth
+    np.exp(sq, out=sq)
+    if fam is KernelFamily.LINEAR_PLUS_RBF:
+        sq *= spec.epsilon
+        sq += linear
+    return sq
 
 
 def kernel_matrix(
@@ -134,19 +186,10 @@ def kernel_matrix(
     y = x if y is None else np.atleast_2d(np.asarray(y, dtype=float))
     if x.shape[1] != y.shape[1]:
         raise DimensionMismatch(f"dimensions differ: {x.shape[1]} vs {y.shape[1]}")
-    fam = spec.family
-    if fam is KernelFamily.LINEAR:
+    if spec.family is KernelFamily.LINEAR:
         return x @ y.T
-    if bandwidth is None or not bandwidth > 0:
-        raise ConfigError(f"kernel family {fam.value} requires a positive bandwidth")
-    sq = cdist(x, y, metric="sqeuclidean")
-    if fam is KernelFamily.RBF:
-        return np.exp(-sq / (2.0 * bandwidth))
-    if fam is KernelFamily.IMQ:
-        return 1.0 / np.sqrt(1.0 + sq / bandwidth)
-    if fam is KernelFamily.LINEAR_PLUS_RBF:
-        return x @ y.T + spec.epsilon * np.exp(-sq / (2.0 * bandwidth))
-    raise ConfigError(f"unknown kernel family {fam}")
+    linear = x @ y.T if spec.family is KernelFamily.LINEAR_PLUS_RBF else None
+    return _apply_kernel(spec, bandwidth, cdist(x, y, metric="sqeuclidean"), linear)
 
 
 def eval_kernel(
@@ -160,13 +203,17 @@ def eval_kernel(
     return float(kernel_matrix(spec, bandwidth, x[None, :], y[None, :])[0, 0])
 
 
-def _symmetric_kernel_matrix(
-    spec: KernelSpec, bandwidth: Optional[float], x: np.ndarray
-) -> np.ndarray:
-    """Full kernel matrix with the upper triangle mirrored onto the lower."""
-    k = kernel_matrix(spec, bandwidth, x)
-    upper = np.triu(k, 1)
-    return upper + upper.T + np.diag(np.diag(k))
+def _mirrored_product(x: np.ndarray) -> np.ndarray:
+    """``x @ x.T`` with its strict upper triangle copied onto the lower one.
+
+    Adding 0.0 turns every -0.0 (a zero product with a negative factor)
+    into +0.0.
+    """
+    k = x @ x.T
+    for i in range(1, k.shape[0]):
+        k[i, :i] = k[:i, i]
+    k += 0.0
+    return k
 
 
 @dataclass(frozen=True)
@@ -235,22 +282,51 @@ class GramCache:
 def build_gram(
     spec: KernelSpec, current: Sample, historical: Sample, treatment: Sample
 ) -> GramCache:
-    """Build the Gram cache for three dimension-consistent samples."""
+    """Build the Gram cache for three dimension-consistent samples.
+
+    Distance-based kernels take one ``pdist`` over the three-arm pool: it
+    gives the three-arm median and, through ``squareform``, the full
+    squared-distance matrix, whose current || treatment block is the
+    two-arm one.  The two-arm median is a ``pdist`` over the two-arm
+    pool.  Each kernel is then applied in place.  Only the linear term
+    is mirrored, because ``x @ x.T`` need not be exactly symmetric.
+
+    Raises:
+        DegenerateSample: if a median bandwidth is zero.
+    """
     if not (current.dim == historical.dim == treatment.dim):
         raise DimensionMismatch(
             f"arm dimensions differ: {current.dim}, {historical.dim}, {treatment.dim}"
         )
+    m, l, n = current.size, historical.size, treatment.size
     pooled3 = np.vstack([current.points, historical.points, treatment.points])
     pooled2 = np.vstack([current.points, treatment.points])
-    bw3 = resolve_bandwidth(spec, pooled3) if spec.needs_bandwidth else None
-    bw2 = resolve_bandwidth(spec, pooled2) if spec.needs_bandwidth else None
+    bw3 = bw2 = None
+    if spec.family is KernelFamily.LINEAR:
+        matrix = _mirrored_product(pooled3)
+        matrix_nomerge = _mirrored_product(pooled2)
+    else:
+        pair_sq = pdist(pooled3, metric="sqeuclidean")
+        sq3 = squareform(pair_sq)
+        bw3 = _median_bandwidth(spec, pair_sq)
+        del pair_sq
+        bw2 = resolve_bandwidth(spec, pooled2)
+        two_arm = np.r_[0:m, m + l : m + l + n]
+        sq2 = sq3[np.ix_(two_arm, two_arm)]
+        with_linear = spec.family is KernelFamily.LINEAR_PLUS_RBF
+        matrix = _apply_kernel(
+            spec, bw3, sq3, _mirrored_product(pooled3) if with_linear else None
+        )
+        matrix_nomerge = _apply_kernel(
+            spec, bw2, sq2, _mirrored_product(pooled2) if with_linear else None
+        )
     return GramCache(
         kernel=spec,
-        matrix=_symmetric_kernel_matrix(spec, bw3, pooled3),
-        matrix_nomerge=_symmetric_kernel_matrix(spec, bw2, pooled2),
-        m=current.size,
-        l=historical.size,
-        n=treatment.size,
+        matrix=matrix,
+        matrix_nomerge=matrix_nomerge,
+        m=m,
+        l=l,
+        n=n,
         bandwidth_pooled3=bw3,
         bandwidth_pooled2=bw2,
     )

@@ -11,6 +11,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Optional, Union
 
 import numpy as np
@@ -145,15 +146,23 @@ def _run_replicate(scn: Scenario, rep: int) -> dict:
     return {"merged": fusion.merged, "rejects": rejects}
 
 
+def _map_replicates(run, replicates: int, workers: int) -> list:
+    """``[run(rep) for rep in range(replicates)]``, on ``workers`` processes if > 1.
+
+    ``run`` must be picklable (a module-level function or a ``partial``
+    of one); the rows come back in replicate order either way.
+    """
+    reps = range(replicates)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(run, reps, chunksize=8))
+    return [run(rep) for rep in reps]
+
+
 def run_campaign(scn: Scenario, workers: int = 1) -> CampaignResult:
     """Run all replicates and aggregate merge / rejection rates."""
     start = time.perf_counter()
-    reps = range(scn.replicates)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_run_replicate, [scn] * scn.replicates, reps, chunksize=8))
-    else:
-        rows = [_run_replicate(scn, i) for i in reps]
+    rows = _map_replicates(partial(_run_replicate, scn), scn.replicates, workers)
 
     merges = sum(r["merged"] for r in rows)
     methods = (scn.ttp.merged_method,) + tuple(scn.compare_methods)
@@ -196,54 +205,75 @@ def _ks_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.abs(cdf_a - cdf_b).max())
 
 
+def _null_replicate(
+    scn: Scenario,
+    probe_generator: Optional[Generator],
+    ref_draws: int,
+    methods: tuple,
+    rep: int,
+):
+    """One null-study replicate: the true-null (Delta, T) and each method's draws.
+
+    The reference draws are taken on the replicate's own Gram, or on arms
+    drawn from ``probe_generator`` with the replicate's data seed.
+    """
+    estimator = scn.ttp.causality.estimator
+    gram = build_gram(scn.ttp.kernel, *draw_arms(scn, rep))
+    true_delta = delta_statistic(gram, estimator)
+    true_t = mmd2_fused(
+        gram, gram.current, gram.historical, gram.treatment, estimator
+    ).squared
+
+    probe_gram = gram
+    if probe_generator is not None:
+        probe_arms = draw_arms(replace(scn, generator=probe_generator), rep)
+        probe_gram = build_gram(scn.ttp.kernel, *probe_arms)
+    rng = np.random.default_rng(np.random.SeedSequence([int(scn.master_seed), rep, 3]))
+    refs = {}
+    if Method.PARTIAL_BOOTSTRAP in methods:
+        refs[Method.PARTIAL_BOOTSTRAP] = partial_bootstrap_draws(
+            probe_gram, ref_draws, rng, estimator
+        )
+    if Method.PARTIAL_PERMUTATION in methods:
+        refs[Method.PARTIAL_PERMUTATION] = partial_permutation_draws(
+            probe_gram, ref_draws, rng, estimator
+        )
+    if Method.NORMAL_APPROX in methods:
+        sigma2 = estimate_sigma_c_squared(probe_gram)
+        scale = np.sqrt(4.0 * (1.0 + probe_gram.n / probe_gram.m) * sigma2)
+        refs[Method.NORMAL_APPROX] = scale * rng.standard_normal(ref_draws)
+    return true_delta, true_t, refs
+
+
 def null_distribution_study(
     scn: Scenario,
     probe_levels=(0.9, 0.95),
     probe_generator: Optional[Generator] = None,
     ref_draws: int = 20,
     methods=(Method.PARTIAL_BOOTSTRAP, Method.PARTIAL_PERMUTATION, Method.NORMAL_APPROX),
+    workers: int = 1,
 ) -> list[NullStudyRow]:
     """Compare per-method reference distributions against true-null Monte Carlo.
 
     ``scn.generator`` must fix Qc = Qt; it supplies the true null draws of
     the test statistics (Delta for bootstrap / normal approximation, T
     for partial permutation).  Reference draws are computed on data from
-    ``probe_generator`` (default: the null generator itself), pooling
-    ``ref_draws`` resamples per replicate across replicates.
+    ``probe_generator`` (default: the null generator itself, whose
+    replicate Gram is then reused), pooling ``ref_draws`` resamples per
+    replicate across replicates.  Replicates run on ``workers``
+    processes; the rows are bitwise identical for any worker count.
     """
-    probe_gen = scn.generator if probe_generator is None else probe_generator
-    probe_scn = replace(scn, generator=probe_gen)
-    estimator = scn.ttp.causality.estimator
-
-    true_delta = np.empty(scn.replicates)
-    true_t = np.empty(scn.replicates)
-    refs = {m: [] for m in methods}
-
-    for rep in range(scn.replicates):
-        gram = build_gram(scn.ttp.kernel, *draw_arms(scn, rep))
-        true_delta[rep] = delta_statistic(gram, estimator)
-        true_t[rep] = mmd2_fused(
-            gram, gram.current, gram.historical, gram.treatment, estimator
-        ).squared
-
-        probe_gram = build_gram(probe_scn.ttp.kernel, *draw_arms(probe_scn, rep))
-        rng = np.random.default_rng(np.random.SeedSequence([int(scn.master_seed), rep, 3]))
-        if Method.PARTIAL_BOOTSTRAP in refs:
-            refs[Method.PARTIAL_BOOTSTRAP].append(
-                partial_bootstrap_draws(probe_gram, ref_draws, rng, estimator)
-            )
-        if Method.PARTIAL_PERMUTATION in refs:
-            refs[Method.PARTIAL_PERMUTATION].append(
-                partial_permutation_draws(probe_gram, ref_draws, rng, estimator)
-            )
-        if Method.NORMAL_APPROX in refs:
-            sigma2 = estimate_sigma_c_squared(probe_gram)
-            scale = np.sqrt(4.0 * (1.0 + probe_gram.n / probe_gram.m) * sigma2)
-            refs[Method.NORMAL_APPROX].append(scale * rng.standard_normal(ref_draws))
+    per_rep = _map_replicates(
+        partial(_null_replicate, scn, probe_generator, ref_draws, methods),
+        scn.replicates,
+        workers,
+    )
+    deltas, ts, draws = zip(*per_rep)
+    true_delta, true_t = np.array(deltas), np.array(ts)
 
     rows = []
     for method in methods:
-        reference = np.concatenate(refs[method])
+        reference = np.concatenate([rep_draws[method] for rep_draws in draws])
         truth = true_t if method is Method.PARTIAL_PERMUTATION else true_delta
         ks = _ks_distance(reference, truth)
         for level in probe_levels:

@@ -87,6 +87,19 @@ class TestConfigLoading:
         cfg = load_config("simulate", None, ["kernel.bandwidth=median,0.5,1.5"])
         assert cfg["kernel.bandwidth"] == ["median", 0.5, 1.5]
 
+    def test_config_file_comma_string_means_what_set_means(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(
+            json.dumps({"scenario.mu_c_minus_mu_t": "0,0.4", "sizes.n": "20,40"})
+        )
+        from_file = load_config("simulate", cfg, [])
+        from_set = load_config(
+            "simulate", None, ["scenario.mu_c_minus_mu_t=0,0.4", "sizes.n=20,40"]
+        )
+        assert from_file["scenario.mu_c_minus_mu_t"] == [0.0, 0.4]
+        assert from_file["sizes.n"] == [20, 40]
+        assert from_file == from_set
+
 
 class TestSweepExpansion:
     def test_cartesian_product(self):
@@ -153,6 +166,21 @@ class TestExitCodes:
             ["test", "--out", str(out), "--set", "bogus.key=1"]
         )
         assert rc == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "entry", [{"scenario.mu_c_minus_mu_t": "0,abc"}, {"replicates": "abc"}]
+    )
+    def test_unparsable_config_file_string_exit_2(self, tmp_path, capsys, entry):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(entry))
+        rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "s.txt")])
+        assert rc == EXIT_CONFIG
+        assert "config error:" in capsys.readouterr().err
+
+    def test_unparsable_set_value_exit_2(self, tmp_path, capsys):
+        rc = main(["simulate", "--out", str(tmp_path / "s.txt"), "--set", "sizes.n=abc"])
+        assert rc == EXIT_CONFIG
+        assert "config error:" in capsys.readouterr().err
 
     def test_missing_data_key_exit_2(self, tmp_path):
         rc = main(["test", "--out", str(tmp_path / "r.txt")])
@@ -280,6 +308,15 @@ class TestCmdNullStudy:
             [
                 "null-study", "--out", str(tmp_path / "n.txt"),
                 "--set", "scenario.mu_c_minus_mu_t=0.4",
+            ]
+        )
+        assert rc == EXIT_CONFIG
+
+    def test_sweep_with_a_non_null_cell_exit_2(self, tmp_path):
+        rc = main(
+            [
+                "null-study", "--out", str(tmp_path / "n.txt"),
+                "--set", "scenario.mu_c_minus_mu_t=0,0.4",
             ]
         )
         assert rc == EXIT_CONFIG

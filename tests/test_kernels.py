@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -83,6 +84,19 @@ class TestResolveBandwidth:
         # {1, 1, 4, 9, 9, 16} -> (4 + 9) / 2
         pts = np.array([[0.0], [1.0], [3.0], [4.0]])
         assert resolve_bandwidth(KernelSpec(), pts) == pytest.approx(6.5, abs=1e-15)
+
+    def test_equals_numpy_median_with_ties(self, rng):
+        # Integer points give many tied distances, odd and even pair counts.
+        for size in range(2, 40):
+            pts = rng.integers(0, 4, size=(size, 1)).astype(float)
+            want = float(np.median(pdist(pts, metric="sqeuclidean")))
+            if want > 0:
+                assert resolve_bandwidth(KernelSpec(), pts) == want
+
+    def test_nan_point_is_degenerate(self):
+        pts = np.array([[0.0], [1.0], [3.0], [np.nan]])
+        with pytest.raises(DegenerateSample, match="NaN"):
+            resolve_bandwidth(KernelSpec(), pts)
 
 
 class TestEvalKernel:
@@ -249,4 +263,64 @@ def test_kernel_matrix_cross_block(rng):
         for j in range(4):
             assert k[i, j] == pytest.approx(
                 eval_kernel(spec, 0.7, x[i], y[j]), abs=1e-15
+            )
+
+
+def _reference_gram(spec, c, h, t):
+    """The two-cdist construction: pdist medians, kernel_matrix, triu mirror."""
+
+    def bandwidth(pooled):
+        if not spec.needs_bandwidth:
+            return None
+        if spec.bandwidth is not None:
+            return spec.bandwidth
+        return float(np.median(pdist(pooled, metric="sqeuclidean")))
+
+    def mirrored(bw, pooled):
+        k = kernel_matrix(spec, bw, pooled)
+        upper = np.triu(k, 1)
+        return upper + upper.T + np.diag(np.diag(k))
+
+    pooled3, pooled2 = np.vstack([c, h, t]), np.vstack([c, t])
+    bw3, bw2 = bandwidth(pooled3), bandwidth(pooled2)
+    return mirrored(bw3, pooled3), mirrored(bw2, pooled2), bw3, bw2
+
+
+class TestSinglePassGram:
+    @pytest.mark.parametrize("family", list(KernelFamily))
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("bandwidth", [None, 0.8])
+    def test_equals_reference_construction(self, family, dim, bandwidth):
+        rng = np.random.default_rng([dim, int(bandwidth is None)])
+        eps = 0.3 if family is KernelFamily.LINEAR_PLUS_RBF else 0.0
+        spec = KernelSpec(family=family, bandwidth=bandwidth, epsilon=eps)
+        for m, l, n in [(7, 12, 5), (30, 3, 41), (1, 1, 2), (50, 100, 100)]:
+            c = rng.normal(size=(m, dim))
+            h = 0.5 + 2.0 * rng.normal(size=(l, dim))
+            t = rng.normal(size=(n, dim))
+            gram = build_gram(
+                spec,
+                Sample(c, Arm.CURRENT),
+                Sample(h, Arm.HISTORICAL),
+                Sample(t, Arm.TREATMENT),
+            )
+            matrix, nomerge, bw3, bw2 = _reference_gram(spec, c, h, t)
+            assert np.array_equal(gram.matrix, matrix)
+            assert np.array_equal(gram.matrix_nomerge, nomerge)
+            assert gram.bandwidth_pooled3 == bw3
+            assert gram.bandwidth_pooled2 == bw2
+
+    def test_constant_two_arm_pool_is_degenerate(self, rng):
+        # The three-arm median is positive, but every current || treatment
+        # pair coincides, so the two-arm median is zero.
+        c = np.full((3, 1), 2.0)
+        h = rng.normal(size=(20, 1))
+        t = np.full((3, 1), 2.0)
+        assert np.median(pdist(np.vstack([c, h, t]), metric="sqeuclidean")) > 0
+        with pytest.raises(DegenerateSample):
+            build_gram(
+                KernelSpec(),
+                Sample(c, Arm.CURRENT),
+                Sample(h, Arm.HISTORICAL),
+                Sample(t, Arm.TREATMENT),
             )

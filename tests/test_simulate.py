@@ -208,3 +208,17 @@ class TestNullStudy:
         )
         assert base[0].true_quantile == probed[0].true_quantile
         assert base[0].reference_quantile != probed[0].reference_quantile
+
+    def test_reused_gram_equals_rebuilt_probe_gram(self):
+        # Without a probe generator the replicate's own Gram is reused; naming
+        # the null generator as the probe rebuilds it from the same arms.
+        scn = tiny_scenario(reps=4, seed=5)
+        reused = null_distribution_study(scn, ref_draws=7)
+        rebuilt = null_distribution_study(scn, ref_draws=7, probe_generator=scn.generator)
+        assert reused == rebuilt
+
+    def test_worker_count_invariance(self):
+        scn = tiny_scenario(reps=5, seed=2)
+        serial = null_distribution_study(scn, ref_draws=6, workers=1)
+        pooled = null_distribution_study(scn, ref_draws=6, workers=2)
+        assert serial == pooled
