@@ -102,6 +102,18 @@ def delta_statistic(gram: GramCache, estimator: Estimator = Estimator.VSTAT) -> 
 # ---------------------------------------------------------------------------
 
 
+def _mask_sums(k: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Within-a, cross and within-b sums of ``k`` for 0/1 group-a membership rows.
+
+    The cross sum is each row total of ``masks @ k`` minus its within-a
+    part, so no complement mask array is built.
+    """
+    rowsum = masks @ k
+    s_aa = np.einsum("bq,bq->b", rowsum, masks)
+    s_ab = rowsum.sum(axis=1) - s_aa
+    return s_aa, s_ab, k.sum() - s_aa - 2.0 * s_ab
+
+
 def permutation_two_sample_stats(
     k_pooled: np.ndarray,
     masks: np.ndarray,
@@ -110,10 +122,7 @@ def permutation_two_sample_stats(
     estimator: Estimator,
 ) -> np.ndarray:
     """Batched two-sample MMD^2 statistics for 0/1 group-a membership rows."""
-    rowsum = masks @ k_pooled
-    s_aa = np.einsum("bq,bq->b", rowsum, masks)
-    s_ab = np.einsum("bq,bq->b", rowsum, 1.0 - masks)
-    s_bb = k_pooled.sum() - s_aa - 2.0 * s_ab
+    s_aa, s_ab, s_bb = _mask_sums(k_pooled, masks)
     cross = -2.0 * s_ab / (size_a * size_b)
     if estimator is Estimator.USTAT:
         diag = np.diag(k_pooled)
@@ -282,10 +291,7 @@ def partial_permutation_draws(
     hh_sum = gram.k_hh.sum()
 
     masks = permutation_masks(rng, m + n, m, num_resamples)  # 1 = permuted-current
-    rowsum = masks @ k_ct
-    cc = np.einsum("bq,bq->b", rowsum, masks)
-    ct = np.einsum("bq,bq->b", rowsum, 1.0 - masks)
-    tt = k_ct.sum() - cc - 2.0 * ct
+    cc, ct, tt = _mask_sums(k_ct, masks)
     ch = masks @ hrow
     th = hrow.sum() - ch
 
@@ -293,8 +299,9 @@ def partial_permutation_draws(
     within_t = tt
     if estimator is Estimator.USTAT:
         d_ct = np.diag(k_ct)
-        within_f = (within_f - masks @ d_ct - np.trace(gram.k_hh)) / (big * (big - 1))
-        within_t = (within_t - ((1.0 - masks) @ d_ct)) / (n * (n - 1))
+        d_c = masks @ d_ct
+        within_f = (within_f - d_c - np.trace(gram.k_hh)) / (big * (big - 1))
+        within_t = (within_t - (d_ct.sum() - d_c)) / (n * (n - 1))
     else:
         within_f = within_f / big**2
         within_t = within_t / n**2

@@ -76,42 +76,37 @@ _COMMON_DEFAULTS = {
     "seed": 0,
 }
 
+#: Synthetic-scenario keys shared by ``simulate`` and ``null-study``.
+_SCENARIO_DEFAULTS = {
+    "scenario.generator": "mean_shift",
+    "scenario.mu_c_minus_mu_t": 0.0,
+    "scenario.mu_h_minus_mu_c": 0.0,
+    "scenario.var_c_over_var_t": 1.0,
+    "scenario.var_h_over_var_c": 1.0,
+    "sizes.n": 100,
+    "sizes.m": 50,
+    "sizes.l": 100,
+    "replicates": 1000,
+}
+
 _DEFAULTS = {
     "test": {**_COMMON_DEFAULTS, "data": ""},
-    "simulate": {
-        **_COMMON_DEFAULTS,
-        "compare_methods": [],
-        "scenario.generator": "mean_shift",
-        "scenario.mu_c_minus_mu_t": 0.0,
-        "scenario.mu_h_minus_mu_c": 0.0,
-        "scenario.var_c_over_var_t": 1.0,
-        "scenario.var_h_over_var_c": 1.0,
-        "sizes.n": 100,
-        "sizes.m": 50,
-        "sizes.l": 100,
-        "replicates": 1000,
-    },
+    "simulate": {**_COMMON_DEFAULTS, **_SCENARIO_DEFAULTS, "compare_methods": []},
     "null-study": {
         **_COMMON_DEFAULTS,
-        "scenario.generator": "mean_shift",
-        "scenario.mu_c_minus_mu_t": 0.0,
-        "scenario.mu_h_minus_mu_c": 0.0,
-        "scenario.var_c_over_var_t": 1.0,
-        "scenario.var_h_over_var_c": 1.0,
-        "sizes.n": 100,
-        "sizes.m": 50,
-        "sizes.l": 100,
-        "replicates": 1000,
+        **_SCENARIO_DEFAULTS,
         "nullstudy.probe_levels": [0.9, 0.95],
         "nullstudy.probe_mu_c_minus_mu_t": None,
         "nullstudy.ref_draws": 20,
     },
 }
 
-#: Keys whose value may be a list, expanding into a Cartesian sweep.
+#: Keys whose value may be a list, expanding into a Cartesian sweep
+#: (``simulate`` and ``null-study`` only; ``test`` analyses one config).
 _SWEEP_KEYS = (
     "kernel.bandwidth",
     "fusion.theta",
+    "fusion.mode",
     "scenario.mu_c_minus_mu_t",
     "scenario.mu_h_minus_mu_c",
     "scenario.var_c_over_var_t",
@@ -188,9 +183,12 @@ def _coerce_text(key: str, text: str, default):
 
 
 def _validate_types(command: str, cfg: dict) -> None:
+    sweeps = () if command == "test" else _SWEEP_KEYS
     for key, value in cfg.items():
-        if isinstance(value, list) and key not in _SWEEP_KEYS and key not in _LIST_KEYS:
-            raise ConfigError(f"config key {key!r} does not accept a list")
+        if isinstance(value, list) and key not in sweeps and key not in _LIST_KEYS:
+            raise ConfigError(
+                f"config key {key!r} does not accept a list for command {command!r}"
+            )
 
 
 def expand_sweeps(cfg: dict) -> list[dict]:
@@ -462,17 +460,6 @@ def _render_report_text(report: TTPReport, cfg: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-_SIM_SWEEP_COLS = (
-    "kernel.bandwidth",
-    "fusion.theta",
-    "scenario.mu_c_minus_mu_t",
-    "scenario.mu_h_minus_mu_c",
-    "scenario.var_c_over_var_t",
-    "scenario.var_h_over_var_c",
-    "sizes.n",
-)
-
-
 def cmd_simulate(args) -> int:
     cfg = load_config("simulate", args.config, args.set)
     if args.seed is not None:
@@ -484,7 +471,7 @@ def cmd_simulate(args) -> int:
         results.append((cell, run_campaign(scn, workers=args.workers)))
 
     method_names = [cfg["merged_method"], *cfg.get("compare_methods", [])]
-    header = list(_SIM_SWEEP_COLS) + [
+    header = list(_SWEEP_KEYS) + [
         "merge_rate",
         "stderr_merge",
         *[f"reject_rate.{name}" for name in method_names],
@@ -494,7 +481,7 @@ def cmd_simulate(args) -> int:
     rows = []
     for cell, res in results:
         rows.append(
-            [cell[c] for c in _SIM_SWEEP_COLS]
+            [cell[c] for c in _SWEEP_KEYS]
             + [res.merge_rate, res.stderr_merge]
             + [res.per_method_rates[name] for name in method_names]
             + [res.stderr_reject, res.scenario.replicates]
@@ -503,7 +490,7 @@ def cmd_simulate(args) -> int:
 
     lines = ["ttpool simulate report", "======================"]
     for cell, res in results:
-        sweep = ", ".join(f"{c}={cell[c]}" for c in _SIM_SWEEP_COLS if isinstance(cfg[c], list))
+        sweep = ", ".join(f"{c}={cell[c]}" for c in _SWEEP_KEYS if isinstance(cfg[c], list))
         lines.append(
             f"[{sweep or 'single cell'}] merge={res.merge_rate:.3f} "
             + " ".join(

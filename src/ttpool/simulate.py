@@ -83,6 +83,12 @@ class Scenario:
             raise ConfigError("all arm sizes must be >= 2")
         if self.replicates < 1:
             raise ConfigError("replicates must be >= 1")
+        methods = [self.ttp.merged_method, *self.compare_methods]
+        if len(set(methods)) < len(methods):
+            raise ConfigError(
+                "merged_method and compare_methods must name distinct methods, got "
+                f"{[m.value for m in methods]}"
+            )
 
 
 @dataclass(frozen=True)
@@ -263,6 +269,10 @@ def null_distribution_study(
     replicate across replicates.  Replicates run on ``workers``
     processes; the rows are bitwise identical for any worker count.
     """
+    if ref_draws < 1:
+        raise ConfigError(f"ref_draws must be >= 1, got {ref_draws}")
+    if not all(0.0 < level < 1.0 for level in probe_levels):
+        raise ConfigError(f"probe levels must lie in (0, 1), got {list(probe_levels)}")
     per_rep = _map_replicates(
         partial(_null_replicate, scn, probe_generator, ref_draws, methods),
         scn.replicates,

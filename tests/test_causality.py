@@ -17,6 +17,7 @@ from ttpool.causality import (
     partial_bootstrap_test,
     partial_permutation_draws,
     partial_permutation_test,
+    permutation_two_sample_stats,
     pooled_permutation_test,
     run_causality,
     standard_permutation_test,
@@ -201,6 +202,79 @@ class TestPartialPermutationOracle:
         out = partial_permutation_test(gram, cfg)
         want = mmd2_fused(gram, gram.current, gram.historical, gram.treatment).squared
         assert out.statistic == pytest.approx(want, abs=1e-15)
+
+
+def _complement_two_sample_stats(k, masks, size_a, size_b, estimator):
+    """The permutation statistics written with the complement mask ``1 - masks``."""
+    rowsum = masks @ k
+    s_aa = np.einsum("bq,bq->b", rowsum, masks)
+    s_ab = np.einsum("bq,bq->b", rowsum, 1.0 - masks)
+    s_bb = k.sum() - s_aa - 2.0 * s_ab
+    cross = -2.0 * s_ab / (size_a * size_b)
+    if estimator is Estimator.USTAT:
+        diag = np.diag(k)
+        d_a = masks @ diag
+        d_b = diag.sum() - d_a
+        return (
+            (s_aa - d_a) / (size_a * (size_a - 1))
+            + (s_bb - d_b) / (size_b * (size_b - 1))
+            + cross
+        )
+    return s_aa / size_a**2 + s_bb / size_b**2 + cross
+
+
+def _complement_partial_permutation_draws(gram, masks, estimator):
+    """Partial-permutation draws written with the complement mask ``1 - masks``."""
+    m, l, n = gram.m, gram.l, gram.n
+    big = m + l
+    pos_ct = np.concatenate([gram.current, gram.treatment])
+    k_ct = gram.matrix[np.ix_(pos_ct, pos_ct)]
+    hrow = gram.matrix[np.ix_(pos_ct, gram.historical)].sum(axis=1)
+    rowsum = masks @ k_ct
+    cc = np.einsum("bq,bq->b", rowsum, masks)
+    ct = np.einsum("bq,bq->b", rowsum, 1.0 - masks)
+    tt = k_ct.sum() - cc - 2.0 * ct
+    ch = masks @ hrow
+    within_f = cc + 2.0 * ch + gram.k_hh.sum()
+    within_t = tt
+    if estimator is Estimator.USTAT:
+        d_ct = np.diag(k_ct)
+        within_f = (within_f - masks @ d_ct - np.trace(gram.k_hh)) / (big * (big - 1))
+        within_t = (within_t - (1.0 - masks) @ d_ct) / (n * (n - 1))
+    else:
+        within_f = within_f / big**2
+        within_t = within_t / n**2
+    return within_f + within_t - 2.0 * (ct + hrow.sum() - ch) / (big * n)
+
+
+def assert_close_to_scale(got, want, rel=1e-12):
+    """Agreement within ``rel`` of the largest |draw|: draws near zero are
+    differences of O(1) kernel sums, so only their absolute error is bounded."""
+    np.testing.assert_allclose(got, want, rtol=0, atol=rel * np.abs(want).max())
+
+
+class TestMaskSums:
+    """The cross sum taken as row total minus within sum agrees with ``1 - masks``."""
+
+    @pytest.mark.parametrize("estimator", [Estimator.VSTAT, Estimator.USTAT])
+    @pytest.mark.parametrize("sizes", [(12, 15, 14), (50, 100, 100), (3, 2, 40)])
+    def test_two_sample_stats_match_complement_formula(self, estimator, sizes):
+        rng = np.random.default_rng(sum(sizes))
+        gram = make_gram(rng, *sizes, shift_h=0.3, shift_t=0.5)
+        size_a, size_b = gram.m + gram.l, gram.n
+        masks = permutation_masks(rng, size_a + size_b, size_a, 300)
+        got = permutation_two_sample_stats(gram.matrix, masks, size_a, size_b, estimator)
+        want = _complement_two_sample_stats(gram.matrix, masks, size_a, size_b, estimator)
+        assert_close_to_scale(got, want)
+
+    @pytest.mark.parametrize("estimator", [Estimator.VSTAT, Estimator.USTAT])
+    @pytest.mark.parametrize("sizes", [(12, 15, 14), (50, 100, 100), (3, 2, 40)])
+    def test_partial_permutation_draws_match_complement_formula(self, estimator, sizes):
+        gram = make_gram(np.random.default_rng(sum(sizes)), *sizes, shift_h=0.6)
+        got = partial_permutation_draws(gram, 300, np.random.default_rng(9), estimator)
+        masks = permutation_masks(np.random.default_rng(9), gram.m + gram.n, gram.m, 300)
+        want = _complement_partial_permutation_draws(gram, masks, estimator)
+        assert_close_to_scale(got, want)
 
 
 class TestNormalApprox:

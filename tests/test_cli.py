@@ -182,6 +182,16 @@ class TestExitCodes:
         assert rc == EXIT_CONFIG
         assert "config error:" in capsys.readouterr().err
 
+    def test_test_command_rejects_a_sweep_exit_2(self, tmp_path, dataset, capsys):
+        rc = main(
+            [
+                "test", "--out", str(tmp_path / "r.txt"),
+                "--set", f"data={dataset}", "--set", "fusion.theta=0.3,0.4",
+            ]
+        )
+        assert rc == EXIT_CONFIG
+        assert "does not accept a list" in capsys.readouterr().err
+
     def test_missing_data_key_exit_2(self, tmp_path):
         rc = main(["test", "--out", str(tmp_path / "r.txt")])
         assert rc == EXIT_CONFIG
@@ -302,6 +312,31 @@ class TestCmdSimulate:
         assert (tmp_path / "a.txt.tsv").read_bytes() == (tmp_path / "b.txt.tsv").read_bytes()
 
 
+    def test_fusion_mode_sweep_equals_single_mode_runs(self, tmp_path):
+        args = [
+            "simulate",
+            "--set", "replicates=4",
+            "--set", "sizes.n=16", "--set", "sizes.m=12", "--set", "sizes.l=14",
+            "--set", "scenario.mu_c_minus_mu_t=0,0.4",
+            "--seed", "3",
+            *FAST,
+        ]
+
+        def rows(name, mode):
+            out = ["--out", str(tmp_path / name), "--set", f"fusion.mode={mode}"]
+            assert main(args + out) == EXIT_OK
+            lines = (tmp_path / f"{name}.tsv").read_text().splitlines()
+            return [ln for ln in lines if not ln.startswith("# ")]
+
+        swept = rows("both.txt", "equivalence,classic")
+        equivalence = rows("eq.txt", "equivalence")
+        classic = rows("cl.txt", "classic")
+        assert swept[0] == equivalence[0] == classic[0]
+        assert "fusion.mode" in swept[0].split("\t")
+        assert swept[1:] == equivalence[1:] + classic[1:]
+        assert len(swept) == 1 + 4
+
+
 class TestCmdNullStudy:
     def test_requires_null_scenario(self, tmp_path):
         rc = main(
@@ -339,3 +374,17 @@ class TestCmdNullStudy:
         assert header[:3] == ["sizes.n", "method", "level"]
         # three methods x two default probe levels
         assert len(table) == 1 + 6
+
+    @pytest.mark.parametrize(
+        "setting",
+        ["nullstudy.ref_draws=0", "nullstudy.ref_draws=-2", "nullstudy.probe_levels=1.5"],
+    )
+    def test_bad_settings_exit_2(self, tmp_path, capsys, setting):
+        rc = main(
+            [
+                "null-study", "--out", str(tmp_path / "n.txt"),
+                "--set", "replicates=2", "--set", setting, *FAST,
+            ]
+        )
+        assert rc == EXIT_CONFIG
+        assert "config error:" in capsys.readouterr().err

@@ -1,10 +1,14 @@
-"""The README's library quick start runs as written against the package."""
+"""The README's library quick start and experiment commands run as written."""
 
 import os
 import re
+import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+from ttpool.cli import expand_sweeps, load_config
 
 ROOT = Path(__file__).resolve().parent.parent
 QUICK_START = re.compile(r"## Quick start \(library\)\n.*?```python\n(.*?)```", re.S)
@@ -23,3 +27,42 @@ def test_quick_start_block_runs(tmp_path):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+EXPERIMENTS = re.compile(r"## Experiment configs\n.*?```sh\n(.*?)```", re.S)
+SMALL = [
+    "--set", "replicates=2",
+    "--set", "fusion.num_bootstrap=20",
+    "--set", "causality.num_resamples=20",
+]
+
+
+def test_experiment_commands_run(tmp_path):
+    match = EXPERIMENTS.search((ROOT / "README.md").read_text())
+    assert match, "README has no ```sh block under 'Experiment configs'"
+    commands = [shlex.split(line) for line in match.group(1).splitlines() if line.strip()]
+    assert len(commands) == 5
+    shutil.copytree(ROOT / "configs", tmp_path / "configs")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for argv in commands:
+        assert argv[0] == "ttpool", argv
+        args = argv[1:] + SMALL
+        proc = subprocess.run(
+            [sys.executable, "-m", "ttpool.cli", *args],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        command = args[0]
+        config = tmp_path / args[args.index("--config") + 1]
+        sets = [args[i + 1] for i, a in enumerate(args) if a == "--set"]
+        cfg = load_config(command, config, sets)
+        cells = expand_sweeps(cfg)
+        # null-study writes one row per method (three) and probe level per cell.
+        per_cell = 1 if command == "simulate" else 3 * len(cfg["nullstudy.probe_levels"])
+        tsv = tmp_path / (args[args.index("--out") + 1] + ".tsv")
+        table = [ln for ln in tsv.read_text().splitlines() if not ln.startswith("#")]
+        assert len(table) == 1 + per_cell * len(cells), argv

@@ -75,6 +75,19 @@ class TestScenarioValidation:
         with pytest.raises(ConfigError):
             tiny_scenario(reps=0)
 
+    @pytest.mark.parametrize(
+        "compare",
+        [
+            (Method.PARTIAL_BOOTSTRAP,),
+            (Method.PARTIAL_PERMUTATION, Method.PARTIAL_PERMUTATION),
+        ],
+    )
+    def test_repeated_method_rejected(self, compare):
+        # Rates are keyed by method name, so a repeat would report one
+        # column twice, computed with the later method's seed.
+        with pytest.raises(ConfigError, match="distinct"):
+            tiny_scenario(compare_methods=compare)
+
 
 class TestSeeding:
     def test_draws_depend_only_on_master_seed_and_replicate(self):
@@ -222,3 +235,17 @@ class TestNullStudy:
         serial = null_distribution_study(scn, ref_draws=6, workers=1)
         pooled = null_distribution_study(scn, ref_draws=6, workers=2)
         assert serial == pooled
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"ref_draws": 0},
+            {"ref_draws": -2},
+            {"probe_levels": (1.5,)},
+            {"probe_levels": (0.9, 1.0)},
+            {"probe_levels": (0.0,)},
+        ],
+    )
+    def test_bad_settings_are_config_errors(self, kwargs):
+        with pytest.raises(ConfigError):
+            null_distribution_study(tiny_scenario(reps=2), **kwargs)
