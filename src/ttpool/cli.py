@@ -42,6 +42,7 @@ from .simulate import (
     VarShift,
     null_distribution_study,
     run_campaign,
+    worker_pool,
 )
 
 EXIT_OK = 0
@@ -134,9 +135,7 @@ def load_config(command: str, config_path, overrides) -> dict:
         for key, value in raw.items():
             if key not in defaults:
                 raise ConfigError(f"unknown config key {key!r} for command {command!r}")
-            if isinstance(value, str):
-                value = _coerce_override(key, value, defaults[key])
-            cfg[key] = value
+            cfg[key] = _coerce_file_value(key, value, defaults[key])
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
@@ -146,6 +145,19 @@ def load_config(command: str, config_path, overrides) -> dict:
         cfg[key] = _coerce_override(key, text, defaults[key])
     _validate_types(command, cfg)
     return cfg
+
+
+def _coerce_file_value(key: str, value, default):
+    """Parse a config-file string, or each string in a config-file list, like ``--set`` text."""
+    if isinstance(value, str):
+        return _coerce_override(key, value, default)
+    if not isinstance(value, list):
+        return value
+    items = []
+    for item in value:
+        parsed = _coerce_override(key, item, default) if isinstance(item, str) else item
+        items.extend(parsed if isinstance(parsed, list) else [parsed])
+    return items
 
 
 def _coerce_scalar(text: str, template):
@@ -465,10 +477,12 @@ def cmd_simulate(args) -> int:
     if args.seed is not None:
         cfg["seed"] = args.seed
     cells = expand_sweeps(cfg)
-    results = []
-    for cell in cells:
-        scn = build_scenario(cell)
-        results.append((cell, run_campaign(scn, workers=args.workers)))
+    scenarios = [build_scenario(cell) for cell in cells]
+    with worker_pool(args.workers) as pool:
+        results = [
+            (cell, run_campaign(scn, workers=args.workers, pool=pool))
+            for cell, scn in zip(cells, scenarios)
+        ]
 
     method_names = [cfg["merged_method"], *cfg.get("compare_methods", [])]
     header = list(_SWEEP_KEYS) + [
@@ -515,41 +529,41 @@ def cmd_null_study(args) -> int:
             raise ConfigError("null-study requires Qc = Qt (scenario.mu_c_minus_mu_t = 0)")
         if gen == "var_shift" and float(cell["scenario.var_c_over_var_t"]) != 1.0:
             raise ConfigError("null-study requires Qc = Qt (scenario.var_c_over_var_t = 1)")
-    header = ["sizes.n", "method", "level", "reference_quantile", "true_quantile", "ks_distance"]
-    rows = []
-    for cell in cells:
-        scn = build_scenario(cell)
-        probe = None
-        if cell["nullstudy.probe_mu_c_minus_mu_t"] is not None:
-            probe = MeanShift(
-                mu_c_minus_mu_t=float(cell["nullstudy.probe_mu_c_minus_mu_t"]),
-                mu_h_minus_mu_c=float(cell["scenario.mu_h_minus_mu_c"]),
+    scenarios = [build_scenario(cell) for cell in cells]
+    header = [
+        *_SWEEP_KEYS, "method", "level", "reference_quantile", "true_quantile", "ks_distance"
+    ]
+    swept = [c for c in _SWEEP_KEYS if c != "sizes.n" and isinstance(cfg[c], list)]
+    rows, lines = [], ["ttpool null-study report", "========================"]
+    with worker_pool(args.workers) as pool:
+        for cell, scn in zip(cells, scenarios):
+            probe = None
+            if cell["nullstudy.probe_mu_c_minus_mu_t"] is not None:
+                probe = MeanShift(
+                    mu_c_minus_mu_t=float(cell["nullstudy.probe_mu_c_minus_mu_t"]),
+                    mu_h_minus_mu_c=float(cell["scenario.mu_h_minus_mu_c"]),
+                )
+            study = null_distribution_study(
+                scn,
+                probe_levels=tuple(cell["nullstudy.probe_levels"]),
+                probe_generator=probe,
+                ref_draws=int(cell["nullstudy.ref_draws"]),
+                workers=args.workers,
+                pool=pool,
             )
-        study = null_distribution_study(
-            scn,
-            probe_levels=tuple(cell["nullstudy.probe_levels"]),
-            probe_generator=probe,
-            ref_draws=int(cell["nullstudy.ref_draws"]),
-            workers=args.workers,
-        )
-        for row in study:
-            rows.append(
-                [
-                    cell["sizes.n"],
-                    row.method,
-                    row.level,
-                    row.reference_quantile,
-                    row.true_quantile,
-                    row.ks_distance,
-                ]
-            )
+            label = "".join(f" {c}={cell[c]}" for c in swept)
+            for row in study:
+                rows.append(
+                    [cell[c] for c in _SWEEP_KEYS]
+                    + [row.method, row.level]
+                    + [row.reference_quantile, row.true_quantile, row.ks_distance]
+                )
+                lines.append(
+                    f"n={cell['sizes.n']}{label} method={row.method} level={row.level} "
+                    f"ref_q={row.reference_quantile:.4g} true_q={row.true_quantile:.4g} "
+                    f"ks={row.ks_distance:.4f}"
+                )
     write_table(Path(str(args.out) + ".tsv"), cfg, header, rows)
-    lines = ["ttpool null-study report", "========================"]
-    for row in rows:
-        lines.append(
-            f"n={row[0]} method={row[1]} level={row[2]} ref_q={row[3]:.4g} "
-            f"true_q={row[4]:.4g} ks={row[5]:.4f}"
-        )
     text = "\n".join(lines) + "\n"
     Path(args.out).write_text(text)
     print(text, end="")

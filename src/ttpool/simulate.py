@@ -2,16 +2,24 @@
 
 Replicates are embarrassingly parallel and seeded per replicate from the
 campaign master seed, so results are bitwise identical for any worker
-count.  Data generation uses numpy's PCG64 Generator (``standard_normal``
-scaled and shifted), recorded in the result for replay.
+count.  ``worker_pool`` opens the one process pool that a command's
+campaigns share; each of its workers runs one BLAS thread.  Data
+generation uses numpy's PCG64 Generator (``standard_normal`` scaled and
+shifted), recorded in the result for replay.
 """
 
 from __future__ import annotations
 
+import ctypes
+import logging
+import math
+import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cache, partial
+from pathlib import Path
 from typing import Optional, Union
 
 import numpy as np
@@ -30,6 +38,16 @@ from .pipeline import TTPConfig, run_ttp
 from .quantile import inf_quantile
 
 RNG_ALGORITHM = "numpy.random.Generator(PCG64).standard_normal"
+
+_log = logging.getLogger(__name__)
+
+#: Workers are forked where the platform can, so that they inherit the
+#: parent's one-thread BLAS setting (see ``_map_replicates``).
+_POOL_CONTEXT = (
+    multiprocessing.get_context("fork")
+    if "fork" in multiprocessing.get_all_start_methods()
+    else None
+)
 
 
 @dataclass(frozen=True)
@@ -152,23 +170,104 @@ def _run_replicate(scn: Scenario, rep: int) -> dict:
     return {"merged": fusion.merged, "rejects": rejects}
 
 
-def _map_replicates(run, replicates: int, workers: int) -> list:
+@cache
+def _numpy_openblas() -> Optional[ctypes.CDLL]:
+    """NumPy's bundled ``scipy_openblas64_`` library, or ``None`` where it is not found.
+
+    Loading the file NumPy already loaded returns the same library, so its
+    thread setter acts on NumPy's own BLAS calls.
+    """
+    numpy_dir = Path(np.__file__).parent
+    for lib_dir in (numpy_dir.parent / "numpy.libs", numpy_dir / ".dylibs"):
+        for path in sorted(lib_dir.glob("*scipy_openblas64_*")):
+            try:
+                lib = ctypes.CDLL(str(path))
+                lib.scipy_openblas_get_num_threads64_.argtypes = []
+                lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
+                lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
+                lib.scipy_openblas_set_num_threads64_.restype = None
+            except (OSError, AttributeError):
+                continue
+            return lib
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block with NumPy's OpenBLAS on one thread; restore the saved count after."""
+    lib = _numpy_openblas()
+    if lib is None:
+        _log.debug("no NumPy OpenBLAS found; pool workers keep the default BLAS threading")
+        yield
+        return
+    saved = lib.scipy_openblas_get_num_threads64_()
+    _log.debug("pinning OpenBLAS %s to 1 thread for the pool (saved count %d)", lib._name, saved)
+    lib.scipy_openblas_set_num_threads64_(1)
+    try:
+        yield
+    finally:
+        lib.scipy_openblas_set_num_threads64_(saved)
+
+
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
+
+
+@contextmanager
+def worker_pool(workers: int):
+    """The process pool that every campaign of one command shares.
+
+    Yields ``None`` for ``workers == 1``: serial runs keep the default BLAS
+    threading, which large matrix products need.  Otherwise yields a
+    ``ProcessPoolExecutor`` of ``workers`` processes, open while NumPy's
+    OpenBLAS runs one thread; the saved thread count is restored once the
+    pool has closed.  Pass it as ``pool`` to ``run_campaign`` or
+    ``null_distribution_study``.
+    """
+    _check_workers(workers)
+    if workers == 1:
+        yield None
+        return
+    with _one_blas_thread(), ProcessPoolExecutor(workers, mp_context=_POOL_CONTEXT) as pool:
+        yield pool
+
+
+def _map_replicates(run, replicates: int, workers: int, pool=None) -> list:
     """``[run(rep) for rep in range(replicates)]``, on ``workers`` processes if > 1.
 
     ``run`` must be picklable (a module-level function or a ``partial``
-    of one); the rows come back in replicate order either way.
+    of one); the rows come back in replicate order either way.  ``pool``
+    is an open ``worker_pool(workers)``; without one, this call opens its
+    own.  The replicates go out in chunks of ``ceil(replicates / workers)``,
+    one per worker.
+
+    Workers fork at the pool's first map, while ``worker_pool`` holds the
+    parent's OpenBLAS at one thread, so each worker starts with one BLAS
+    thread.  Setting the count inside a worker after the fork is not
+    enough: OpenBLAS has started its helper threads by then, and they keep
+    competing with the other workers for the cores.  In a forked worker on
+    a 2-vCPU VM, 20 products of 1000×150 by 150×150 took 30–33 ms pinned
+    before the fork, 65–73 ms pinned after it and 87–147 ms unpinned.
     """
+    _check_workers(workers)
     reps = range(replicates)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run, reps, chunksize=8))
-    return [run(rep) for rep in reps]
+    if workers == 1:
+        return [run(rep) for rep in reps]
+    if pool is None:
+        with worker_pool(workers) as own_pool:
+            return _map_replicates(run, replicates, workers, own_pool)
+    return list(pool.map(run, reps, chunksize=math.ceil(replicates / workers)))
 
 
-def run_campaign(scn: Scenario, workers: int = 1) -> CampaignResult:
-    """Run all replicates and aggregate merge / rejection rates."""
+def run_campaign(scn: Scenario, workers: int = 1, pool=None) -> CampaignResult:
+    """Run all replicates and aggregate merge / rejection rates.
+
+    Replicates run on ``workers`` processes, in ``pool`` (an open
+    ``worker_pool(workers)``) when given; ``workers < 1`` is a ``ConfigError``.
+    """
     start = time.perf_counter()
-    rows = _map_replicates(partial(_run_replicate, scn), scn.replicates, workers)
+    rows = _map_replicates(partial(_run_replicate, scn), scn.replicates, workers, pool)
 
     merges = sum(r["merged"] for r in rows)
     methods = (scn.ttp.merged_method,) + tuple(scn.compare_methods)
@@ -258,6 +357,7 @@ def null_distribution_study(
     ref_draws: int = 20,
     methods=(Method.PARTIAL_BOOTSTRAP, Method.PARTIAL_PERMUTATION, Method.NORMAL_APPROX),
     workers: int = 1,
+    pool=None,
 ) -> list[NullStudyRow]:
     """Compare per-method reference distributions against true-null Monte Carlo.
 
@@ -267,7 +367,8 @@ def null_distribution_study(
     ``probe_generator`` (default: the null generator itself, whose
     replicate Gram is then reused), pooling ``ref_draws`` resamples per
     replicate across replicates.  Replicates run on ``workers``
-    processes; the rows are bitwise identical for any worker count.
+    processes, in ``pool`` (an open ``worker_pool(workers)``) when given;
+    the rows are bitwise identical for any worker count.
     """
     if ref_draws < 1:
         raise ConfigError(f"ref_draws must be >= 1, got {ref_draws}")
@@ -277,6 +378,7 @@ def null_distribution_study(
         partial(_null_replicate, scn, probe_generator, ref_draws, methods),
         scn.replicates,
         workers,
+        pool,
     )
     deltas, ts, draws = zip(*per_rep)
     true_delta, true_t = np.array(deltas), np.array(ts)

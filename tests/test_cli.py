@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from ttpool import simulate
 from ttpool.cli import (
+    _SWEEP_KEYS,
     EXIT_CONFIG,
     EXIT_DATA,
     EXIT_OK,
@@ -100,6 +102,30 @@ class TestConfigLoading:
         assert from_file["sizes.n"] == [20, 40]
         assert from_file == from_set
 
+    def test_config_file_list_strings_mean_what_set_means(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "fusion.theta": ["0.2", 0.6],
+                    "kernel.bandwidth": ["median", "0.5"],
+                    "compare_methods": ["partial_permutation"],
+                }
+            )
+        )
+        from_file = load_config("simulate", cfg, [])
+        from_set = load_config(
+            "simulate",
+            None,
+            [
+                "fusion.theta=0.2,0.6",
+                "kernel.bandwidth=median,0.5",
+                "compare_methods=partial_permutation",
+            ],
+        )
+        assert from_file["fusion.theta"] == [0.2, 0.6]
+        assert from_file == from_set
+
 
 class TestSweepExpansion:
     def test_cartesian_product(self):
@@ -168,7 +194,13 @@ class TestExitCodes:
         assert rc == EXIT_CONFIG
 
     @pytest.mark.parametrize(
-        "entry", [{"scenario.mu_c_minus_mu_t": "0,abc"}, {"replicates": "abc"}]
+        "entry",
+        [
+            {"scenario.mu_c_minus_mu_t": "0,abc"},
+            {"replicates": "abc"},
+            {"fusion.theta": ["a"]},
+            {"kernel.bandwidth": ["median", "abc"]},
+        ],
     )
     def test_unparsable_config_file_string_exit_2(self, tmp_path, capsys, entry):
         cfg = tmp_path / "c.json"
@@ -176,6 +208,17 @@ class TestExitCodes:
         rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "s.txt")])
         assert rc == EXIT_CONFIG
         assert "config error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "null-study"])
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exit_2(self, tmp_path, capsys, monkeypatch, command, workers):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a process pool was opened")
+
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", refuse)
+        rc = main([command, "--out", str(tmp_path / "s.txt"), "--workers", workers])
+        assert rc == EXIT_CONFIG
+        assert "config error: workers must be >= 1" in capsys.readouterr().err
 
     def test_unparsable_set_value_exit_2(self, tmp_path, capsys):
         rc = main(["simulate", "--out", str(tmp_path / "s.txt"), "--set", "sizes.n=abc"])
@@ -371,7 +414,9 @@ class TestCmdNullStudy:
         lines = (tmp_path / "n.txt.tsv").read_text().splitlines()
         table = [ln for ln in lines if not ln.startswith("# ")]
         header = table[0].split("\t")
-        assert header[:3] == ["sizes.n", "method", "level"]
+        assert header == [
+            *_SWEEP_KEYS, "method", "level", "reference_quantile", "true_quantile", "ks_distance"
+        ]
         # three methods x two default probe levels
         assert len(table) == 1 + 6
 
@@ -388,3 +433,48 @@ class TestCmdNullStudy:
         )
         assert rc == EXIT_CONFIG
         assert "config error:" in capsys.readouterr().err
+
+    def test_rows_carry_every_swept_key(self, tmp_path):
+        rc = main(
+            [
+                "null-study", "--out", str(tmp_path / "n.txt"),
+                "--set", "replicates=3",
+                "--set", "sizes.n=16", "--set", "sizes.m=12", "--set", "sizes.l=14",
+                "--set", "nullstudy.ref_draws=5",
+                "--set", "scenario.mu_h_minus_mu_c=0,2",
+                *FAST,
+            ]
+        )
+        assert rc == EXIT_OK
+        lines = (tmp_path / "n.txt.tsv").read_text().splitlines()
+        header, *rows = [ln.split("\t") for ln in lines if not ln.startswith("# ")]
+        shift = header.index("scenario.mu_h_minus_mu_c")
+        assert [row[shift] for row in rows] == ["0.0"] * 6 + ["2.0"] * 6
+        labels = (tmp_path / "n.txt").read_text().splitlines()[2:]
+        assert len(set(labels)) == 12
+        assert all(" scenario.mu_h_minus_mu_c=" in ln for ln in labels)
+
+
+@pytest.mark.parametrize(
+    "command, sweep",
+    [
+        ("simulate", ["--set", "fusion.theta=0.2,0.6", "--set", "compare_methods=partial_permutation"]),
+        ("null-study", ["--set", "scenario.mu_h_minus_mu_c=0,2", "--set", "nullstudy.ref_draws=5"]),
+    ],
+)
+def test_sweep_tsv_bitwise_identical_for_workers_1_2_3(tmp_path, command, sweep):
+    # Five replicates split unevenly over two and over three workers.
+    args = [
+        command,
+        "--set", "replicates=5",
+        "--set", "sizes.n=16", "--set", "sizes.m=12", "--set", "sizes.l=14",
+        "--seed", "4",
+        *sweep,
+        *FAST,
+    ]
+    tables = []
+    for workers in ("1", "2", "3"):
+        out = tmp_path / f"w{workers}.txt"
+        assert main(args + ["--out", str(out), "--workers", workers]) == EXIT_OK
+        tables.append((tmp_path / f"w{workers}.txt.tsv").read_bytes())
+    assert tables[0] == tables[1] == tables[2]

@@ -1,6 +1,7 @@
 """Simulation harness: generators, seeding, aggregation, worker invariance."""
 
 import dataclasses
+import logging
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from scipy.stats import ks_2samp
 from ttpool.causality import CausalityConfig, Method
 from ttpool.errors import ConfigError
 from ttpool.fusion import FusionConfig, FusionMode
+from ttpool import simulate
 from ttpool.pipeline import TTPConfig, run_classic_ttp, run_equivalence_ttp
 from ttpool.simulate import (
     CampaignResult,
@@ -16,10 +18,13 @@ from ttpool.simulate import (
     Scenario,
     VarShift,
     _ks_distance,
+    _map_replicates,
+    _numpy_openblas,
     _run_replicate,
     draw_arms,
     null_distribution_study,
     run_campaign,
+    worker_pool,
 )
 
 
@@ -87,6 +92,60 @@ class TestScenarioValidation:
         # column twice, computed with the later method's seed.
         with pytest.raises(ConfigError, match="distinct"):
             tiny_scenario(compare_methods=compare)
+
+
+def _blas_threads(_rep):
+    return _numpy_openblas().scipy_openblas_get_num_threads64_()
+
+
+@pytest.fixture
+def no_process(monkeypatch):
+    """Fail the test if a process pool is opened."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a process pool was opened")
+
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", refuse)
+
+
+class TestWorkerPool:
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, no_process, workers):
+        with pytest.raises(ConfigError, match="workers"):
+            run_campaign(tiny_scenario(reps=2), workers=workers)
+        with pytest.raises(ConfigError, match="workers"):
+            null_distribution_study(tiny_scenario(reps=2), workers=workers)
+        with pytest.raises(ConfigError, match="workers"):
+            with worker_pool(workers):
+                pass
+
+    def test_serial_run_opens_no_pool(self, no_process):
+        with worker_pool(1) as pool:
+            assert pool is None
+            run_campaign(tiny_scenario(reps=2), workers=1, pool=pool)
+
+    @pytest.mark.skipif(
+        _numpy_openblas() is None,
+        reason="NumPy's bundled OpenBLAS (scipy_openblas64_) was not found",
+    )
+    def test_pool_workers_run_one_blas_thread(self):
+        before = _blas_threads(None)
+        assert _map_replicates(_blas_threads, 5, 2) == [1] * 5
+        assert _blas_threads(None) == before
+
+    def test_pool_logs_the_pinned_library(self, caplog, monkeypatch):
+        found = _numpy_openblas() is not None
+        # Opening a forked pool starts no process until its first map.
+        with caplog.at_level(logging.DEBUG, logger="ttpool.simulate"):
+            with worker_pool(2):
+                pass
+            monkeypatch.setattr(simulate, "_numpy_openblas", lambda: None)
+            with worker_pool(2):
+                pass
+        messages = [r.getMessage() for r in caplog.records]
+        if found:
+            assert "scipy_openblas64_" in messages[0] and "saved count" in messages[0]
+        assert messages[-1].startswith("no NumPy OpenBLAS found")
 
 
 class TestSeeding:
