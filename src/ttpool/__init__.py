@@ -22,7 +22,7 @@ from .errors import (
     SampleTooSmall,
     TTPoolError,
 )
-from .estimators import Estimator, MMDValue, mmd2, mmd2_fused, mmd2_u, mmd2_v, mmd2_v_fused
+from .estimators import Estimator, MMDValue, mmd2, mmd2_fused, mmd2_slices, mmd2_u, mmd2_v
 from .fusion import FusionConfig, FusionMode, FusionOutcome, classic_fusion, equivalence_fusion
 from .kernels import (
     Arm,

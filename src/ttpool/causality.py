@@ -20,8 +20,10 @@ Four methods, plus the classic baseline:
 * ``normal_approx_test``: Delta against the plug-in limiting normal
   N(0, 4(1 + 1/c1) sigma_c^2).
 
-All resampling operates on weight vectors over Gram positions; no kernel
-is re-evaluated inside the B-loop.
+Observed statistics are sums over views of the Gram cache: every arm,
+and the fused control current || historical, is a contiguous range of
+it, so no block is copied.  All resampling operates on weight vectors
+over Gram positions; no kernel is re-evaluated inside the B-loop.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ from .estimators import (
     Estimator,
     batched_quad,
     bootstrap_counts,
-    mmd2,
-    mmd2_fused,
+    mmd2_from_sums,
+    mmd2_slices,
     permutation_masks,
 )
 from .kernels import GramCache
@@ -90,10 +92,31 @@ def decide(statistic: float, critical_value: float) -> bool:
     return bool(statistic > critical_value)
 
 
+def _outcome(
+    statistic: float, critical: float, method: Method, merged_analysis: bool = True
+) -> CausalityOutcome:
+    """A test's outcome, its reject flag set by the shared rule ``decide``."""
+    return CausalityOutcome(
+        statistic=float(statistic),
+        critical_value=critical,
+        reject=decide(statistic, critical),
+        method=method,
+        merged_analysis=merged_analysis,
+    )
+
+
+def _check_sizes(estimator: Estimator, name: str, *sizes: int) -> None:
+    """Every sample must be nonempty, and hold two points for the U-statistic."""
+    min_size = 2 if estimator is Estimator.USTAT else 1
+    if min(sizes) < min_size:
+        raise SampleTooSmall(f"{name} needs at least {min_size} point(s) per sample")
+
+
 def delta_statistic(gram: GramCache, estimator: Estimator = Estimator.VSTAT) -> float:
     """Delta = sqrt(n) (D^2(Qf, Qt) - D^2(Qf, Qc)) on the observed data."""
-    t_full = mmd2_fused(gram, gram.current, gram.historical, gram.treatment, estimator)
-    t_center = mmd2_fused(gram, gram.current, gram.historical, gram.current, estimator)
+    _check_sizes(estimator, "Delta", gram.m, gram.l, gram.n)
+    t_full = mmd2_slices(gram, gram.fused_slice, gram.treatment_slice, estimator)
+    t_center = mmd2_slices(gram, gram.fused_slice, gram.current_slice, estimator)
     return float(np.sqrt(gram.n) * (t_full.squared - t_center.squared))
 
 
@@ -123,17 +146,12 @@ def permutation_two_sample_stats(
 ) -> np.ndarray:
     """Batched two-sample MMD^2 statistics for 0/1 group-a membership rows."""
     s_aa, s_ab, s_bb = _mask_sums(k_pooled, masks)
-    cross = -2.0 * s_ab / (size_a * size_b)
     if estimator is Estimator.USTAT:
         diag = np.diag(k_pooled)
         d_a = masks @ diag
-        d_b = diag.sum() - d_a
-        return (
-            (s_aa - d_a) / (size_a * (size_a - 1))
-            + (s_bb - d_b) / (size_b * (size_b - 1))
-            + cross
-        )
-    return s_aa / size_a**2 + s_bb / size_b**2 + cross
+        s_aa = s_aa - d_a
+        s_bb = s_bb - (diag.sum() - d_a)
+    return mmd2_from_sums(s_aa, s_bb, s_ab, size_a, size_b, estimator)
 
 
 def two_sample_permutation(
@@ -150,34 +168,28 @@ def two_sample_permutation(
     The observed statistic is included in the reference set (B+1
     convention).  Returns (statistic, critical_value).
     """
-    a = np.arange(size_a)
-    b = np.arange(size_a, size_a + size_b)
-    statistic = mmd2(k_pooled, a, b, estimator).squared
-    if num_resamples > 0:
-        masks = permutation_masks(rng, size_a + size_b, size_a, num_resamples)
-        perm = permutation_two_sample_stats(k_pooled, masks, size_a, size_b, estimator)
-    else:
-        perm = np.empty(0)
+    a, b = slice(0, size_a), slice(size_a, size_a + size_b)
+    statistic = mmd2_slices(k_pooled, a, b, estimator).squared
+    masks = permutation_masks(rng, size_a + size_b, size_a, num_resamples)
+    perm = permutation_two_sample_stats(k_pooled, masks, size_a, size_b, estimator)
     reference = np.concatenate([[statistic], perm])
     return float(statistic), inf_quantile(reference, 1.0 - alpha)
 
 
-def standard_permutation_test(gram: GramCache, cfg: CausalityConfig) -> CausalityOutcome:
-    """Two-sample test of current vs treatment on the two-arm-bandwidth matrix."""
-    min_size = 2 if cfg.estimator is Estimator.USTAT else 1
-    if gram.m < min_size or gram.n < min_size:
-        raise SampleTooSmall("standard permutation needs nonempty current and treatment")
+def _two_sample_test(
+    k_pooled: np.ndarray, size_a: int, size_b: int, cfg: CausalityConfig, merged_analysis: bool
+) -> CausalityOutcome:
+    _check_sizes(cfg.estimator, "a two-sample permutation test", size_a, size_b)
     rng = np.random.default_rng(cfg.seed)
     statistic, critical = two_sample_permutation(
-        gram.matrix_nomerge, gram.m, gram.n, cfg.alpha, cfg.num_resamples, rng, cfg.estimator
+        k_pooled, size_a, size_b, cfg.alpha, cfg.num_resamples, rng, cfg.estimator
     )
-    return CausalityOutcome(
-        statistic=statistic,
-        critical_value=critical,
-        reject=decide(statistic, critical),
-        method=Method.STANDARD_PERMUTATION,
-        merged_analysis=False,
-    )
+    return _outcome(statistic, critical, Method.STANDARD_PERMUTATION, merged_analysis)
+
+
+def standard_permutation_test(gram: GramCache, cfg: CausalityConfig) -> CausalityOutcome:
+    """Two-sample test of current vs treatment on the two-arm-bandwidth matrix."""
+    return _two_sample_test(gram.matrix_nomerge, gram.m, gram.n, cfg, merged_analysis=False)
 
 
 def pooled_permutation_test(gram: GramCache, cfg: CausalityConfig) -> CausalityOutcome:
@@ -186,25 +198,17 @@ def pooled_permutation_test(gram: GramCache, cfg: CausalityConfig) -> CausalityO
     Permutation test on the three-arm-bandwidth matrix; the merged
     historicals are exchanged with treatment as if they were concurrent.
     """
-    min_size = 2 if cfg.estimator is Estimator.USTAT else 1
-    if gram.m + gram.l < min_size or gram.n < min_size:
-        raise SampleTooSmall("naive pooling needs nonempty fused control and treatment")
-    rng = np.random.default_rng(cfg.seed)
-    statistic, critical = two_sample_permutation(
-        gram.matrix, gram.m + gram.l, gram.n, cfg.alpha, cfg.num_resamples, rng, cfg.estimator
-    )
-    return CausalityOutcome(
-        statistic=statistic,
-        critical_value=critical,
-        reject=decide(statistic, critical),
-        method=Method.STANDARD_PERMUTATION,
-        merged_analysis=True,
-    )
+    return _two_sample_test(gram.matrix, gram.m + gram.l, gram.n, cfg, merged_analysis=True)
 
 
 # ---------------------------------------------------------------------------
 # Partial bootstrap.
 # ---------------------------------------------------------------------------
+
+
+def _row_dots(product: np.ndarray, *rows: np.ndarray) -> list:
+    """Row-wise dot products of one stacked (B, p) product with each (B, p) array."""
+    return [np.einsum("bq,bq->b", product, r) for r in rows]
 
 
 def partial_bootstrap_draws(
@@ -226,11 +230,10 @@ def partial_bootstrap_draws(
     v = bootstrap_counts(rng, n, m, num_resamples)  # null-treatment resample, over cur
     w = bootstrap_counts(rng, l, l, num_resamples)  # historical resample, over hist
 
-    cc_uu = batched_quad(k_cc, u, u)
+    # One product per left factor, each freed before the next is made.
+    cc_uu, cc_uv = _row_dots(u @ k_cc, u, v)
     cc_vv = batched_quad(k_cc, v, v)
-    cc_uv = batched_quad(k_cc, u, v)
-    ch_uw = batched_quad(k_ch, u, w)
-    ch_vw = batched_quad(k_ch, v, w)
+    ch_uw, ch_vw = _row_dots(w @ k_ch.T, u, v)
     hh_ww = batched_quad(k_hh, w, w)
 
     within_f = cc_uu + 2.0 * ch_uw + hh_ww
@@ -238,37 +241,21 @@ def partial_bootstrap_draws(
     within_c = cc_uu
     if estimator is Estimator.USTAT:
         d_cc = np.diag(k_cc)
-        d_hh = np.diag(k_hh)
-        within_f = (within_f - u @ d_cc - w @ d_hh) / (big * (big - 1))
-        within_t = (within_t - v @ d_cc) / (n * (n - 1))
-        within_c = (within_c - u @ d_cc) / (m * (m - 1))
-    else:
-        within_f = within_f / big**2
-        within_t = within_t / n**2
-        within_c = within_c / m**2
-
-    cross_t = cc_uv + ch_vw
-    cross_c = cc_uu + ch_uw
-    t_full = within_f + within_t - 2.0 * cross_t / (big * n)
-    t_center = within_f + within_c - 2.0 * cross_c / (big * m)
+        within_f = within_f - u @ d_cc - w @ np.diag(k_hh)
+        within_t = within_t - v @ d_cc
+        within_c = within_c - u @ d_cc
+    t_full = mmd2_from_sums(within_f, within_t, cc_uv + ch_vw, big, n, estimator)
+    t_center = mmd2_from_sums(within_f, within_c, cc_uu + ch_uw, big, m, estimator)
     return np.sqrt(n) * (t_full - t_center)
 
 
 def partial_bootstrap_test(gram: GramCache, cfg: CausalityConfig) -> CausalityOutcome:
-    min_size = 2 if cfg.estimator is Estimator.USTAT else 1
-    if gram.m < min_size or gram.l < min_size or gram.n < min_size:
-        raise SampleTooSmall("partial bootstrap needs all three arms nonempty")
+    _check_sizes(cfg.estimator, "partial bootstrap", gram.m, gram.l, gram.n)
     statistic = delta_statistic(gram, cfg.estimator)
     rng = np.random.default_rng(cfg.seed)
     draws = partial_bootstrap_draws(gram, cfg.num_resamples, rng, cfg.estimator)
     critical = inf_quantile(draws, 1.0 - cfg.alpha)
-    return CausalityOutcome(
-        statistic=statistic,
-        critical_value=critical,
-        reject=decide(statistic, critical),
-        method=Method.PARTIAL_BOOTSTRAP,
-        merged_analysis=True,
-    )
+    return _outcome(statistic, critical, Method.PARTIAL_BOOTSTRAP)
 
 
 # ---------------------------------------------------------------------------
@@ -287,49 +274,32 @@ def partial_permutation_draws(
     big = m + l
     pos_ct = np.concatenate([gram.current, gram.treatment])
     k_ct = gram.matrix[np.ix_(pos_ct, pos_ct)]
-    hrow = gram.matrix[np.ix_(pos_ct, gram.historical)].sum(axis=1)
-    hh_sum = gram.k_hh.sum()
+    k_xh = gram.matrix[:, gram.historical_slice]
+    hrow = np.concatenate([k_xh[:m].sum(axis=1), k_xh[big:].sum(axis=1)])
 
     masks = permutation_masks(rng, m + n, m, num_resamples)  # 1 = permuted-current
     cc, ct, tt = _mask_sums(k_ct, masks)
     ch = masks @ hrow
     th = hrow.sum() - ch
 
-    within_f = cc + 2.0 * ch + hh_sum
+    within_f = cc + 2.0 * ch + gram.k_hh.sum()
     within_t = tt
     if estimator is Estimator.USTAT:
         d_ct = np.diag(k_ct)
         d_c = masks @ d_ct
-        within_f = (within_f - d_c - np.trace(gram.k_hh)) / (big * (big - 1))
-        within_t = (within_t - (d_ct.sum() - d_c)) / (n * (n - 1))
-    else:
-        within_f = within_f / big**2
-        within_t = within_t / n**2
-    cross = ct + th
-    return within_f + within_t - 2.0 * cross / (big * n)
+        within_f = within_f - d_c - np.trace(gram.k_hh)
+        within_t = within_t - (d_ct.sum() - d_c)
+    return mmd2_from_sums(within_f, within_t, ct + th, big, n, estimator)
 
 
 def partial_permutation_test(gram: GramCache, cfg: CausalityConfig) -> CausalityOutcome:
-    min_size = 2 if cfg.estimator is Estimator.USTAT else 1
-    if gram.m < min_size or gram.l < min_size or gram.n < min_size:
-        raise SampleTooSmall("partial permutation needs all three arms nonempty")
-    statistic = mmd2_fused(
-        gram, gram.current, gram.historical, gram.treatment, cfg.estimator
-    ).squared
+    _check_sizes(cfg.estimator, "partial permutation", gram.m, gram.l, gram.n)
+    statistic = mmd2_slices(gram, gram.fused_slice, gram.treatment_slice, cfg.estimator).squared
     rng = np.random.default_rng(cfg.seed)
-    if cfg.num_resamples > 0:
-        perm = partial_permutation_draws(gram, cfg.num_resamples, rng, cfg.estimator)
-    else:
-        perm = np.empty(0)
+    perm = partial_permutation_draws(gram, cfg.num_resamples, rng, cfg.estimator)
     reference = np.concatenate([[statistic], perm])
     critical = inf_quantile(reference, 1.0 - cfg.alpha)
-    return CausalityOutcome(
-        statistic=float(statistic),
-        critical_value=critical,
-        reject=decide(statistic, critical),
-        method=Method.PARTIAL_PERMUTATION,
-        merged_analysis=True,
-    )
+    return _outcome(statistic, critical, Method.PARTIAL_PERMUTATION)
 
 
 # ---------------------------------------------------------------------------
@@ -359,17 +329,12 @@ def normal_approx_test(gram: GramCache, cfg: CausalityConfig) -> CausalityOutcom
 
     The factor 4 comes from the limiting law of Delta; c1 = m/n.
     """
+    _check_sizes(cfg.estimator, "normal approximation", gram.m, gram.l, gram.n)
     statistic = delta_statistic(gram, cfg.estimator)
     sigma2 = estimate_sigma_c_squared(gram)
     variance = 4.0 * (1.0 + gram.n / gram.m) * sigma2
     critical = float(norm.ppf(1.0 - cfg.alpha) * np.sqrt(variance))
-    return CausalityOutcome(
-        statistic=statistic,
-        critical_value=critical,
-        reject=decide(statistic, critical),
-        method=Method.NORMAL_APPROX,
-        merged_analysis=True,
-    )
+    return _outcome(statistic, critical, Method.NORMAL_APPROX)
 
 
 _MERGED_TESTS = {
@@ -388,8 +353,8 @@ def run_causality(gram: GramCache, cfg: CausalityConfig) -> CausalityOutcome:
 
 def consistency_diagnostics(gram: GramCache) -> DiagnosticsReport:
     """Conservative sufficient-consistency check: 2(1 - gamma) D(Qc, Qh) < D(Qc, Qt)."""
-    d_ch = mmd2(gram, gram.current, gram.historical).root
-    d_ct = mmd2(gram, gram.current, gram.treatment).root
+    d_ch = mmd2_slices(gram, gram.current_slice, gram.historical_slice).root
+    d_ct = mmd2_slices(gram, gram.current_slice, gram.treatment_slice).root
     gamma = gram.m / (gram.m + gram.l)
     lam = gram.n / (gram.m + gram.n)
     return DiagnosticsReport(

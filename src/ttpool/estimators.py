@@ -1,12 +1,13 @@
 """Squared-MMD estimators over index subsets of a Gram matrix.
 
-All estimators take either a :class:`~ttpool.kernels.GramCache` (its
-three-arm matrix is used) or a raw square kernel matrix, plus index
-arrays into it.  Duplicate indices are allowed and contribute with
-multiplicity, which is exactly what a bootstrap draw with replacement
-needs.  Fused (pooled-control) measures are represented by index
-concatenation; the empirical measure of the concatenation equals the
-sample-size-weighted mixture.
+Every estimator takes a :class:`~ttpool.kernels.GramCache` (its
+three-arm matrix is used) or a raw square kernel matrix.  ``mmd2_slices``
+compares two contiguous ranges by summing views, with no copy; each arm
+of the Gram cache, and the fused control current || historical, is such
+a range.  ``mmd2`` gathers the blocks of two index arrays.  Duplicate
+indices contribute with multiplicity, as a bootstrap draw with
+replacement needs, and a fused index set is a concatenation, whose
+empirical measure is the sample-size-weighted mixture.
 """
 
 from __future__ import annotations
@@ -57,65 +58,91 @@ def _check_indices(k: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return idx
 
 
-def mmd2_v(gram: MatrixLike, a, b) -> MMDValue:
-    """Plug-in (biased, nonnegative) squared-MMD V-statistic."""
-    k = _as_matrix(gram)
-    a = _check_indices(k, a)
-    b = _check_indices(k, b)
-    kaa = k[np.ix_(a, a)].sum()
-    kbb = k[np.ix_(b, b)].sum()
-    kab = k[np.ix_(a, b)].sum()
-    val = kaa / a.size**2 + kbb / b.size**2 - 2.0 * kab / (a.size * b.size)
-    return MMDValue(squared=float(val), estimator=Estimator.VSTAT)
+def mmd2_from_sums(s_aa, s_bb, s_ab, size_a: int, size_b: int, estimator: Estimator):
+    """Squared MMD from the within-a, within-b and cross kernel sums.
 
-
-def mmd2_u(gram: MatrixLike, a, b) -> MMDValue:
-    """Diagonal-excluded (unbiased, possibly negative) squared-MMD U-statistic.
-
-    Duplicate index positions count as distinct observations; only pairs
-    of identical positions are excluded from the within-sample sums.
+    For the U-statistic the within sums must already exclude the pairs of
+    identical positions.  The sums may be arrays, one entry per resampling
+    draw, so the observed statistics and the batched draws share this
+    normalisation.
     """
-    k = _as_matrix(gram)
-    a = _check_indices(k, a)
-    b = _check_indices(k, b)
-    if a.size < 2 or b.size < 2:
+    if estimator is Estimator.USTAT:
+        norm_a, norm_b = size_a * (size_a - 1), size_b * (size_b - 1)
+    else:
+        norm_a, norm_b = size_a**2, size_b**2
+    return s_aa / norm_a + s_bb / norm_b - 2.0 * s_ab / (size_a * size_b)
+
+
+def _mmd2_blocks(
+    k_aa: np.ndarray, k_bb: np.ndarray, k_ab: np.ndarray, estimator: Estimator
+) -> MMDValue:
+    """Squared MMD from the within-a, within-b and cross kernel blocks."""
+    size_a, size_b = k_ab.shape
+    if estimator is Estimator.USTAT and (size_a < 2 or size_b < 2):
         raise SampleTooSmall("U-statistic needs at least two observations per sample")
-    kaa = k[np.ix_(a, a)].sum() - k[a, a].sum()
-    kbb = k[np.ix_(b, b)].sum() - k[b, b].sum()
-    kab = k[np.ix_(a, b)].sum()
-    val = (
-        kaa / (a.size * (a.size - 1))
-        + kbb / (b.size * (b.size - 1))
-        - 2.0 * kab / (a.size * b.size)
-    )
-    return MMDValue(squared=float(val), estimator=Estimator.USTAT)
+    # Summing the row sums is about 1.5x faster than one full reduction
+    # when the block is a strided view of the Gram matrix.
+    s_aa, s_bb, s_ab = (block.sum(axis=1).sum() for block in (k_aa, k_bb, k_ab))
+    if estimator is Estimator.USTAT:
+        s_aa -= np.trace(k_aa)
+        s_bb -= np.trace(k_bb)
+    val = mmd2_from_sums(s_aa, s_bb, s_ab, size_a, size_b, estimator)
+    return MMDValue(squared=float(val), estimator=estimator)
 
 
 def mmd2(gram: MatrixLike, a, b, estimator: Estimator = Estimator.VSTAT) -> MMDValue:
-    if estimator is Estimator.USTAT:
-        return mmd2_u(gram, a, b)
-    return mmd2_v(gram, a, b)
+    """Squared MMD between two index multisets, gathering their blocks.
 
-
-def mmd2_v_fused(gram: MatrixLike, current, historical, other) -> MMDValue:
-    """V-statistic between the pooled (current || historical) measure and ``other``.
-
-    The pooled empirical measure with weights m/(m+l), l/(m+l) is the
-    empirical measure of the concatenated index list, so no explicit
-    weighting is needed.  An empty ``historical`` reduces to
-    ``mmd2_v(current, other)``.
+    Duplicate index positions count as distinct observations; the
+    U-statistic excludes only pairs of identical positions from the
+    within-sample sums.
     """
-    historical = np.asarray(historical, dtype=np.intp)
-    fused = np.concatenate([np.asarray(current, dtype=np.intp), historical])
-    return mmd2_v(gram, fused, other)
+    k = _as_matrix(gram)
+    a = _check_indices(k, a)
+    b = _check_indices(k, b)
+    return _mmd2_blocks(k[np.ix_(a, a)], k[np.ix_(b, b)], k[np.ix_(a, b)], estimator)
+
+
+def mmd2_v(gram: MatrixLike, a, b) -> MMDValue:
+    """Plug-in (biased, nonnegative) squared-MMD V-statistic."""
+    return mmd2(gram, a, b, Estimator.VSTAT)
+
+
+def mmd2_u(gram: MatrixLike, a, b) -> MMDValue:
+    """Diagonal-excluded (unbiased, possibly negative) squared-MMD U-statistic."""
+    return mmd2(gram, a, b, Estimator.USTAT)
 
 
 def mmd2_fused(
     gram: MatrixLike, current, historical, other, estimator: Estimator = Estimator.VSTAT
 ) -> MMDValue:
+    """Squared MMD between the pooled (current || historical) measure and ``other``.
+
+    The pooled empirical measure with weights m/(m+l), l/(m+l) is the
+    empirical measure of the concatenated index list, so no explicit
+    weighting is needed.  An empty ``historical`` reduces to
+    ``mmd2(current, other)``.
+    """
     historical = np.asarray(historical, dtype=np.intp)
     fused = np.concatenate([np.asarray(current, dtype=np.intp), historical])
     return mmd2(gram, fused, other, estimator)
+
+
+def mmd2_slices(
+    gram: MatrixLike, a: slice, b: slice, estimator: Estimator = Estimator.VSTAT
+) -> MMDValue:
+    """Squared MMD between two contiguous index ranges, from sums over views.
+
+    ``a`` and ``b`` are slices with explicit start and stop; they may
+    overlap, as the fused control range contains the current one.  No
+    block is copied.  Equals ``mmd2`` on the same ranges up to the order
+    of the floating-point sums.
+    """
+    k = _as_matrix(gram)
+    for rows in (a, b):
+        if not 0 <= rows.start < rows.stop <= k.shape[0] or rows.step not in (None, 1):
+            raise IndexOutOfRange(f"need a nonempty range in [0, {k.shape[0]}), got {rows}")
+    return _mmd2_blocks(k[a, a], k[b, b], k[a, b], estimator)
 
 
 # ---------------------------------------------------------------------------

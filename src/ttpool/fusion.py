@@ -20,7 +20,7 @@ import numpy as np
 
 from .causality import two_sample_permutation
 from .errors import ConfigError, NonVStatEstimator, SampleTooSmall
-from .estimators import Estimator, batched_quad, bootstrap_counts, mmd2_v
+from .estimators import Estimator, batched_quad, bootstrap_counts, mmd2_slices
 from .kernels import GramCache
 from .quantile import inf_quantile
 
@@ -81,7 +81,7 @@ def equivalence_fusion(
         raise ConfigError("equivalence_fusion requires mode=equivalence")
     if gram.m < 2 or gram.l < 2:
         raise SampleTooSmall("equivalence fusion needs >= 2 points per control arm")
-    d = mmd2_v(gram, gram.current, gram.historical).root
+    d = mmd2_slices(gram, gram.current_slice, gram.historical_slice).root
     statistic = cfg.theta - d
 
     rng = np.random.default_rng(cfg.seed)

@@ -256,27 +256,35 @@ class GramCache:
     def treatment(self) -> np.ndarray:
         return np.arange(self.m + self.l, self.size)
 
-    # Index partitions into ``matrix_nomerge``.
+    # Contiguous index ranges of ``matrix``; the fused control is current || historical.
     @property
-    def nomerge_current(self) -> np.ndarray:
-        return np.arange(self.m)
+    def current_slice(self) -> slice:
+        return slice(0, self.m)
 
     @property
-    def nomerge_treatment(self) -> np.ndarray:
-        return np.arange(self.m, self.m + self.n)
+    def historical_slice(self) -> slice:
+        return slice(self.m, self.m + self.l)
+
+    @property
+    def treatment_slice(self) -> slice:
+        return slice(self.m + self.l, self.size)
+
+    @property
+    def fused_slice(self) -> slice:
+        return slice(0, self.m + self.l)
 
     # Contiguous block views of ``matrix``.
     @property
     def k_cc(self) -> np.ndarray:
-        return self.matrix[: self.m, : self.m]
+        return self.matrix[self.current_slice, self.current_slice]
 
     @property
     def k_ch(self) -> np.ndarray:
-        return self.matrix[: self.m, self.m : self.m + self.l]
+        return self.matrix[self.current_slice, self.historical_slice]
 
     @property
     def k_hh(self) -> np.ndarray:
-        return self.matrix[self.m : self.m + self.l, self.m : self.m + self.l]
+        return self.matrix[self.historical_slice, self.historical_slice]
 
 
 def build_gram(

@@ -32,7 +32,7 @@ from .causality import (
     partial_permutation_draws,
 )
 from .errors import ConfigError, TTPoolError
-from .estimators import mmd2_fused
+from .estimators import mmd2_slices
 from .kernels import Arm, Sample, build_gram
 from .pipeline import TTPConfig, run_ttp
 from .quantile import inf_quantile
@@ -325,9 +325,7 @@ def _null_replicate(
     estimator = scn.ttp.causality.estimator
     gram = build_gram(scn.ttp.kernel, *draw_arms(scn, rep))
     true_delta = delta_statistic(gram, estimator)
-    true_t = mmd2_fused(
-        gram, gram.current, gram.historical, gram.treatment, estimator
-    ).squared
+    true_t = mmd2_slices(gram, gram.fused_slice, gram.treatment_slice, estimator).squared
 
     probe_gram = gram
     if probe_generator is not None:

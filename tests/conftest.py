@@ -96,6 +96,18 @@ def oracle_median_sq_distance(points) -> float:
     return 0.5 * (dists[k // 2 - 1] + dists[k // 2])
 
 
+def population_mmd2_gaussian_rbf(shift: float, bandwidth: float) -> float:
+    """Population MMD^2 between N(a, 1) and N(b, 1), a - b = ``shift``.
+
+    Kernel exp(-d^2 / (2 h)) with h = ``bandwidth``: the difference of two
+    independent draws is normal with variance 2 (same arm) or mean
+    ``shift`` and variance 2 (across arms), and E exp(-Z^2 / (2 h)) for
+    Z ~ N(mu, 2) is sqrt(h / (h + 2)) exp(-mu^2 / (2 (h + 2))).
+    """
+    h = bandwidth
+    return 2.0 * math.sqrt(h / (h + 2.0)) * (1.0 - math.exp(-(shift**2) / (2.0 * (h + 2.0))))
+
+
 ALL_FAMILIES = (
     KernelFamily.RBF,
     KernelFamily.LINEAR,

@@ -1,10 +1,12 @@
 """Causality tests: resampling oracles, variance oracle, decision layer."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import norm
 
-from conftest import oracle_kernel
+from conftest import ALL_FAMILIES, oracle_kernel
 from ttpool.causality import (
     CausalityConfig,
     Method,
@@ -22,15 +24,17 @@ from ttpool.causality import (
     run_causality,
     standard_permutation_test,
 )
-from ttpool.errors import ConfigError
+from ttpool.errors import ConfigError, SampleTooSmall
 from ttpool.estimators import (
     Estimator,
+    batched_quad,
     bootstrap_counts,
     mmd2,
     mmd2_fused,
     permutation_masks,
 )
-from ttpool.kernels import Arm, KernelSpec, Sample, build_gram
+from ttpool.fusion import FusionConfig, equivalence_fusion
+from ttpool.kernels import Arm, KernelFamily, KernelSpec, Sample, build_gram
 
 
 def make_gram(rng, m=12, l=15, n=14, shift_h=0.0, shift_t=0.0, spec=None):
@@ -96,7 +100,7 @@ class TestStandardPermutation:
         gram = make_gram(rng, shift_h=5.0)
         out = standard_permutation_test(gram, CausalityConfig(seed=0, num_resamples=10))
         want = mmd2(
-            gram.matrix_nomerge, gram.nomerge_current, gram.nomerge_treatment
+            gram.matrix_nomerge, np.arange(gram.m), np.arange(gram.m, gram.m + gram.n)
         ).squared
         assert out.statistic == pytest.approx(want, abs=1e-15)
 
@@ -275,6 +279,152 @@ class TestMaskSums:
         masks = permutation_masks(np.random.default_rng(9), gram.m + gram.n, gram.m, 300)
         want = _complement_partial_permutation_draws(gram, masks, estimator)
         assert_close_to_scale(got, want)
+
+
+def _gather_mmd2(k, a, b, estimator):
+    """Squared MMD of index arrays ``a`` and ``b``, each block gathered through ``np.ix_``."""
+    s_aa, s_bb, s_ab = k[np.ix_(a, a)].sum(), k[np.ix_(b, b)].sum(), k[np.ix_(a, b)].sum()
+    if estimator is Estimator.USTAT:
+        s_aa -= k[a, a].sum()
+        s_bb -= k[b, b].sum()
+        norm_a, norm_b = a.size * (a.size - 1), b.size * (b.size - 1)
+    else:
+        norm_a, norm_b = a.size**2, b.size**2
+    return s_aa / norm_a + s_bb / norm_b - 2.0 * s_ab / (a.size * b.size)
+
+
+class TestBlockSums:
+    """Observed statistics summed over views equal the ``np.ix_`` gather of their blocks."""
+
+    @staticmethod
+    def _gram(family, sizes):
+        rng = np.random.default_rng([ALL_FAMILIES.index(family), *sizes])
+        epsilon = 0.5 if family is KernelFamily.LINEAR_PLUS_RBF else 0.0
+        spec = KernelSpec(family=family, epsilon=epsilon)
+        m, l, n = sizes
+        return build_gram(
+            spec,
+            Sample(1.0 + rng.normal(size=(m, 2)), Arm.CURRENT),
+            Sample(1.3 + rng.normal(size=(l, 2)), Arm.HISTORICAL),
+            Sample(1.6 + rng.normal(size=(n, 2)), Arm.TREATMENT),
+        )
+
+    @staticmethod
+    def _atol(k, arms):
+        """1e-12 of the largest |mean| over the arm blocks of ``k``."""
+        return 1e-12 * max(abs(k[np.ix_(a, b)].mean()) for a in arms for b in arms)
+
+    @pytest.mark.parametrize("estimator", [Estimator.VSTAT, Estimator.USTAT])
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    @pytest.mark.parametrize("sizes", [(2, 2, 2), (3, 7, 5), (40, 25, 60)])
+    def test_statistics_match_gather_reference(self, estimator, family, sizes):
+        gram = self._gram(family, sizes)
+        k, cur, hist, trt = gram.matrix, gram.current, gram.historical, gram.treatment
+        fused = np.concatenate([cur, hist])
+        atol = self._atol(k, (cur, hist, trt))
+        cfg = CausalityConfig(num_resamples=20, seed=1, estimator=estimator)
+
+        want_delta = np.sqrt(gram.n) * (
+            _gather_mmd2(k, fused, trt, estimator) - _gather_mmd2(k, fused, cur, estimator)
+        )
+        assert abs(delta_statistic(gram, estimator) - want_delta) <= np.sqrt(gram.n) * atol
+        want_t = _gather_mmd2(k, fused, trt, estimator)
+        assert abs(partial_permutation_test(gram, cfg).statistic - want_t) <= atol
+        assert abs(pooled_permutation_test(gram, cfg).statistic - want_t) <= atol
+
+        k2 = gram.matrix_nomerge
+        cur2, trt2 = np.arange(gram.m), np.arange(gram.m, gram.m + gram.n)
+        want_std = _gather_mmd2(k2, cur2, trt2, estimator)
+        got_std = standard_permutation_test(gram, cfg).statistic
+        assert abs(got_std - want_std) <= self._atol(k2, (cur2, trt2))
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    @pytest.mark.parametrize("sizes", [(1, 1, 1), (2, 2, 2), (3, 7, 5), (40, 25, 60)])
+    def test_vstat_roots_match_gather_reference(self, family, sizes):
+        gram = self._gram(family, sizes)
+        k, cur, hist, trt = gram.matrix, gram.current, gram.historical, gram.treatment
+        atol = self._atol(k, (cur, hist, trt))
+        d2_ch = _gather_mmd2(k, cur, hist, Estimator.VSTAT)
+        d2_ct = _gather_mmd2(k, cur, trt, Estimator.VSTAT)
+        diag = consistency_diagnostics(gram)
+        assert abs(diag.d_hat_ch**2 - max(d2_ch, 0.0)) <= atol
+        assert abs(diag.d_hat_ct**2 - max(d2_ct, 0.0)) <= atol
+        if gram.m >= 2 and gram.l >= 2:
+            cfg = FusionConfig(theta=0.4, num_bootstrap=10, seed=1)
+            d_hat = cfg.theta - equivalence_fusion(gram, cfg).statistic
+            assert abs(d_hat**2 - max(d2_ch, 0.0)) <= atol
+        fused = np.concatenate([cur, hist])
+        want_delta = np.sqrt(gram.n) * (
+            _gather_mmd2(k, fused, trt, Estimator.VSTAT)
+            - _gather_mmd2(k, fused, cur, Estimator.VSTAT)
+        )
+        assert abs(delta_statistic(gram) - want_delta) <= np.sqrt(gram.n) * atol
+
+
+class TestSizeGuards:
+    """The merged-branch tests refuse U-statistic arms of one point."""
+
+    @pytest.mark.parametrize("sizes", [(1, 5, 5), (5, 5, 1), (5, 1, 5)])
+    def test_ustat_single_point_arm_raises(self, rng, sizes):
+        gram = make_gram(rng, *sizes)
+        with pytest.raises(SampleTooSmall):
+            delta_statistic(gram, Estimator.USTAT)
+        for method in (Method.PARTIAL_BOOTSTRAP, Method.PARTIAL_PERMUTATION, Method.NORMAL_APPROX):
+            cfg = CausalityConfig(method=method, estimator=Estimator.USTAT, num_resamples=10)
+            with pytest.raises(SampleTooSmall):
+                run_causality(gram, cfg)
+
+
+def _six_quad_partial_bootstrap(gram, num_resamples, rng, estimator):
+    """Partial-bootstrap draws with one ``batched_quad`` per quadratic form."""
+    m, l, n = gram.m, gram.l, gram.n
+    big = m + l
+    k_cc, k_ch, k_hh = gram.k_cc, gram.k_ch, gram.k_hh
+    u = bootstrap_counts(rng, m, m, num_resamples)
+    v = bootstrap_counts(rng, n, m, num_resamples)
+    w = bootstrap_counts(rng, l, l, num_resamples)
+    cc_uu = batched_quad(k_cc, u, u)
+    cc_vv = batched_quad(k_cc, v, v)
+    cc_uv = batched_quad(k_cc, u, v)
+    ch_uw = batched_quad(k_ch, u, w)
+    ch_vw = batched_quad(k_ch, v, w)
+    hh_ww = batched_quad(k_hh, w, w)
+    within_f, within_t, within_c = cc_uu + 2.0 * ch_uw + hh_ww, cc_vv, cc_uu
+    if estimator is Estimator.USTAT:
+        d_cc, d_hh = np.diag(k_cc), np.diag(k_hh)
+        within_f = (within_f - u @ d_cc - w @ d_hh) / (big * (big - 1))
+        within_t = (within_t - v @ d_cc) / (n * (n - 1))
+        within_c = (within_c - u @ d_cc) / (m * (m - 1))
+    else:
+        within_f, within_t, within_c = within_f / big**2, within_t / n**2, within_c / m**2
+    t_full = within_f + within_t - 2.0 * (cc_uv + ch_vw) / (big * n)
+    t_center = within_f + within_c - 2.0 * (cc_uu + ch_uw) / (big * m)
+    return np.sqrt(n) * (t_full - t_center)
+
+
+class TestSharedProducts:
+    """The partial bootstrap's shared matrix products against one product per form."""
+
+    @pytest.mark.parametrize("estimator", [Estimator.VSTAT, Estimator.USTAT])
+    @pytest.mark.parametrize("sizes", [(2, 2, 2), (12, 15, 14), (50, 100, 100), (30, 10, 80)])
+    def test_draws_match_six_quad_reference(self, estimator, sizes):
+        gram = make_gram(np.random.default_rng(sum(sizes)), *sizes, shift_h=0.4, shift_t=0.3)
+        got = partial_bootstrap_draws(gram, 300, np.random.default_rng(4), estimator)
+        want = _six_quad_partial_bootstrap(gram, 300, np.random.default_rng(4), estimator)
+        assert_close_to_scale(got, want)
+
+    def test_peak_memory_not_above_reference(self):
+        gram = make_gram(np.random.default_rng(3), 50, 100, 100, shift_h=0.4)
+
+        def peak(draws):
+            tracemalloc.start()
+            try:
+                draws(gram, 1000, np.random.default_rng(4), Estimator.VSTAT)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(partial_bootstrap_draws) <= peak(_six_quad_partial_bootstrap)
 
 
 class TestNormalApprox:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_mmd2_u, oracle_mmd2_v, random_spec
+from conftest import oracle_mmd2_u, oracle_mmd2_v, population_mmd2_gaussian_rbf, random_spec
 from ttpool.errors import IndexOutOfRange, SampleTooSmall
 from ttpool.estimators import (
     Estimator,
@@ -13,8 +13,9 @@ from ttpool.estimators import (
     bootstrap_counts,
     mmd2,
     mmd2_u,
+    mmd2_fused,
+    mmd2_slices,
     mmd2_v,
-    mmd2_v_fused,
     permutation_masks,
 )
 from ttpool.kernels import KernelFamily, KernelSpec, kernel_matrix
@@ -133,7 +134,7 @@ class TestFused:
         spec = random_spec(rng)
         pts = rng.normal(size=(8, 1))
         k = _full_matrix(spec, pts)
-        got = mmd2_v_fused(k, [0, 1, 2], [], [5, 6, 7]).squared
+        got = mmd2_fused(k, [0, 1, 2], [], [5, 6, 7]).squared
         want = mmd2_v(k, [0, 1, 2], [5, 6, 7]).squared
         assert got == want
 
@@ -141,7 +142,7 @@ class TestFused:
         spec = random_spec(rng)
         pts = rng.normal(size=(6, 1))
         k = _full_matrix(spec, pts)
-        got = mmd2_v_fused(k, [0, 1, 2], [0, 1, 2], [0, 1, 2, 0, 1, 2]).squared
+        got = mmd2_fused(k, [0, 1, 2], [0, 1, 2], [0, 1, 2, 0, 1, 2]).squared
         assert abs(got) < 1e-12
 
     def test_matches_hand_expanded_mixture(self, rng):
@@ -151,7 +152,7 @@ class TestFused:
         pts = rng.normal(size=(7, 1))
         k = _full_matrix(spec, pts)
         cur, hist, other = [0, 1], [2, 3], [4, 5, 6]
-        got = mmd2_v_fused(k, cur, hist, other).squared
+        got = mmd2_fused(k, cur, hist, other).squared
         fused_pts = [pts[i] for i in cur + hist]
         other_pts = [pts[i] for i in other]
         want = oracle_mmd2_v(spec, None, fused_pts, other_pts)
@@ -178,8 +179,71 @@ class TestFused:
             + k_oo
             - 2 * (w_c * k_co + w_h * k_ho)
         )
-        got = mmd2_v_fused(k, cur, hist, other).squared
+        got = mmd2_fused(k, cur, hist, other).squared
         assert got == pytest.approx(want, abs=1e-12)
+
+
+class TestSlices:
+    def test_overlapping_ranges_equal_index_arrays(self, rng):
+        spec = random_spec(rng)
+        k = _full_matrix(spec, rng.normal(size=(9, 2)))
+        for estimator in Estimator:
+            got = mmd2_slices(k, slice(0, 6), slice(2, 5), estimator).squared
+            want = mmd2(k, np.arange(6), np.arange(2, 5), estimator).squared
+            assert got == pytest.approx(want, abs=1e-12)
+
+    def test_bad_ranges_rejected(self, rng):
+        k = _full_matrix(KernelSpec(bandwidth=1.0), rng.normal(size=(6, 1)))
+        for bad in (slice(0, 7), slice(3, 3), slice(-1, 2), slice(0, 4, 2)):
+            with pytest.raises(IndexOutOfRange):
+                mmd2_slices(k, bad, slice(0, 2))
+
+    def test_ustat_needs_two_points(self, rng):
+        k = _full_matrix(KernelSpec(bandwidth=1.0), rng.normal(size=(4, 1)))
+        with pytest.raises(SampleTooSmall):
+            mmd2_slices(k, slice(0, 1), slice(1, 4), Estimator.USTAT)
+
+
+class TestPopulationOracle:
+    """Block-sum estimates against the closed-form MMD^2 of N(0.5, 1) vs N(0, 1).
+
+    Seeds, sizes, replicate counts and bounds were fixed before the first run.
+    """
+
+    BANDWIDTH, SHIFT = 1.0, 0.5
+    SIZES, REPLICATES = (50, 200, 800), (400, 100, 40)
+
+    @pytest.fixture(scope="class")
+    def estimates(self):
+        spec = KernelSpec(bandwidth=self.BANDWIDTH)
+        out = {}
+        for size, reps in zip(self.SIZES, self.REPLICATES):
+            a, b = slice(0, size), slice(size, 2 * size)
+            draws = {Estimator.VSTAT: [], Estimator.USTAT: []}
+            for rep in range(reps):
+                rng = np.random.default_rng([2718, size, rep])
+                shifted = self.SHIFT + rng.normal(size=(size, 1))
+                pts = np.vstack([shifted, rng.normal(size=(size, 1))])
+                k = kernel_matrix(spec, spec.bandwidth, pts)
+                for estimator, values in draws.items():
+                    values.append(mmd2_slices(k, a, b, estimator).squared)
+            out[size] = {estimator: np.array(values) for estimator, values in draws.items()}
+        return out
+
+    def test_ustat_mean_within_four_standard_errors(self, estimates):
+        want = population_mmd2_gaussian_rbf(self.SHIFT, self.BANDWIDTH)
+        for size in self.SIZES:
+            u = estimates[size][Estimator.USTAT]
+            se = u.std(ddof=1) / np.sqrt(u.size)
+            assert abs(u.mean() - want) <= 4.0 * se, size
+
+    def test_vstat_error_shrinks_as_sizes_grow(self, estimates):
+        want = population_mmd2_gaussian_rbf(self.SHIFT, self.BANDWIDTH)
+        rmse = [
+            np.sqrt(np.mean((estimates[size][Estimator.VSTAT] - want) ** 2))
+            for size in self.SIZES
+        ]
+        assert rmse[0] > rmse[1] > rmse[2]
 
 
 @given(data=st.data())

@@ -8,7 +8,8 @@ import pytest
 from scipy.stats import ks_2samp
 
 from ttpool.causality import CausalityConfig, Method
-from ttpool.errors import ConfigError
+from ttpool.errors import ConfigError, SampleTooSmall
+from ttpool.estimators import Estimator
 from ttpool.fusion import FusionConfig, FusionMode
 from ttpool import simulate
 from ttpool.pipeline import TTPConfig, run_classic_ttp, run_equivalence_ttp
@@ -308,3 +309,13 @@ class TestNullStudy:
     def test_bad_settings_are_config_errors(self, kwargs):
         with pytest.raises(ConfigError):
             null_distribution_study(tiny_scenario(reps=2), **kwargs)
+
+    @pytest.mark.parametrize("arm", ["m", "n"])
+    def test_ustat_single_point_arm_raises(self, monkeypatch, arm):
+        ttp = TTPConfig(causality=CausalityConfig(num_resamples=10, estimator=Estimator.USTAT))
+        with pytest.raises(ConfigError):
+            tiny_scenario(reps=2, ttp=ttp, **{arm: 1})
+        # Past the scenario check, the statistics themselves refuse the arm.
+        monkeypatch.setattr(Scenario, "__post_init__", lambda self: None)
+        with pytest.raises(SampleTooSmall):
+            null_distribution_study(tiny_scenario(reps=2, ttp=ttp, **{arm: 1}), ref_draws=5)
