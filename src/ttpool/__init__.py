@@ -18,11 +18,10 @@ from .errors import (
     DegenerateSample,
     DimensionMismatch,
     IndexOutOfRange,
-    NonVStatEstimator,
     SampleTooSmall,
     TTPoolError,
 )
-from .estimators import Estimator, MMDValue, mmd2, mmd2_fused, mmd2_slices, mmd2_u, mmd2_v
+from .estimators import Estimator, MMDValue, mmd2, mmd2_slices, mmd2_v
 from .fusion import FusionConfig, FusionMode, FusionOutcome, classic_fusion, equivalence_fusion
 from .kernels import (
     Arm,

@@ -120,21 +120,30 @@ def delta_statistic(gram: GramCache, estimator: Estimator = Estimator.VSTAT) -> 
     return float(np.sqrt(gram.n) * (t_full.squared - t_center.squared))
 
 
+def t_statistic(gram: GramCache, estimator: Estimator = Estimator.VSTAT) -> float:
+    """T = D^2(Qf, Qt) on the observed data: fused control against treatment."""
+    _check_sizes(estimator, "T", gram.m, gram.l, gram.n)
+    return mmd2_slices(gram, gram.fused_slice, gram.treatment_slice, estimator).squared
+
+
 # ---------------------------------------------------------------------------
 # Standard permutation (no-merge branch) and naive pooling (classic merge).
 # ---------------------------------------------------------------------------
 
 
-def _mask_sums(k: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _mask_sums(k: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray, ...]:
     """Within-a, cross and within-b sums of ``k`` for 0/1 group-a membership rows.
 
-    The cross sum is each row total of ``masks @ k`` minus its within-a
-    part, so no complement mask array is built.
+    Then come the within-a and within-b diagonal totals.  The cross sum is
+    each row total of ``masks @ k`` minus its within-a part, so no
+    complement mask array is built.
     """
     rowsum = masks @ k
     s_aa = np.einsum("bq,bq->b", rowsum, masks)
     s_ab = rowsum.sum(axis=1) - s_aa
-    return s_aa, s_ab, k.sum() - s_aa - 2.0 * s_ab
+    diag = np.diag(k)
+    d_a = masks @ diag
+    return s_aa, s_ab, k.sum() - s_aa - 2.0 * s_ab, d_a, diag.sum() - d_a
 
 
 def permutation_two_sample_stats(
@@ -145,13 +154,8 @@ def permutation_two_sample_stats(
     estimator: Estimator,
 ) -> np.ndarray:
     """Batched two-sample MMD^2 statistics for 0/1 group-a membership rows."""
-    s_aa, s_ab, s_bb = _mask_sums(k_pooled, masks)
-    if estimator is Estimator.USTAT:
-        diag = np.diag(k_pooled)
-        d_a = masks @ diag
-        s_aa = s_aa - d_a
-        s_bb = s_bb - (diag.sum() - d_a)
-    return mmd2_from_sums(s_aa, s_bb, s_ab, size_a, size_b, estimator)
+    s_aa, s_ab, s_bb, d_a, d_b = _mask_sums(k_pooled, masks)
+    return mmd2_from_sums(s_aa, s_bb, s_ab, d_a, d_b, size_a, size_b, estimator)
 
 
 def two_sample_permutation(
@@ -237,20 +241,15 @@ def partial_bootstrap_draws(
     hh_ww = batched_quad(k_hh, w, w)
 
     within_f = cc_uu + 2.0 * ch_uw + hh_ww
-    within_t = cc_vv
-    within_c = cc_uu
-    if estimator is Estimator.USTAT:
-        d_cc = np.diag(k_cc)
-        within_f = within_f - u @ d_cc - w @ np.diag(k_hh)
-        within_t = within_t - v @ d_cc
-        within_c = within_c - u @ d_cc
-    t_full = mmd2_from_sums(within_f, within_t, cc_uv + ch_vw, big, n, estimator)
-    t_center = mmd2_from_sums(within_f, within_c, cc_uu + ch_uw, big, m, estimator)
+    d_cc = np.diag(k_cc)
+    diag_c, diag_t = u @ d_cc, v @ d_cc
+    diag_f = diag_c + w @ np.diag(k_hh)
+    t_full = mmd2_from_sums(within_f, cc_vv, cc_uv + ch_vw, diag_f, diag_t, big, n, estimator)
+    t_center = mmd2_from_sums(within_f, cc_uu, cc_uu + ch_uw, diag_f, diag_c, big, m, estimator)
     return np.sqrt(n) * (t_full - t_center)
 
 
 def partial_bootstrap_test(gram: GramCache, cfg: CausalityConfig) -> CausalityOutcome:
-    _check_sizes(cfg.estimator, "partial bootstrap", gram.m, gram.l, gram.n)
     statistic = delta_statistic(gram, cfg.estimator)
     rng = np.random.default_rng(cfg.seed)
     draws = partial_bootstrap_draws(gram, cfg.num_resamples, rng, cfg.estimator)
@@ -278,23 +277,17 @@ def partial_permutation_draws(
     hrow = np.concatenate([k_xh[:m].sum(axis=1), k_xh[big:].sum(axis=1)])
 
     masks = permutation_masks(rng, m + n, m, num_resamples)  # 1 = permuted-current
-    cc, ct, tt = _mask_sums(k_ct, masks)
+    cc, ct, tt, d_c, d_t = _mask_sums(k_ct, masks)
     ch = masks @ hrow
     th = hrow.sum() - ch
 
     within_f = cc + 2.0 * ch + gram.k_hh.sum()
-    within_t = tt
-    if estimator is Estimator.USTAT:
-        d_ct = np.diag(k_ct)
-        d_c = masks @ d_ct
-        within_f = within_f - d_c - np.trace(gram.k_hh)
-        within_t = within_t - (d_ct.sum() - d_c)
-    return mmd2_from_sums(within_f, within_t, ct + th, big, n, estimator)
+    diag_f = d_c + gram.k_hh.trace()
+    return mmd2_from_sums(within_f, tt, ct + th, diag_f, d_t, big, n, estimator)
 
 
 def partial_permutation_test(gram: GramCache, cfg: CausalityConfig) -> CausalityOutcome:
-    _check_sizes(cfg.estimator, "partial permutation", gram.m, gram.l, gram.n)
-    statistic = mmd2_slices(gram, gram.fused_slice, gram.treatment_slice, cfg.estimator).squared
+    statistic = t_statistic(gram, cfg.estimator)
     rng = np.random.default_rng(cfg.seed)
     perm = partial_permutation_draws(gram, cfg.num_resamples, rng, cfg.estimator)
     reference = np.concatenate([[statistic], perm])
@@ -324,16 +317,18 @@ def estimate_sigma_c_squared(gram: GramCache) -> float:
     return float((1.0 - gamma) ** 2 / (m - 1) * np.sum(centered**2))
 
 
-def normal_approx_test(gram: GramCache, cfg: CausalityConfig) -> CausalityOutcome:
-    """Delta against the (1 - alpha)-quantile of N(0, 4(1 + 1/c1) sigma_c^2).
+def normal_scale(gram: GramCache) -> float:
+    """Standard deviation sqrt(4(1 + 1/c1) sigma_c^2) of Delta's limiting normal law.
 
     The factor 4 comes from the limiting law of Delta; c1 = m/n.
     """
-    _check_sizes(cfg.estimator, "normal approximation", gram.m, gram.l, gram.n)
+    return np.sqrt(4.0 * (1.0 + gram.n / gram.m) * estimate_sigma_c_squared(gram))
+
+
+def normal_approx_test(gram: GramCache, cfg: CausalityConfig) -> CausalityOutcome:
+    """Delta against the (1 - alpha)-quantile of N(0, 4(1 + 1/c1) sigma_c^2)."""
     statistic = delta_statistic(gram, cfg.estimator)
-    sigma2 = estimate_sigma_c_squared(gram)
-    variance = 4.0 * (1.0 + gram.n / gram.m) * sigma2
-    critical = float(norm.ppf(1.0 - cfg.alpha) * np.sqrt(variance))
+    critical = float(norm.ppf(1.0 - cfg.alpha) * normal_scale(gram))
     return _outcome(statistic, critical, Method.NORMAL_APPROX)
 
 
@@ -349,6 +344,25 @@ def run_causality(gram: GramCache, cfg: CausalityConfig) -> CausalityOutcome:
     if cfg.method is Method.STANDARD_PERMUTATION:
         return standard_permutation_test(gram, cfg)
     return _MERGED_TESTS[cfg.method](gram, cfg)
+
+
+# Each merged-branch method's statistic and reference law, for the null study.
+# Both look up this module's functions at call time, so a wrapper bound over one
+# of them after import still sees the call.
+
+
+def statistic_for(method: Method):
+    """The observed statistic ``method`` tests: T for partial permutation, else Delta."""
+    return t_statistic if method is Method.PARTIAL_PERMUTATION else delta_statistic
+
+
+def reference_draws(gram: GramCache, method: Method, num_resamples: int, rng, estimator):
+    """``num_resamples`` draws from the law ``method`` compares its statistic with."""
+    if method is Method.PARTIAL_BOOTSTRAP:
+        return partial_bootstrap_draws(gram, num_resamples, rng, estimator)
+    if method is Method.PARTIAL_PERMUTATION:
+        return partial_permutation_draws(gram, num_resamples, rng, estimator)
+    return normal_scale(gram) * rng.standard_normal(num_resamples)
 
 
 def consistency_diagnostics(gram: GramCache) -> DiagnosticsReport:

@@ -28,7 +28,6 @@ from .errors import (
     DegenerateSample,
     DimensionMismatch,
     IndexOutOfRange,
-    NonVStatEstimator,
     SampleTooSmall,
     TTPoolError,
 )
@@ -55,7 +54,6 @@ _STATISTICAL_ERRORS = (
     SampleTooSmall,
     DimensionMismatch,
     IndexOutOfRange,
-    NonVStatEstimator,
 )
 
 # ---------------------------------------------------------------------------
@@ -148,22 +146,22 @@ def load_config(command: str, config_path, overrides) -> dict:
 
 
 def _coerce_file_value(key: str, value, default):
-    """Parse a config-file string, or each string in a config-file list, like ``--set`` text."""
-    if isinstance(value, str):
-        return _coerce_override(key, value, default)
-    if not isinstance(value, list):
-        return value
-    items = []
-    for item in value:
-        parsed = _coerce_override(key, item, default) if isinstance(item, str) else item
-        items.extend(parsed if isinstance(parsed, list) else [parsed])
-    return items
+    """Parse a config-file value as the ``--set`` text it stands for.
+
+    A string is that text and any other JSON value its JSON text; a list
+    stands for its items joined by commas, and stays a list.  ``null`` is
+    kept for a key whose default is ``None``.
+    """
+    if value is None and default is None:
+        return None
+    items = value if isinstance(value, list) else [value]
+    text = ",".join(item if isinstance(item, str) else json.dumps(item) for item in items)
+    parsed = _coerce_override(key, text, default)
+    return [parsed] if isinstance(value, list) and not isinstance(parsed, list) else parsed
 
 
 def _coerce_scalar(text: str, template):
-    if isinstance(template, bool):
-        return text.lower() in ("1", "true", "yes")
-    if isinstance(template, int) and not isinstance(template, bool):
+    if isinstance(template, int):
         return int(text)
     if isinstance(template, float):
         return float(text)
@@ -180,14 +178,13 @@ def _coerce_override(key: str, text: str, default):
 
 def _coerce_text(key: str, text: str, default):
     if key in _SWEEP_KEYS or key in _LIST_KEYS:
-        template = default[0] if isinstance(default, list) and default else default
         if key == "kernel.bandwidth":
             items = [t if t == "median" else float(t) for t in text.split(",")]
         elif key == "compare_methods":
             items = text.split(",") if text else []
         else:
-            base = 0.0 if not isinstance(template, (int, float, str)) else template
-            items = [_coerce_scalar(t, base if base != "median" else 0.0) for t in text.split(",")]
+            template = default[0] if isinstance(default, list) else default
+            items = [_coerce_scalar(t, template) for t in text.split(",")]
         return items if (len(items) > 1 or key in _LIST_KEYS) else items[0]
     if default is None:
         return float(text)
@@ -234,8 +231,8 @@ def _parse_enum(mapping: dict, value: str, what: str):
 def build_kernel_spec(cfg: dict) -> KernelSpec:
     family = _parse_enum({k.value: k for k in KernelFamily}, cfg["kernel.family"], "kernel family")
     bw = cfg["kernel.bandwidth"]
-    bandwidth = None if bw == "median" else float(bw)
-    return KernelSpec(family=family, bandwidth=bandwidth, epsilon=float(cfg["kernel.epsilon"]))
+    bandwidth = None if bw == "median" else bw
+    return KernelSpec(family=family, bandwidth=bandwidth, epsilon=cfg["kernel.epsilon"])
 
 
 def build_ttp_config(cfg: dict) -> TTPConfig:
@@ -250,14 +247,14 @@ def build_ttp_config(cfg: dict) -> TTPConfig:
     return TTPConfig(
         kernel=build_kernel_spec(cfg),
         fusion=FusionConfig(
-            theta=float(cfg["fusion.theta"]),
-            alpha_f=float(cfg["fusion.alpha"]),
-            num_bootstrap=int(cfg["fusion.num_bootstrap"]),
+            theta=cfg["fusion.theta"],
+            alpha_f=cfg["fusion.alpha"],
+            num_bootstrap=cfg["fusion.num_bootstrap"],
             mode=mode,
         ),
         causality=CausalityConfig(
-            alpha=float(cfg["causality.alpha"]),
-            num_resamples=int(cfg["causality.num_resamples"]),
+            alpha=cfg["causality.alpha"],
+            num_resamples=cfg["causality.num_resamples"],
             estimator=estimator,
         ),
         merged_method=_parse_enum(_METHODS, cfg["merged_method"], "merged method"),
@@ -268,13 +265,13 @@ def build_generator(cfg: dict):
     kind = cfg["scenario.generator"]
     if kind == "mean_shift":
         return MeanShift(
-            mu_c_minus_mu_t=float(cfg["scenario.mu_c_minus_mu_t"]),
-            mu_h_minus_mu_c=float(cfg["scenario.mu_h_minus_mu_c"]),
+            mu_c_minus_mu_t=cfg["scenario.mu_c_minus_mu_t"],
+            mu_h_minus_mu_c=cfg["scenario.mu_h_minus_mu_c"],
         )
     if kind == "var_shift":
         return VarShift(
-            var_c_over_var_t=float(cfg["scenario.var_c_over_var_t"]),
-            var_h_over_var_c=float(cfg["scenario.var_h_over_var_c"]),
+            var_c_over_var_t=cfg["scenario.var_c_over_var_t"],
+            var_h_over_var_c=cfg["scenario.var_h_over_var_c"],
         )
     raise ConfigError(f"unknown scenario generator {kind!r}")
 
@@ -285,12 +282,12 @@ def build_scenario(cfg: dict) -> Scenario:
     )
     return Scenario(
         generator=build_generator(cfg),
-        n=int(cfg["sizes.n"]),
-        m=int(cfg["sizes.m"]),
-        l=int(cfg["sizes.l"]),
+        n=cfg["sizes.n"],
+        m=cfg["sizes.m"],
+        l=cfg["sizes.l"],
         ttp=build_ttp_config(cfg),
-        replicates=int(cfg["replicates"]),
-        master_seed=int(cfg["seed"]),
+        replicates=cfg["replicates"],
+        master_seed=cfg["seed"],
         compare_methods=compare,
     )
 
@@ -435,7 +432,7 @@ def cmd_test(args) -> int:
         arms[Arm.HISTORICAL],
         arms[Arm.TREATMENT],
         ttp,
-        master_seed=int(cfg["seed"]),
+        master_seed=cfg["seed"],
     )
     payload = report_to_dict(report, cfg)
     text = _render_report_text(report, cfg)
@@ -525,9 +522,9 @@ def cmd_null_study(args) -> int:
     cells = expand_sweeps(cfg)
     for cell in cells:
         gen = cell["scenario.generator"]
-        if gen == "mean_shift" and float(cell["scenario.mu_c_minus_mu_t"]) != 0.0:
+        if gen == "mean_shift" and cell["scenario.mu_c_minus_mu_t"] != 0.0:
             raise ConfigError("null-study requires Qc = Qt (scenario.mu_c_minus_mu_t = 0)")
-        if gen == "var_shift" and float(cell["scenario.var_c_over_var_t"]) != 1.0:
+        if gen == "var_shift" and cell["scenario.var_c_over_var_t"] != 1.0:
             raise ConfigError("null-study requires Qc = Qt (scenario.var_c_over_var_t = 1)")
     scenarios = [build_scenario(cell) for cell in cells]
     header = [
@@ -540,14 +537,14 @@ def cmd_null_study(args) -> int:
             probe = None
             if cell["nullstudy.probe_mu_c_minus_mu_t"] is not None:
                 probe = MeanShift(
-                    mu_c_minus_mu_t=float(cell["nullstudy.probe_mu_c_minus_mu_t"]),
-                    mu_h_minus_mu_c=float(cell["scenario.mu_h_minus_mu_c"]),
+                    mu_c_minus_mu_t=cell["nullstudy.probe_mu_c_minus_mu_t"],
+                    mu_h_minus_mu_c=cell["scenario.mu_h_minus_mu_c"],
                 )
             study = null_distribution_study(
                 scn,
                 probe_levels=tuple(cell["nullstudy.probe_levels"]),
                 probe_generator=probe,
-                ref_draws=int(cell["nullstudy.ref_draws"]),
+                ref_draws=cell["nullstudy.ref_draws"],
                 workers=args.workers,
                 pool=pool,
             )

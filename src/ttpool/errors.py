@@ -21,10 +21,6 @@ class SampleTooSmall(TTPoolError):
     """An operation requires more observations than were supplied."""
 
 
-class NonVStatEstimator(TTPoolError):
-    """The fusion test only accepts the nonnegative V-statistic."""
-
-
 class ConfigError(TTPoolError):
     """Invalid or inconsistent configuration."""
 

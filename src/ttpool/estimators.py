@@ -58,15 +58,21 @@ def _check_indices(k: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return idx
 
 
-def mmd2_from_sums(s_aa, s_bb, s_ab, size_a: int, size_b: int, estimator: Estimator):
+def mmd2_from_sums(
+    s_aa, s_bb, s_ab, diag_a, diag_b, size_a: int, size_b: int, estimator: Estimator
+):
     """Squared MMD from the within-a, within-b and cross kernel sums.
 
-    For the U-statistic the within sums must already exclude the pairs of
-    identical positions.  The sums may be arrays, one entry per resampling
-    draw, so the observed statistics and the batched draws share this
-    normalisation.
+    ``diag_a`` and ``diag_b`` are the parts of the within sums that pair
+    a position with itself (the sums of the kernel diagonal over each
+    sample, with multiplicity).  The U-statistic drops them and
+    normalises by the number of ordered pairs of distinct positions; the
+    V-statistic keeps them.  This is the only place that makes the U
+    correction.  The sums may be arrays, one entry per resampling draw,
+    so the observed statistics and the batched draws share it.
     """
     if estimator is Estimator.USTAT:
+        s_aa, s_bb = s_aa - diag_a, s_bb - diag_b
         norm_a, norm_b = size_a * (size_a - 1), size_b * (size_b - 1)
     else:
         norm_a, norm_b = size_a**2, size_b**2
@@ -83,10 +89,7 @@ def _mmd2_blocks(
     # Summing the row sums is about 1.5x faster than one full reduction
     # when the block is a strided view of the Gram matrix.
     s_aa, s_bb, s_ab = (block.sum(axis=1).sum() for block in (k_aa, k_bb, k_ab))
-    if estimator is Estimator.USTAT:
-        s_aa -= np.trace(k_aa)
-        s_bb -= np.trace(k_bb)
-    val = mmd2_from_sums(s_aa, s_bb, s_ab, size_a, size_b, estimator)
+    val = mmd2_from_sums(s_aa, s_bb, s_ab, k_aa.trace(), k_bb.trace(), size_a, size_b, estimator)
     return MMDValue(squared=float(val), estimator=estimator)
 
 
@@ -106,26 +109,6 @@ def mmd2(gram: MatrixLike, a, b, estimator: Estimator = Estimator.VSTAT) -> MMDV
 def mmd2_v(gram: MatrixLike, a, b) -> MMDValue:
     """Plug-in (biased, nonnegative) squared-MMD V-statistic."""
     return mmd2(gram, a, b, Estimator.VSTAT)
-
-
-def mmd2_u(gram: MatrixLike, a, b) -> MMDValue:
-    """Diagonal-excluded (unbiased, possibly negative) squared-MMD U-statistic."""
-    return mmd2(gram, a, b, Estimator.USTAT)
-
-
-def mmd2_fused(
-    gram: MatrixLike, current, historical, other, estimator: Estimator = Estimator.VSTAT
-) -> MMDValue:
-    """Squared MMD between the pooled (current || historical) measure and ``other``.
-
-    The pooled empirical measure with weights m/(m+l), l/(m+l) is the
-    empirical measure of the concatenated index list, so no explicit
-    weighting is needed.  An empty ``historical`` reduces to
-    ``mmd2(current, other)``.
-    """
-    historical = np.asarray(historical, dtype=np.intp)
-    fused = np.concatenate([np.asarray(current, dtype=np.intp), historical])
-    return mmd2(gram, fused, other, estimator)
 
 
 def mmd2_slices(

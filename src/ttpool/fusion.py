@@ -19,8 +19,8 @@ from enum import Enum
 import numpy as np
 
 from .causality import two_sample_permutation
-from .errors import ConfigError, NonVStatEstimator, SampleTooSmall
-from .estimators import Estimator, batched_quad, bootstrap_counts, mmd2_slices
+from .errors import ConfigError, SampleTooSmall
+from .estimators import batched_quad, bootstrap_counts, mmd2_slices
 from .kernels import GramCache
 from .quantile import inf_quantile
 
@@ -66,17 +66,12 @@ def _bootstrap_root_terms(k_block: np.ndarray, weights: np.ndarray) -> np.ndarra
     return np.sqrt(np.clip(d2, 0.0, None))
 
 
-def equivalence_fusion(
-    gram: GramCache, cfg: FusionConfig, estimator: Estimator = Estimator.VSTAT
-) -> FusionOutcome:
+def equivalence_fusion(gram: GramCache, cfg: FusionConfig) -> FusionOutcome:
     """MMD equivalence fusion test; merged iff statistic > critical value.
 
-    Only the nonnegative V-statistic is accepted: the statistic needs the
-    non-squared MMD, and the U-statistic's square root is not always
-    defined.
+    The statistic uses the V-statistic: it needs the non-squared MMD, and
+    the U-statistic's square root is not always defined.
     """
-    if estimator is not Estimator.VSTAT:
-        raise NonVStatEstimator("the fusion test requires the V-statistic estimator")
     if cfg.mode is not FusionMode.EQUIVALENCE:
         raise ConfigError("equivalence_fusion requires mode=equivalence")
     if gram.m < 2 or gram.l < 2:

@@ -133,7 +133,8 @@ def _median_bandwidth(spec: KernelSpec, pair_sq: np.ndarray) -> float:
     ``pair_sq`` is reordered in place.  One ``partition`` places the upper
     central order statistic; for an even count the lower one is the
     largest value below it, and the two are averaged as ``np.median``
-    averages them.
+    averages them.  ``np.median`` partitions at two or three positions,
+    which NumPy does several times slower than at one.
     """
     if spec.bandwidth is not None:
         return float(spec.bandwidth)
@@ -207,7 +208,8 @@ def _mirrored_product(x: np.ndarray) -> np.ndarray:
     """``x @ x.T`` with its strict upper triangle copied onto the lower one.
 
     Adding 0.0 turns every -0.0 (a zero product with a negative factor)
-    into +0.0.
+    into +0.0.  The row loop works in place: ``np.triu(k) + np.triu(k, 1).T``
+    gives the same bits but is slower and makes two more N×N arrays.
     """
     k = x @ x.T
     for i in range(1, k.shape[0]):

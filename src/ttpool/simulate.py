@@ -24,15 +24,9 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .causality import (
-    Method,
-    delta_statistic,
-    estimate_sigma_c_squared,
-    partial_bootstrap_draws,
-    partial_permutation_draws,
-)
+from . import causality
+from .causality import Method
 from .errors import ConfigError, TTPoolError
-from .estimators import mmd2_slices
 from .kernels import Arm, Sample, build_gram
 from .pipeline import TTPConfig, run_ttp
 from .quantile import inf_quantile
@@ -317,35 +311,28 @@ def _null_replicate(
     methods: tuple,
     rep: int,
 ):
-    """One null-study replicate: the true-null (Delta, T) and each method's draws.
+    """One null-study replicate: per method, its true-null statistic and reference draws.
 
-    The reference draws are taken on the replicate's own Gram, or on arms
-    drawn from ``probe_generator`` with the replicate's data seed.
+    Both come from ``causality``, which defines each method's statistic
+    and reference law once.  The reference draws are taken on the
+    replicate's own Gram, or on arms drawn from ``probe_generator`` with
+    the replicate's data seed; the methods share one generator, in order.
     """
     estimator = scn.ttp.causality.estimator
     gram = build_gram(scn.ttp.kernel, *draw_arms(scn, rep))
-    true_delta = delta_statistic(gram, estimator)
-    true_t = mmd2_slices(gram, gram.fused_slice, gram.treatment_slice, estimator).squared
-
     probe_gram = gram
     if probe_generator is not None:
         probe_arms = draw_arms(replace(scn, generator=probe_generator), rep)
         probe_gram = build_gram(scn.ttp.kernel, *probe_arms)
     rng = np.random.default_rng(np.random.SeedSequence([int(scn.master_seed), rep, 3]))
-    refs = {}
-    if Method.PARTIAL_BOOTSTRAP in methods:
-        refs[Method.PARTIAL_BOOTSTRAP] = partial_bootstrap_draws(
-            probe_gram, ref_draws, rng, estimator
-        )
-    if Method.PARTIAL_PERMUTATION in methods:
-        refs[Method.PARTIAL_PERMUTATION] = partial_permutation_draws(
-            probe_gram, ref_draws, rng, estimator
-        )
-    if Method.NORMAL_APPROX in methods:
-        sigma2 = estimate_sigma_c_squared(probe_gram)
-        scale = np.sqrt(4.0 * (1.0 + probe_gram.n / probe_gram.m) * sigma2)
-        refs[Method.NORMAL_APPROX] = scale * rng.standard_normal(ref_draws)
-    return true_delta, true_t, refs
+    truths, out = {}, {}
+    for method in methods:
+        statistic = causality.statistic_for(method)
+        if statistic not in truths:
+            truths[statistic] = statistic(gram, estimator)
+        draws = causality.reference_draws(probe_gram, method, ref_draws, rng, estimator)
+        out[method] = (truths[statistic], draws)
+    return out
 
 
 def null_distribution_study(
@@ -372,19 +359,18 @@ def null_distribution_study(
         raise ConfigError(f"ref_draws must be >= 1, got {ref_draws}")
     if not all(0.0 < level < 1.0 for level in probe_levels):
         raise ConfigError(f"probe levels must lie in (0, 1), got {list(probe_levels)}")
+    if Method.STANDARD_PERMUTATION in methods:
+        raise ConfigError("the null study compares merged-branch methods only")
     per_rep = _map_replicates(
         partial(_null_replicate, scn, probe_generator, ref_draws, methods),
         scn.replicates,
         workers,
         pool,
     )
-    deltas, ts, draws = zip(*per_rep)
-    true_delta, true_t = np.array(deltas), np.array(ts)
-
     rows = []
     for method in methods:
-        reference = np.concatenate([rep_draws[method] for rep_draws in draws])
-        truth = true_t if method is Method.PARTIAL_PERMUTATION else true_delta
+        truth = np.array([rep_out[method][0] for rep_out in per_rep])
+        reference = np.concatenate([rep_out[method][1] for rep_out in per_rep])
         ks = _ks_distance(reference, truth)
         for level in probe_levels:
             rows.append(

@@ -30,11 +30,15 @@ from ttpool.estimators import (
     batched_quad,
     bootstrap_counts,
     mmd2,
-    mmd2_fused,
     permutation_masks,
 )
 from ttpool.fusion import FusionConfig, equivalence_fusion
 from ttpool.kernels import Arm, KernelFamily, KernelSpec, Sample, build_gram
+
+
+def fused_mmd2(gram, current, historical, other, estimator=Estimator.VSTAT):
+    """D^2 between the fused control current || historical and ``other``, gathered."""
+    return mmd2(gram, np.concatenate([current, historical]), other, estimator).squared
 
 
 def make_gram(rng, m=12, l=15, n=14, shift_h=0.0, shift_t=0.0, spec=None):
@@ -76,8 +80,8 @@ class TestDeltaStatistic:
     def test_matches_direct_formula(self, rng):
         gram = make_gram(rng, shift_t=0.7)
         want = np.sqrt(gram.n) * (
-            mmd2_fused(gram, gram.current, gram.historical, gram.treatment).squared
-            - mmd2_fused(gram, gram.current, gram.historical, gram.current).squared
+            fused_mmd2(gram, gram.current, gram.historical, gram.treatment)
+            - fused_mmd2(gram, gram.current, gram.historical, gram.current)
         )
         assert delta_statistic(gram) == pytest.approx(want, abs=1e-12)
 
@@ -153,8 +157,8 @@ class TestPartialBootstrapOracle:
             c_b = np.repeat(gram.current, u[b].astype(int))
             t_b = np.repeat(gram.current, v[b].astype(int))
             h_b = np.repeat(gram.historical, w[b].astype(int))
-            t_full = mmd2_fused(gram, c_b, h_b, t_b, estimator).squared
-            t_center = mmd2_fused(gram, c_b, h_b, c_b, estimator).squared
+            t_full = fused_mmd2(gram, c_b, h_b, t_b, estimator)
+            t_center = fused_mmd2(gram, c_b, h_b, c_b, estimator)
             want = np.sqrt(n) * (t_full - t_center)
             assert got[b] == pytest.approx(want, abs=1e-10)
 
@@ -186,7 +190,7 @@ class TestPartialPermutationOracle:
         for b in range(batch):
             perm_c = pos_ct[masks[b] == 1.0]
             perm_t = pos_ct[masks[b] == 0.0]
-            want = mmd2_fused(gram, perm_c, gram.historical, perm_t, estimator).squared
+            want = fused_mmd2(gram, perm_c, gram.historical, perm_t, estimator)
             assert got[b] == pytest.approx(want, abs=1e-10)
 
     def test_observed_statistic_in_reference(self, rng):
@@ -204,7 +208,7 @@ class TestPartialPermutationOracle:
         gram = make_gram(rng, shift_t=0.5)
         cfg = CausalityConfig(method=Method.PARTIAL_PERMUTATION, num_resamples=20, seed=0)
         out = partial_permutation_test(gram, cfg)
-        want = mmd2_fused(gram, gram.current, gram.historical, gram.treatment).squared
+        want = fused_mmd2(gram, gram.current, gram.historical, gram.treatment)
         assert out.statistic == pytest.approx(want, abs=1e-15)
 
 

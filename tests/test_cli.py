@@ -127,6 +127,15 @@ class TestConfigLoading:
         assert from_file == from_set
 
 
+    def test_config_file_null_only_where_the_default_is_null(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"nullstudy.probe_mu_c_minus_mu_t": None}))
+        assert load_config("null-study", cfg, [])["nullstudy.probe_mu_c_minus_mu_t"] is None
+        cfg.write_text(json.dumps({"sizes.m": None}))
+        with pytest.raises(ConfigError, match="sizes.m"):
+            load_config("null-study", cfg, [])
+
+
 class TestSweepExpansion:
     def test_cartesian_product(self):
         cfg = load_config(
@@ -200,6 +209,10 @@ class TestExitCodes:
             {"replicates": "abc"},
             {"fusion.theta": ["a"]},
             {"kernel.bandwidth": ["median", "abc"]},
+            {"sizes.n": 20.7},
+            {"replicates": True},
+            {"fusion.theta": []},
+            {"fusion.theta": {"a": 1}},
         ],
     )
     def test_unparsable_config_file_string_exit_2(self, tmp_path, capsys, entry):

@@ -12,8 +12,6 @@ from ttpool.estimators import (
     batched_quad,
     bootstrap_counts,
     mmd2,
-    mmd2_u,
-    mmd2_fused,
     mmd2_slices,
     mmd2_v,
     permutation_masks,
@@ -88,7 +86,7 @@ class TestUStatistic:
         spec = KernelSpec(bandwidth=1.0)
         pts = np.array([[0.3], [0.3]])
         k = _full_matrix(spec, pts)
-        assert abs(mmd2_u(k, [0, 1], [0, 1]).squared) < 1e-12
+        assert abs(mmd2(k, [0, 1], [0, 1], Estimator.USTAT).squared) < 1e-12
 
     def test_matches_loop_oracle_random_sets(self, rng):
         for _ in range(100):
@@ -97,7 +95,7 @@ class TestUStatistic:
             k = _full_matrix(spec, pts)
             a = rng.integers(0, 10, size=5)
             b = rng.integers(0, 10, size=5)
-            got = mmd2_u(k, a, b).squared
+            got = mmd2(k, a, b, Estimator.USTAT).squared
             want = oracle_mmd2_u(spec, spec.bandwidth, pts[a], pts[b])
             assert got == pytest.approx(want, abs=1e-12)
 
@@ -107,14 +105,14 @@ class TestUStatistic:
         for _ in range(200):
             pts = rng.normal(size=(100, 1))
             k = _full_matrix(spec, pts)
-            if mmd2_u(k, np.arange(50), np.arange(50, 100)).squared < 0:
+            if mmd2(k, np.arange(50), np.arange(50, 100), Estimator.USTAT).squared < 0:
                 negatives += 1
         assert negatives > 0
 
     def test_sample_too_small(self, rng):
         k = _full_matrix(KernelSpec(bandwidth=1.0), rng.normal(size=(3, 1)))
         with pytest.raises(SampleTooSmall):
-            mmd2_u(k, [0], [1, 2])
+            mmd2(k, [0], [1, 2], Estimator.USTAT)
 
     def test_u_v_gap_shrinks_with_sample_size(self, rng):
         spec = KernelSpec(bandwidth=1.0)
@@ -124,7 +122,7 @@ class TestUStatistic:
         for size in (25, 100, 400):
             a = np.arange(size)
             b = np.arange(400, 400 + size)
-            gaps.append(abs(mmd2_v(k, a, b).squared - mmd2_u(k, a, b).squared))
+            gaps.append(abs(mmd2_v(k, a, b).squared - mmd2(k, a, b, Estimator.USTAT).squared))
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] < 25 / 400 * gaps[0] * 5  # roughly O(1/n)
 
@@ -134,7 +132,7 @@ class TestFused:
         spec = random_spec(rng)
         pts = rng.normal(size=(8, 1))
         k = _full_matrix(spec, pts)
-        got = mmd2_fused(k, [0, 1, 2], [], [5, 6, 7]).squared
+        got = mmd2(k, [0, 1, 2] + [], [5, 6, 7]).squared
         want = mmd2_v(k, [0, 1, 2], [5, 6, 7]).squared
         assert got == want
 
@@ -142,7 +140,7 @@ class TestFused:
         spec = random_spec(rng)
         pts = rng.normal(size=(6, 1))
         k = _full_matrix(spec, pts)
-        got = mmd2_fused(k, [0, 1, 2], [0, 1, 2], [0, 1, 2, 0, 1, 2]).squared
+        got = mmd2(k, [0, 1, 2] + [0, 1, 2], [0, 1, 2, 0, 1, 2]).squared
         assert abs(got) < 1e-12
 
     def test_matches_hand_expanded_mixture(self, rng):
@@ -152,7 +150,7 @@ class TestFused:
         pts = rng.normal(size=(7, 1))
         k = _full_matrix(spec, pts)
         cur, hist, other = [0, 1], [2, 3], [4, 5, 6]
-        got = mmd2_fused(k, cur, hist, other).squared
+        got = mmd2(k, cur + hist, other).squared
         fused_pts = [pts[i] for i in cur + hist]
         other_pts = [pts[i] for i in other]
         want = oracle_mmd2_v(spec, None, fused_pts, other_pts)
@@ -179,7 +177,7 @@ class TestFused:
             + k_oo
             - 2 * (w_c * k_co + w_h * k_ho)
         )
-        got = mmd2_fused(k, cur, hist, other).squared
+        got = mmd2(k, cur + hist, other).squared
         assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -341,4 +339,5 @@ def test_dispatch_selects_estimator(rng):
     k = _full_matrix(spec, pts)
     a, b = np.arange(3), np.arange(3, 6)
     assert mmd2(k, a, b, Estimator.VSTAT).squared == mmd2_v(k, a, b).squared
-    assert mmd2(k, a, b, Estimator.USTAT).squared == mmd2_u(k, a, b).squared
+    want_u = oracle_mmd2_u(spec, spec.bandwidth, pts[a], pts[b])
+    assert mmd2(k, a, b, Estimator.USTAT).squared == pytest.approx(want_u, abs=1e-12)

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from ttpool.errors import ConfigError, NonVStatEstimator
-from ttpool.estimators import Estimator, bootstrap_counts, mmd2_v
+from ttpool.errors import ConfigError
+from ttpool.estimators import bootstrap_counts, mmd2_v
 from ttpool.fusion import (
     FusionConfig,
     FusionMode,
@@ -98,11 +98,6 @@ class TestEquivalenceFusion:
         assert len(crits) == 1
         merges = [o.merged for o in outs]
         assert merges == sorted(merges)
-
-    def test_ustat_rejected(self, rng):
-        gram = make_gram(rng)
-        with pytest.raises(NonVStatEstimator):
-            equivalence_fusion(gram, FusionConfig(seed=0), estimator=Estimator.USTAT)
 
     def test_deterministic_given_seed(self, rng):
         gram = make_gram(rng)

@@ -174,6 +174,21 @@ class TestBuildGram:
         want = np.array([[1.0, 2, 3], [2, 4, 6], [3, 6, 9]])
         assert np.array_equal(gram.matrix, want)
 
+    def test_linear_zero_products_are_positive_zero(self):
+        # -0.0 times a positive coordinate is -0.0; the Gram stores +0.0.
+        spec = KernelSpec(family=KernelFamily.LINEAR)
+        gram = build_gram(
+            spec,
+            Sample([[-0.0]], Arm.CURRENT),
+            Sample([[2.0]], Arm.HISTORICAL),
+            Sample([[3.0]], Arm.TREATMENT),
+        )
+        want = np.array([[0.0, 0, 0], [0, 4, 6], [0, 6, 9]])
+        assert np.array_equal(gram.matrix, want)
+        assert np.array_equal(gram.matrix_nomerge, want[np.ix_([0, 2], [0, 2])])
+        for k in (gram.matrix, gram.matrix_nomerge):
+            assert not np.signbit(k).any()
+
     def test_matrix_exactly_symmetric(self, rng):
         for _ in range(10):
             spec = random_spec(rng)

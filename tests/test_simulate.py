@@ -5,12 +5,20 @@ import logging
 
 import numpy as np
 import pytest
-from scipy.stats import ks_2samp
+from scipy.stats import ks_2samp, norm
 
-from ttpool.causality import CausalityConfig, Method
+from ttpool.causality import (
+    CausalityConfig,
+    Method,
+    normal_scale,
+    partial_bootstrap_draws,
+    partial_permutation_draws,
+    run_causality,
+)
 from ttpool.errors import ConfigError, SampleTooSmall
 from ttpool.estimators import Estimator
 from ttpool.fusion import FusionConfig, FusionMode
+from ttpool.kernels import build_gram
 from ttpool import simulate
 from ttpool.pipeline import TTPConfig, run_classic_ttp, run_equivalence_ttp
 from ttpool.simulate import (
@@ -20,6 +28,7 @@ from ttpool.simulate import (
     VarShift,
     _ks_distance,
     _map_replicates,
+    _null_replicate,
     _numpy_openblas,
     _run_replicate,
     draw_arms,
@@ -304,11 +313,36 @@ class TestNullStudy:
             {"probe_levels": (1.5,)},
             {"probe_levels": (0.9, 1.0)},
             {"probe_levels": (0.0,)},
+            {"methods": (Method.PARTIAL_BOOTSTRAP, Method.STANDARD_PERMUTATION)},
         ],
     )
     def test_bad_settings_are_config_errors(self, kwargs):
         with pytest.raises(ConfigError):
             null_distribution_study(tiny_scenario(reps=2), **kwargs)
+
+    @pytest.mark.parametrize("estimator", list(Estimator))
+    def test_replicate_uses_the_tests_statistics_and_scale(self, estimator):
+        ttp = TTPConfig(causality=CausalityConfig(num_resamples=10, estimator=estimator))
+        scn = tiny_scenario(reps=1, seed=3, ttp=ttp)
+        methods = (Method.PARTIAL_BOOTSTRAP, Method.PARTIAL_PERMUTATION, Method.NORMAL_APPROX)
+        out = _null_replicate(scn, None, 9, methods, 0)
+        gram = build_gram(scn.ttp.kernel, *draw_arms(scn, 0))
+        for method in methods:
+            cfg = dataclasses.replace(scn.ttp.causality, method=method, seed=0)
+            assert out[method][0] == run_causality(gram, cfg).statistic
+
+        # The methods draw in order from one generator; the normal draws are
+        # the normal test's scale times that generator's standard normals.
+        cfg = dataclasses.replace(scn.ttp.causality, method=Method.NORMAL_APPROX)
+        scale = normal_scale(gram)
+        critical = run_causality(gram, cfg).critical_value
+        assert critical == float(norm.ppf(1.0 - cfg.alpha) * scale)
+        rng = np.random.default_rng(np.random.SeedSequence([scn.master_seed, 0, 3]))
+        want_pb = partial_bootstrap_draws(gram, 9, rng, estimator)
+        want_pp = partial_permutation_draws(gram, 9, rng, estimator)
+        assert np.array_equal(out[Method.PARTIAL_BOOTSTRAP][1], want_pb)
+        assert np.array_equal(out[Method.PARTIAL_PERMUTATION][1], want_pp)
+        assert np.array_equal(out[Method.NORMAL_APPROX][1], scale * rng.standard_normal(9))
 
     @pytest.mark.parametrize("arm", ["m", "n"])
     def test_ustat_single_point_arm_raises(self, monkeypatch, arm):
