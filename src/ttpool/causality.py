@@ -24,6 +24,8 @@ Observed statistics are sums over views of the Gram cache: every arm,
 and the fused control current || historical, is a contiguous range of
 it, so no block is copied.  All resampling operates on weight vectors
 over Gram positions; no kernel is re-evaluated inside the B-loop.
+The fused control's within-sample sum cancels in Delta, so Delta and its
+bootstrap draws never compute it, nor read the historical-historical block.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .errors import ConfigError, SampleTooSmall
 from .estimators import (
     Estimator,
     batched_quad,
+    block_total,
     bootstrap_counts,
     mmd2_from_sums,
     mmd2_slices,
@@ -112,12 +115,26 @@ def _check_sizes(estimator: Estimator, name: str, *sizes: int) -> None:
         raise SampleTooSmall(f"{name} needs at least {min_size} point(s) per sample")
 
 
+def _delta_from_sums(s_tt, s_ft, s_cc, s_fc, diag_t, diag_c, gram: GramCache, estimator):
+    """Delta = sqrt(n) (D^2(Qf, Qt) - D^2(Qf, Qc)) from the sums that do not cancel.
+
+    The within-treatment, fused x treatment, within-current and fused x
+    current sums, then the two within sums' diagonal totals; arrays give
+    one Delta per draw.  The fused within sum is the same in both terms,
+    so it is passed as zero.
+    """
+    big, m, n = gram.m + gram.l, gram.m, gram.n
+    t_full = mmd2_from_sums(0.0, s_tt, s_ft, 0.0, diag_t, big, n, estimator)
+    t_center = mmd2_from_sums(0.0, s_cc, s_fc, 0.0, diag_c, big, m, estimator)
+    return np.sqrt(n) * (t_full - t_center)
+
+
 def delta_statistic(gram: GramCache, estimator: Estimator = Estimator.VSTAT) -> float:
-    """Delta = sqrt(n) (D^2(Qf, Qt) - D^2(Qf, Qc)) on the observed data."""
+    """Delta on the observed data, from block totals over views of the Gram matrix."""
     _check_sizes(estimator, "Delta", gram.m, gram.l, gram.n)
-    t_full = mmd2_slices(gram, gram.fused_slice, gram.treatment_slice, estimator)
-    t_center = mmd2_slices(gram, gram.fused_slice, gram.current_slice, estimator)
-    return float(np.sqrt(gram.n) * (t_full.squared - t_center.squared))
+    k, f, c, t = gram.matrix, gram.fused_slice, gram.current_slice, gram.treatment_slice
+    sums = [block_total(block) for block in (k[t, t], k[f, t], k[c, c], k[f, c])]
+    return float(_delta_from_sums(*sums, k[t, t].trace(), k[c, c].trace(), gram, estimator))
 
 
 def t_statistic(gram: GramCache, estimator: Estimator = Estimator.VSTAT) -> float:
@@ -226,10 +243,11 @@ def partial_bootstrap_draws(
     Per draw: m and n index draws with replacement from the current arm
     (Q_{c,b}, Q_{t,b}), l draws from the historical arm (Q_{h,b});
     Delta* = sqrt(n)(D^2(Q_{f,b}, Q_{t,b}) - D^2(Q_{f,b}, Q_{c,b})).
+    The fused within sum, which holds w' K_hh w, cancels, so K_hh is not
+    read; the historical counts enter only the cross sums.
     """
     m, l, n = gram.m, gram.l, gram.n
-    big = m + l
-    k_cc, k_ch, k_hh = gram.k_cc, gram.k_ch, gram.k_hh
+    k_cc, k_ch = gram.k_cc, gram.k_ch
     u = bootstrap_counts(rng, m, m, num_resamples)  # current resample, counts over cur
     v = bootstrap_counts(rng, n, m, num_resamples)  # null-treatment resample, over cur
     w = bootstrap_counts(rng, l, l, num_resamples)  # historical resample, over hist
@@ -238,15 +256,11 @@ def partial_bootstrap_draws(
     cc_uu, cc_uv = _row_dots(u @ k_cc, u, v)
     cc_vv = batched_quad(k_cc, v, v)
     ch_uw, ch_vw = _row_dots(w @ k_ch.T, u, v)
-    hh_ww = batched_quad(k_hh, w, w)
 
-    within_f = cc_uu + 2.0 * ch_uw + hh_ww
     d_cc = np.diag(k_cc)
-    diag_c, diag_t = u @ d_cc, v @ d_cc
-    diag_f = diag_c + w @ np.diag(k_hh)
-    t_full = mmd2_from_sums(within_f, cc_vv, cc_uv + ch_vw, diag_f, diag_t, big, n, estimator)
-    t_center = mmd2_from_sums(within_f, cc_uu, cc_uu + ch_uw, diag_f, diag_c, big, m, estimator)
-    return np.sqrt(n) * (t_full - t_center)
+    return _delta_from_sums(
+        cc_vv, cc_uv + ch_vw, cc_uu, cc_uu + ch_uw, v @ d_cc, u @ d_cc, gram, estimator
+    )
 
 
 def partial_bootstrap_test(gram: GramCache, cfg: CausalityConfig) -> CausalityOutcome:

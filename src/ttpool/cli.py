@@ -117,8 +117,8 @@ _SWEEP_KEYS = (
 _LIST_KEYS = ("compare_methods", "nullstudy.probe_levels")
 
 
-def load_config(command: str, config_path, overrides) -> dict:
-    """Merge file config and --set overrides over the command defaults."""
+def load_config(command: str, config_path, overrides, seed=None) -> dict:
+    """Merge file config, --set overrides and a --seed override over the command defaults."""
     defaults = _DEFAULTS[command]
     cfg = dict(defaults)
     if config_path is not None:
@@ -141,6 +141,10 @@ def load_config(command: str, config_path, overrides) -> dict:
         if key not in defaults:
             raise ConfigError(f"unknown config key {key!r} for command {command!r}")
         cfg[key] = _coerce_override(key, text, defaults[key])
+    if seed is not None:
+        cfg["seed"] = seed
+    if cfg["seed"] < 0:
+        raise ConfigError(f"seed must be >= 0, got {cfg['seed']}")
     _validate_types(command, cfg)
     return cfg
 
@@ -218,32 +222,24 @@ def expand_sweeps(cfg: dict) -> list[dict]:
 # Config -> domain objects.
 # ---------------------------------------------------------------------------
 
-_METHODS = {m.value: m for m in Method}
-
-
-def _parse_enum(mapping: dict, value: str, what: str):
+def _parse_enum(enum_cls, value: str, what: str):
     try:
-        return mapping[value]
-    except KeyError:
-        raise ConfigError(f"unknown {what} {value!r}; expected one of {sorted(mapping)}")
+        return enum_cls(value)
+    except ValueError:
+        expected = sorted(member.value for member in enum_cls)
+        raise ConfigError(f"unknown {what} {value!r}; expected one of {expected}")
 
 
 def build_kernel_spec(cfg: dict) -> KernelSpec:
-    family = _parse_enum({k.value: k for k in KernelFamily}, cfg["kernel.family"], "kernel family")
+    family = _parse_enum(KernelFamily, cfg["kernel.family"], "kernel family")
     bw = cfg["kernel.bandwidth"]
     bandwidth = None if bw == "median" else bw
     return KernelSpec(family=family, bandwidth=bandwidth, epsilon=cfg["kernel.epsilon"])
 
 
 def build_ttp_config(cfg: dict) -> TTPConfig:
-    mode = _parse_enum(
-        {"equivalence": FusionMode.EQUIVALENCE, "classic": FusionMode.CLASSIC_PERMUTATION},
-        cfg["fusion.mode"],
-        "fusion mode",
-    )
-    estimator = _parse_enum(
-        {"v": Estimator.VSTAT, "u": Estimator.USTAT}, cfg["causality.estimator"], "estimator"
-    )
+    mode = _parse_enum(FusionMode, cfg["fusion.mode"], "fusion mode")
+    estimator = _parse_enum(Estimator, cfg["causality.estimator"], "estimator")
     return TTPConfig(
         kernel=build_kernel_spec(cfg),
         fusion=FusionConfig(
@@ -257,7 +253,7 @@ def build_ttp_config(cfg: dict) -> TTPConfig:
             num_resamples=cfg["causality.num_resamples"],
             estimator=estimator,
         ),
-        merged_method=_parse_enum(_METHODS, cfg["merged_method"], "merged method"),
+        merged_method=_parse_enum(Method, cfg["merged_method"], "merged method"),
     )
 
 
@@ -278,7 +274,7 @@ def build_generator(cfg: dict):
 
 def build_scenario(cfg: dict) -> Scenario:
     compare = tuple(
-        _parse_enum(_METHODS, name, "compare method") for name in cfg.get("compare_methods", [])
+        _parse_enum(Method, name, "compare method") for name in cfg.get("compare_methods", [])
     )
     return Scenario(
         generator=build_generator(cfg),
@@ -295,9 +291,6 @@ def build_scenario(cfg: dict) -> Scenario:
 # ---------------------------------------------------------------------------
 # Dataset ingestion.
 # ---------------------------------------------------------------------------
-
-_ARMS = {a.value: a for a in Arm}
-
 
 def load_dataset(path) -> dict:
     """Parse the arm-labelled CSV into one (size, d) array per arm."""
@@ -316,8 +309,9 @@ def load_dataset(path) -> dict:
     for lineno, row in enumerate(rows[start:], start=start + 1):
         if not row or all(not cell.strip() for cell in row):
             continue
-        label = row[0].strip().lower()
-        if label not in _ARMS:
+        try:
+            arm = Arm(row[0].strip().lower())
+        except ValueError:
             raise DataError(f"row {lineno}: unknown arm label {row[0]!r}")
         if width is None:
             width = len(row)
@@ -334,7 +328,7 @@ def load_dataset(path) -> dict:
             if math.isnan(value) or math.isinf(value):
                 raise DataError(f"row {lineno}, column {col}: non-finite value {cell!r}")
             values.append(value)
-        arms[_ARMS[label]].append(values)
+        arms[arm].append(values)
     for arm, pts in arms.items():
         if not pts:
             raise DataError(f"dataset {path} has no rows for arm {arm.value!r}")
@@ -417,9 +411,7 @@ def _format_cell(value) -> str:
 
 
 def cmd_test(args) -> int:
-    cfg = load_config("test", args.config, args.set)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
+    cfg = load_config("test", args.config, args.set, args.seed)
     if not cfg["data"]:
         raise ConfigError("the test command requires a 'data' config key (CSV path)")
     arms = load_dataset(cfg["data"])
@@ -470,9 +462,7 @@ def _render_report_text(report: TTPReport, cfg: dict) -> str:
 
 
 def cmd_simulate(args) -> int:
-    cfg = load_config("simulate", args.config, args.set)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
+    cfg = load_config("simulate", args.config, args.set, args.seed)
     cells = expand_sweeps(cfg)
     scenarios = [build_scenario(cell) for cell in cells]
     with worker_pool(args.workers) as pool:
@@ -516,9 +506,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_null_study(args) -> int:
-    cfg = load_config("null-study", args.config, args.set)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
+    cfg = load_config("null-study", args.config, args.set, args.seed)
     cells = expand_sweeps(cfg)
     for cell in cells:
         gen = cell["scenario.generator"]

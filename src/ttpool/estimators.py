@@ -79,6 +79,14 @@ def mmd2_from_sums(
     return s_aa / norm_a + s_bb / norm_b - 2.0 * s_ab / (size_a * size_b)
 
 
+def block_total(block: np.ndarray) -> float:
+    """A kernel block's sum, taken as the total of its row sums.
+
+    That is about 1.5x faster than one full reduction on a strided view.
+    """
+    return block.sum(axis=1).sum()
+
+
 def _mmd2_blocks(
     k_aa: np.ndarray, k_bb: np.ndarray, k_ab: np.ndarray, estimator: Estimator
 ) -> MMDValue:
@@ -86,9 +94,7 @@ def _mmd2_blocks(
     size_a, size_b = k_ab.shape
     if estimator is Estimator.USTAT and (size_a < 2 or size_b < 2):
         raise SampleTooSmall("U-statistic needs at least two observations per sample")
-    # Summing the row sums is about 1.5x faster than one full reduction
-    # when the block is a strided view of the Gram matrix.
-    s_aa, s_bb, s_ab = (block.sum(axis=1).sum() for block in (k_aa, k_bb, k_ab))
+    s_aa, s_bb, s_ab = (block_total(block) for block in (k_aa, k_bb, k_ab))
     val = mmd2_from_sums(s_aa, s_bb, s_ab, k_aa.trace(), k_bb.trace(), size_a, size_b, estimator)
     return MMDValue(squared=float(val), estimator=estimator)
 
@@ -117,9 +123,8 @@ def mmd2_slices(
     """Squared MMD between two contiguous index ranges, from sums over views.
 
     ``a`` and ``b`` are slices with explicit start and stop; they may
-    overlap, as the fused control range contains the current one.  No
-    block is copied.  Equals ``mmd2`` on the same ranges up to the order
-    of the floating-point sums.
+    overlap.  No block is copied.  Equals ``mmd2`` on the same ranges up
+    to the order of the floating-point sums.
     """
     k = _as_matrix(gram)
     for rows in (a, b):

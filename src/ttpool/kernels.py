@@ -33,19 +33,13 @@ class KernelFamily(str, Enum):
     LINEAR_PLUS_RBF = "linear+rbf"
 
 
-#: Families whose mean-embedding map is injective.  Used for warnings only.
+#: Families whose mean-embedding map is injective, as ``KernelSpec.characteristic``
+#: reports it.  No statistical test consults it, and none warns about it.
 CHARACTERISTIC = {
     KernelFamily.RBF: True,
     KernelFamily.IMQ: True,
     KernelFamily.LINEAR: False,
     KernelFamily.LINEAR_PLUS_RBF: True,
-}
-
-#: Families whose evaluation depends on a bandwidth.
-_NEEDS_BANDWIDTH = {
-    KernelFamily.RBF,
-    KernelFamily.IMQ,
-    KernelFamily.LINEAR_PLUS_RBF,
 }
 
 
@@ -72,10 +66,6 @@ class KernelSpec:
     @property
     def characteristic(self) -> bool:
         return CHARACTERISTIC[self.family]
-
-    @property
-    def needs_bandwidth(self) -> bool:
-        return self.family in _NEEDS_BANDWIDTH
 
 
 class Arm(str, Enum):

@@ -95,6 +95,8 @@ class Scenario:
             raise ConfigError("all arm sizes must be >= 2")
         if self.replicates < 1:
             raise ConfigError("replicates must be >= 1")
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
         methods = [self.ttp.merged_method, *self.compare_methods]
         if len(set(methods)) < len(methods):
             raise ConfigError(

@@ -1,5 +1,6 @@
 """Causality tests: resampling oracles, variance oracle, decision layer."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -429,6 +430,25 @@ class TestSharedProducts:
                 tracemalloc.stop()
 
         assert peak(partial_bootstrap_draws) <= peak(_six_quad_partial_bootstrap)
+
+
+class TestDeltaSkipsHistoricalBlock:
+    """Delta, its bootstrap draws and the normal approximation never read K_hh."""
+
+    @pytest.mark.parametrize("estimator", [Estimator.VSTAT, Estimator.USTAT])
+    def test_nan_historical_block_leaves_results_bitwise_equal(self, estimator):
+        gram = make_gram(np.random.default_rng(8), shift_h=0.5, shift_t=0.3)
+        matrix = gram.matrix.copy()
+        matrix[gram.historical_slice, gram.historical_slice] = np.nan
+        poisoned = dataclasses.replace(gram, matrix=matrix)
+
+        def draws(g):
+            return partial_bootstrap_draws(g, 50, np.random.default_rng(3), estimator)
+
+        cfg = CausalityConfig(method=Method.NORMAL_APPROX, estimator=estimator)
+        assert delta_statistic(poisoned, estimator) == delta_statistic(gram, estimator)
+        assert draws(poisoned).tobytes() == draws(gram).tobytes()
+        assert normal_approx_test(poisoned, cfg) == normal_approx_test(gram, cfg)
 
 
 class TestNormalApprox:

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from ttpool import simulate
+from ttpool import cli, simulate
 from ttpool.cli import (
     _SWEEP_KEYS,
     EXIT_CONFIG,
@@ -232,6 +232,19 @@ class TestExitCodes:
         rc = main([command, "--out", str(tmp_path / "s.txt"), "--workers", workers])
         assert rc == EXIT_CONFIG
         assert "config error: workers must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["test", "simulate", "null-study"])
+    @pytest.mark.parametrize("spelling", [["--set", "seed=-1"], ["--seed", "-1"]])
+    def test_negative_seed_exit_2(self, tmp_path, capsys, monkeypatch, dataset, command, spelling):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an analysis or replicate ran")
+
+        for name in ("run_equivalence_ttp", "run_campaign", "null_distribution_study"):
+            monkeypatch.setattr(cli, name, refuse)
+        data = ["--set", f"data={dataset}"] if command == "test" else []
+        rc = main([command, "--out", str(tmp_path / "r.txt"), *data, *spelling])
+        assert rc == EXIT_CONFIG
+        assert "config error: seed must be >= 0, got -1" in capsys.readouterr().err
 
     def test_unparsable_set_value_exit_2(self, tmp_path, capsys):
         rc = main(["simulate", "--out", str(tmp_path / "s.txt"), "--set", "sizes.n=abc"])

@@ -285,7 +285,7 @@ def _reference_gram(spec, c, h, t):
     """The two-cdist construction: pdist medians, kernel_matrix, triu mirror."""
 
     def bandwidth(pooled):
-        if not spec.needs_bandwidth:
+        if spec.family is KernelFamily.LINEAR:
             return None
         if spec.bandwidth is not None:
             return spec.bandwidth

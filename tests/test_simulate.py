@@ -90,6 +90,10 @@ class TestScenarioValidation:
         with pytest.raises(ConfigError):
             tiny_scenario(reps=0)
 
+    def test_negative_master_seed_rejected(self):
+        with pytest.raises(ConfigError, match="master_seed must be >= 0"):
+            tiny_scenario(seed=-1)
+
     @pytest.mark.parametrize(
         "compare",
         [
