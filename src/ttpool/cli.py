@@ -39,6 +39,7 @@ from .simulate import (
     MeanShift,
     Scenario,
     VarShift,
+    keep_freed_heap,
     null_distribution_study,
     run_campaign,
     worker_pool,
@@ -257,6 +258,16 @@ def build_ttp_config(cfg: dict) -> TTPConfig:
     )
 
 
+def _warn_if_not_characteristic(spec: KernelSpec) -> None:
+    """One stderr line when the kernel's MMD cannot tell every two laws apart."""
+    if not spec.characteristic:
+        print(
+            f"warning: kernel family {spec.family.value!r} is not characteristic; "
+            "its MMD only detects mean differences",
+            file=sys.stderr,
+        )
+
+
 def build_generator(cfg: dict):
     kind = cfg["scenario.generator"]
     if kind == "mean_shift":
@@ -416,6 +427,7 @@ def cmd_test(args) -> int:
         raise ConfigError("the test command requires a 'data' config key (CSV path)")
     arms = load_dataset(cfg["data"])
     ttp = build_ttp_config(cfg)
+    _warn_if_not_characteristic(ttp.kernel)
     runner = (
         run_equivalence_ttp if ttp.fusion.mode is FusionMode.EQUIVALENCE else run_classic_ttp
     )
@@ -465,6 +477,7 @@ def cmd_simulate(args) -> int:
     cfg = load_config("simulate", args.config, args.set, args.seed)
     cells = expand_sweeps(cfg)
     scenarios = [build_scenario(cell) for cell in cells]
+    _warn_if_not_characteristic(scenarios[0].ttp.kernel)
     with worker_pool(args.workers) as pool:
         results = [
             (cell, run_campaign(scn, workers=args.workers, pool=pool))
@@ -515,6 +528,7 @@ def cmd_null_study(args) -> int:
         if gen == "var_shift" and cell["scenario.var_c_over_var_t"] != 1.0:
             raise ConfigError("null-study requires Qc = Qt (scenario.var_c_over_var_t = 1)")
     scenarios = [build_scenario(cell) for cell in cells]
+    _warn_if_not_characteristic(scenarios[0].ttp.kernel)
     header = [
         *_SWEEP_KEYS, "method", "level", "reference_quantile", "true_quantile", "ks_distance"
     ]
@@ -586,6 +600,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    keep_freed_heap()
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)

@@ -34,7 +34,8 @@ class KernelFamily(str, Enum):
 
 
 #: Families whose mean-embedding map is injective, as ``KernelSpec.characteristic``
-#: reports it.  No statistical test consults it, and none warns about it.
+#: reports it.  No statistical test consults it; the CLI warns on stderr when a
+#: run's family is not characteristic.
 CHARACTERISTIC = {
     KernelFamily.RBF: True,
     KernelFamily.IMQ: True,

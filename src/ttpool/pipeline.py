@@ -40,6 +40,20 @@ class TTPConfig:
     def __post_init__(self) -> None:
         if self.merged_method is Method.STANDARD_PERMUTATION:
             raise ConfigError("merged_method must be a merged-branch method")
+        self.check_resamples((self.merged_method,))
+
+    def check_resamples(self, methods) -> None:
+        """Refuse a partial bootstrap among ``methods`` that a merge would run with no draw.
+
+        Its reference set is its draws alone.  The permutation tests' sets
+        also hold the observed statistic, so they accept zero resamples.
+        """
+        if (
+            self.fusion.mode is FusionMode.EQUIVALENCE
+            and Method.PARTIAL_BOOTSTRAP in methods
+            and self.causality.num_resamples < 1
+        ):
+            raise ConfigError("the partial bootstrap needs at least one resample")
 
 
 @dataclass(frozen=True)

@@ -103,6 +103,7 @@ class Scenario:
                 "merged_method and compare_methods must name distinct methods, got "
                 f"{[m.value for m in methods]}"
             )
+        self.ttp.check_resamples(self.compare_methods)
 
 
 @dataclass(frozen=True)
@@ -186,6 +187,41 @@ def _numpy_openblas() -> Optional[ctypes.CDLL]:
                 continue
             return lib
     return None
+
+
+#: glibc ``mallopt`` parameters (malloc.h), and the bound ``keep_freed_heap``
+#: gives both: 32 MiB, glibc's 64-bit ceiling for its own dynamic mmap threshold.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_HEAP_BLOCK_LIMIT = 32 << 20
+
+
+def keep_freed_heap() -> bool:
+    """Keep freed heap pages in this process; True if glibc took both settings.
+
+    By default glibc maps each block above its dynamic threshold (128 KiB
+    at start) afresh and unmaps it on free, so every replicate
+    page-faults its count, mask and product scratch in again.  Here
+    blocks up to 32 MiB come from the heap, and the heap top is trimmed
+    only once more than 32 MiB of it is free, so a replicate's freed
+    scratch stays in the process for the next one.  Larger blocks, such as
+    a large-shape Gram, are still mapped and returned when freed.  Both
+    are set: setting either one turns the dynamic threshold off and
+    leaves the other at its 128 KiB default.  Trimming is bounded, not
+    off: with it off, the free heap pages of a large-shape command stayed
+    resident while its next Gram was mapped, which raised peak RSS.
+    Forked pool workers inherit the setting.  Where ``mallopt`` is
+    missing, nothing changes.  The CLI calls this; library functions
+    leave the allocator to their caller.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        _log.debug("no C library mallopt found; freed heap pages go back to the system")
+        return False
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    params = (_M_MMAP_THRESHOLD, _M_TRIM_THRESHOLD)
+    return all([mallopt(param, _HEAP_BLOCK_LIMIT) for param in params])
 
 
 @contextmanager

@@ -1,6 +1,12 @@
 """CLI surface: config handling, dataset ingestion, exit codes, round-trips."""
 
 import json
+import logging
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +26,8 @@ from ttpool.cli import (
 )
 from ttpool.errors import ConfigError, DataError
 from ttpool.kernels import Arm
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def write_csv(path, current, historical, treatment, header=False):
@@ -50,6 +58,10 @@ def dataset(tmp_path):
 FAST = [
     "--set", "fusion.num_bootstrap=80",
     "--set", "causality.num_resamples=80",
+]
+
+SMALL_CAMPAIGN = [
+    "--set", "replicates=2", "--set", "sizes.n=16", "--set", "sizes.m=12", "--set", "sizes.l=14",
 ]
 
 
@@ -246,6 +258,55 @@ class TestExitCodes:
         assert rc == EXIT_CONFIG
         assert "config error: seed must be >= 0, got -1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, methods",
+        [
+            ("test", ["merged_method=partial_bootstrap"]),
+            ("simulate", ["merged_method=partial_bootstrap"]),
+            (
+                "simulate",
+                ["merged_method=partial_permutation", "compare_methods=normal_approx,partial_bootstrap"],
+            ),
+        ],
+    )
+    def test_partial_bootstrap_without_resamples_exit_2(
+        self, tmp_path, capsys, monkeypatch, dataset, command, methods
+    ):
+        # Its reference set would be empty once a merge ran it.
+        def refuse(*args, **kwargs):
+            raise AssertionError("an analysis or replicate ran")
+
+        for name in ("run_equivalence_ttp", "run_campaign"):
+            monkeypatch.setattr(cli, name, refuse)
+        data = ["--set", f"data={dataset}"] if command == "test" else []
+        sets = [arg for method in methods for arg in ("--set", method)]
+        rc = main(
+            [command, "--out", str(tmp_path / "r.txt"), *data, *sets,
+             "--set", "causality.num_resamples=0"]
+        )
+        assert rc == EXIT_CONFIG
+        assert (
+            "config error: the partial bootstrap needs at least one resample"
+            in capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize(
+        "command, sets",
+        [
+            ("test", ["fusion.mode=classic"]),
+            ("simulate", ["merged_method=partial_permutation", "compare_methods=normal_approx"]),
+        ],
+    )
+    def test_permutation_tests_accept_zero_resamples(self, tmp_path, dataset, command, sets):
+        # Their B + 1 reference set always holds the observed statistic.
+        data = ["--set", f"data={dataset}"] if command == "test" else SMALL_CAMPAIGN
+        args = [arg for item in sets for arg in ("--set", item)]
+        rc = main(
+            [command, "--out", str(tmp_path / "r.txt"), *data, *args,
+             "--set", "fusion.num_bootstrap=80", "--set", "causality.num_resamples=0"]
+        )
+        assert rc == EXIT_OK
+
     def test_unparsable_set_value_exit_2(self, tmp_path, capsys):
         rc = main(["simulate", "--out", str(tmp_path / "s.txt"), "--set", "sizes.n=abc"])
         assert rc == EXIT_CONFIG
@@ -291,6 +352,24 @@ class TestExitCodes:
             ]
         )
         assert rc == EXIT_OK
+
+
+@pytest.mark.parametrize("command", ["test", "simulate", "null-study"])
+def test_non_characteristic_kernel_warns_once(tmp_path, capsys, dataset, command):
+    args = ["--set", f"data={dataset}"] if command == "test" else SMALL_CAMPAIGN
+    stderr = {}
+    for family in ("rbf", "linear"):
+        out = tmp_path / f"{family}.txt"
+        rc = main([command, "--out", str(out), *args, "--set", f"kernel.family={family}", *FAST])
+        assert rc == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out == out.read_text()
+        stderr[family] = captured.err
+    assert stderr == {
+        "rbf": "",
+        "linear": "warning: kernel family 'linear' is not characteristic; "
+        "its MMD only detects mean differences\n",
+    }
 
 
 class TestCmdTest:
@@ -504,3 +583,59 @@ def test_sweep_tsv_bitwise_identical_for_workers_1_2_3(tmp_path, command, sweep)
         assert main(args + ["--out", str(out), "--workers", workers]) == EXIT_OK
         tables.append((tmp_path / f"w{workers}.txt.tsv").read_bytes())
     assert tables[0] == tables[1] == tables[2]
+
+
+# Run a two-replicate campaign through the CLI, then measure how much RSS
+# freeing a touched 16 MiB array gives back in a pool worker forked after
+# the command, and then here.  The worker measures first: once glibc's
+# default dynamic threshold has seen a mapped 16 MiB block freed, it keeps
+# the next one on the heap, and a worker forked after that inherits it.
+_HEAP_PROBE = """
+import os, sys
+import numpy as np
+from ttpool import cli, simulate
+
+PAGE = os.sysconf("SC_PAGE_SIZE")
+
+def rss():
+    with open("/proc/self/statm") as f:
+        return int(f.read().split()[1]) * PAGE
+
+def rss_drop():
+    block = np.ones(16 << 20, dtype=np.uint8)
+    before = rss()
+    del block
+    return before - rss()
+
+args = ["simulate", "--out", sys.argv[1], "--set", "replicates=2"]
+assert cli.main(args) == 0
+with simulate.worker_pool(2) as pool:
+    print(pool.submit(rss_drop).result(timeout=120))
+print(rss_drop())
+"""
+
+
+class TestFreedHeap:
+    @pytest.mark.skipif(
+        platform.libc_ver()[0] != "glibc", reason="the heap setting applies to glibc only"
+    )
+    def test_cli_process_and_its_workers_keep_freed_pages(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-c", _HEAP_PROBE, str(tmp_path / "s.txt")],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        drops = [int(line) for line in proc.stdout.splitlines()[-2:]]
+        assert all(drop < 1 << 20 for drop in drops), drops
+
+    def test_no_mallopt_changes_nothing(self, caplog, monkeypatch):
+        monkeypatch.setattr(simulate.ctypes, "CDLL", lambda name: object())
+        with caplog.at_level(logging.DEBUG, logger="ttpool.simulate"):
+            assert simulate.keep_freed_heap() is False
+        assert [r.getMessage() for r in caplog.records] == [
+            "no C library mallopt found; freed heap pages go back to the system"
+        ]

@@ -37,6 +37,16 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             TTPConfig(merged_method=Method.STANDARD_PERMUTATION)
 
+    def test_partial_bootstrap_needs_a_resample_under_equivalence_fusion(self):
+        no_draws = CausalityConfig(num_resamples=0)
+        with pytest.raises(ConfigError, match="at least one resample"):
+            TTPConfig(causality=no_draws)
+        # A classic-mode merge runs naive pooling, and the permutation
+        # tests' reference sets hold the observed statistic.
+        TTPConfig(fusion=FusionConfig(mode=FusionMode.CLASSIC_PERMUTATION), causality=no_draws)
+        for method in (Method.PARTIAL_PERMUTATION, Method.NORMAL_APPROX):
+            TTPConfig(causality=no_draws, merged_method=method)
+
     def test_mode_mismatch(self):
         arms = make_arms(0)
         with pytest.raises(ConfigError):
