@@ -49,6 +49,7 @@ from .simulate import (
     VarShift,
     null_distribution_study,
     run_campaign,
+    run_sweep,
 )
 
 __version__ = "0.1.0"

@@ -24,6 +24,8 @@ Observed statistics are sums over views of the Gram cache: every arm,
 and the fused control current || historical, is a contiguous range of
 it, so no block is copied.  All resampling operates on weight vectors
 over Gram positions; no kernel is re-evaluated inside the B-loop.
+Each test takes its weights from ``estimators.resample_weights``, given
+its seed and its draw plan.
 The fused control's within-sample sum cancels in Delta, so Delta and its
 bootstrap draws never compute it, nor read the historical-historical block.
 """
@@ -38,13 +40,14 @@ from scipy.stats import norm
 
 from .errors import ConfigError, SampleTooSmall
 from .estimators import (
+    Counts,
     Estimator,
+    Masks,
     batched_quad,
     block_total,
-    bootstrap_counts,
     mmd2_from_sums,
     mmd2_slices,
-    permutation_masks,
+    resample_weights,
 )
 from .kernels import GramCache
 from .quantile import inf_quantile
@@ -181,17 +184,17 @@ def two_sample_permutation(
     size_b: int,
     alpha: float,
     num_resamples: int,
-    rng: np.random.Generator,
+    seed,
     estimator: Estimator = Estimator.VSTAT,
 ) -> tuple[float, float]:
     """Permutation test over a pooled matrix whose first ``size_a`` rows are group a.
 
-    The observed statistic is included in the reference set (B+1
-    convention).  Returns (statistic, critical_value).
+    The masks come from ``seed``.  The observed statistic is included in
+    the reference set (B+1 convention).  Returns (statistic, critical_value).
     """
     a, b = slice(0, size_a), slice(size_a, size_a + size_b)
     statistic = mmd2_slices(k_pooled, a, b, estimator).squared
-    masks = permutation_masks(rng, size_a + size_b, size_a, num_resamples)
+    (masks,) = resample_weights(seed, num_resamples, Masks(size_a + size_b, size_a))
     perm = permutation_two_sample_stats(k_pooled, masks, size_a, size_b, estimator)
     reference = np.concatenate([[statistic], perm])
     return float(statistic), inf_quantile(reference, 1.0 - alpha)
@@ -201,9 +204,8 @@ def _two_sample_test(
     k_pooled: np.ndarray, size_a: int, size_b: int, cfg: CausalityConfig, merged_analysis: bool
 ) -> CausalityOutcome:
     _check_sizes(cfg.estimator, "a two-sample permutation test", size_a, size_b)
-    rng = np.random.default_rng(cfg.seed)
     statistic, critical = two_sample_permutation(
-        k_pooled, size_a, size_b, cfg.alpha, cfg.num_resamples, rng, cfg.estimator
+        k_pooled, size_a, size_b, cfg.alpha, cfg.num_resamples, cfg.seed, cfg.estimator
     )
     return _outcome(statistic, critical, Method.STANDARD_PERMUTATION, merged_analysis)
 
@@ -235,10 +237,10 @@ def _row_dots(product: np.ndarray, *rows: np.ndarray) -> list:
 def partial_bootstrap_draws(
     gram: GramCache,
     num_resamples: int,
-    rng: np.random.Generator,
+    seed,
     estimator: Estimator = Estimator.VSTAT,
 ) -> np.ndarray:
-    """Reference draws Delta*_b of the partial bootstrap.
+    """Reference draws Delta*_b of the partial bootstrap, with counts from ``seed``.
 
     Per draw: m and n index draws with replacement from the current arm
     (Q_{c,b}, Q_{t,b}), l draws from the historical arm (Q_{h,b});
@@ -248,9 +250,9 @@ def partial_bootstrap_draws(
     """
     m, l, n = gram.m, gram.l, gram.n
     k_cc, k_ch = gram.k_cc, gram.k_ch
-    u = bootstrap_counts(rng, m, m, num_resamples)  # current resample, counts over cur
-    v = bootstrap_counts(rng, n, m, num_resamples)  # null-treatment resample, over cur
-    w = bootstrap_counts(rng, l, l, num_resamples)  # historical resample, over hist
+    # u: the current resample and v: the null-treatment resample, both counts
+    # over the current arm; w: the historical resample, over the historical arm.
+    u, v, w = resample_weights(seed, num_resamples, Counts(m, m), Counts(n, m), Counts(l, l))
 
     # One product per left factor, each freed before the next is made.
     cc_uu, cc_uv = _row_dots(u @ k_cc, u, v)
@@ -265,8 +267,7 @@ def partial_bootstrap_draws(
 
 def partial_bootstrap_test(gram: GramCache, cfg: CausalityConfig) -> CausalityOutcome:
     statistic = delta_statistic(gram, cfg.estimator)
-    rng = np.random.default_rng(cfg.seed)
-    draws = partial_bootstrap_draws(gram, cfg.num_resamples, rng, cfg.estimator)
+    draws = partial_bootstrap_draws(gram, cfg.num_resamples, cfg.seed, cfg.estimator)
     critical = inf_quantile(draws, 1.0 - cfg.alpha)
     return _outcome(statistic, critical, Method.PARTIAL_BOOTSTRAP)
 
@@ -279,10 +280,13 @@ def partial_bootstrap_test(gram: GramCache, cfg: CausalityConfig) -> CausalityOu
 def partial_permutation_draws(
     gram: GramCache,
     num_resamples: int,
-    rng: np.random.Generator,
+    seed,
     estimator: Estimator = Estimator.VSTAT,
 ) -> np.ndarray:
-    """Reference draws T^b: permute pooled current + treatment, historicals fixed."""
+    """Reference draws T^b: permute pooled current + treatment, historicals fixed.
+
+    The masks come from ``seed``.
+    """
     m, l, n = gram.m, gram.l, gram.n
     big = m + l
     pos_ct = np.concatenate([gram.current, gram.treatment])
@@ -290,7 +294,7 @@ def partial_permutation_draws(
     k_xh = gram.matrix[:, gram.historical_slice]
     hrow = np.concatenate([k_xh[:m].sum(axis=1), k_xh[big:].sum(axis=1)])
 
-    masks = permutation_masks(rng, m + n, m, num_resamples)  # 1 = permuted-current
+    (masks,) = resample_weights(seed, num_resamples, Masks(m + n, m))  # 1 = permuted-current
     cc, ct, tt, d_c, d_t = _mask_sums(k_ct, masks)
     ch = masks @ hrow
     th = hrow.sum() - ch
@@ -302,8 +306,7 @@ def partial_permutation_draws(
 
 def partial_permutation_test(gram: GramCache, cfg: CausalityConfig) -> CausalityOutcome:
     statistic = t_statistic(gram, cfg.estimator)
-    rng = np.random.default_rng(cfg.seed)
-    perm = partial_permutation_draws(gram, cfg.num_resamples, rng, cfg.estimator)
+    perm = partial_permutation_draws(gram, cfg.num_resamples, cfg.seed, cfg.estimator)
     reference = np.concatenate([[statistic], perm])
     critical = inf_quantile(reference, 1.0 - cfg.alpha)
     return _outcome(statistic, critical, Method.PARTIAL_PERMUTATION)

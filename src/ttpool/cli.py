@@ -39,9 +39,10 @@ from .simulate import (
     MeanShift,
     Scenario,
     VarShift,
+    check_null_study,
     keep_freed_heap,
     null_distribution_study,
-    run_campaign,
+    run_sweep,
     worker_pool,
 )
 
@@ -479,10 +480,7 @@ def cmd_simulate(args) -> int:
     scenarios = [build_scenario(cell) for cell in cells]
     _warn_if_not_characteristic(scenarios[0].ttp.kernel)
     with worker_pool(args.workers) as pool:
-        results = [
-            (cell, run_campaign(scn, workers=args.workers, pool=pool))
-            for cell, scn in zip(cells, scenarios)
-        ]
+        results = list(zip(cells, run_sweep(scenarios, workers=args.workers, pool=pool)))
 
     method_names = [cfg["merged_method"], *cfg.get("compare_methods", [])]
     header = list(_SWEEP_KEYS) + [
@@ -510,7 +508,7 @@ def cmd_simulate(args) -> int:
             + " ".join(
                 f"reject[{name}]={res.per_method_rates[name]:.3f}" for name in method_names
             )
-            + f" ({res.wall_time:.1f}s)"
+            + f" ({res.seconds:.1f}s)"
         )
     text = "\n".join(lines) + "\n"
     Path(args.out).write_text(text)
@@ -527,7 +525,14 @@ def cmd_null_study(args) -> int:
             raise ConfigError("null-study requires Qc = Qt (scenario.mu_c_minus_mu_t = 0)")
         if gen == "var_shift" and cell["scenario.var_c_over_var_t"] != 1.0:
             raise ConfigError("null-study requires Qc = Qt (scenario.var_c_over_var_t = 1)")
-    scenarios = [build_scenario(cell) for cell in cells]
+    check_null_study(cfg["nullstudy.probe_levels"], cfg["nullstudy.ref_draws"])
+    # The study draws nullstudy.ref_draws references of each method per
+    # replicate and never reads causality.num_resamples, so its scenarios
+    # carry the former: a partial bootstrap with zero resamples is not run.
+    scenarios = [
+        build_scenario({**cell, "causality.num_resamples": cell["nullstudy.ref_draws"]})
+        for cell in cells
+    ]
     _warn_if_not_characteristic(scenarios[0].ttp.kernel)
     header = [
         *_SWEEP_KEYS, "method", "level", "reference_quantile", "true_quantile", "ks_distance"

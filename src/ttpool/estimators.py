@@ -147,8 +147,10 @@ def batched_quad(k_block: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarra
     return np.einsum("bq,bq->b", u @ k_block, v)
 
 
-def bootstrap_counts(rng: np.random.Generator, draws: int, size: int, batch: int) -> np.ndarray:
-    """Efron-bootstrap count vectors, shape (batch, size), as whole-number floats.
+def bootstrap_counts(
+    rng: np.random.Generator, draws: int, size: int, batch: int, dtype=float
+) -> np.ndarray:
+    """Efron-bootstrap count vectors, shape (batch, size), as whole numbers of ``dtype``.
 
     Each row is an independent multinomial(draws; 1/size, ..., 1/size)
     draw: the counts of ``draws`` uniform picks among ``size`` positions.
@@ -160,11 +162,14 @@ def bootstrap_counts(rng: np.random.Generator, draws: int, size: int, batch: int
     picks = rng.integers(0, size, (batch, draws))
     picks += size * np.arange(batch)[:, None]
     counts = np.bincount(picks.ravel(), minlength=batch * size)
-    return counts.reshape(batch, size).astype(float)
+    del picks  # freed before the conversion, so two of the three arrays are live at once
+    return counts.reshape(batch, size).astype(dtype)
 
 
-def permutation_masks(rng: np.random.Generator, total: int, size_a: int, batch: int) -> np.ndarray:
-    """0/1 membership rows assigning exactly ``size_a`` of ``total`` slots to group a.
+def permutation_masks(
+    rng: np.random.Generator, total: int, size_a: int, batch: int, dtype=float
+) -> np.ndarray:
+    """0/1 membership rows of ``dtype`` assigning exactly ``size_a`` of ``total`` slots to group a.
 
     Each row is a uniformly random ``size_a``-subset: one uniform per
     slot, and the ``size_a`` smallest join group a.  Only the
@@ -175,7 +180,7 @@ def permutation_masks(rng: np.random.Generator, total: int, size_a: int, batch: 
     """
     r = rng.random((batch, total))
     if size_a == 0:
-        return np.zeros((batch, total))
+        return np.zeros((batch, total), dtype)
     kth = np.partition(r, size_a - 1, axis=1)[:, size_a - 1 : size_a]
     chosen = r <= kth
     tied = np.flatnonzero(np.count_nonzero(chosen, axis=1) != size_a)
@@ -183,4 +188,70 @@ def permutation_masks(rng: np.random.Generator, total: int, size_a: int, batch: 
         rows = np.argpartition(r[tied], size_a - 1, axis=1)[:, :size_a]
         chosen[tied] = False
         chosen[tied[:, None], rows] = True
-    return chosen.astype(float)
+    return chosen.astype(dtype, copy=False)
+
+
+# ---------------------------------------------------------------------------
+# Resampling weights from a seed and a draw plan.  Every resampling test
+# draws its weights here, so the draws of a seed depend only on the seed,
+# the batch size and the plan.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Counts:
+    """Bootstrap count rows: ``draws`` picks with replacement among ``size`` positions."""
+
+    draws: int
+    size: int
+
+
+@dataclass(frozen=True)
+class Masks:
+    """Permutation rows: ``size_a`` of ``total`` slots join group a."""
+
+    total: int
+    size_a: int
+
+
+@dataclass(frozen=True)
+class SharedSeed:
+    """A ``SeedSequence`` whose draws ``resample_weights`` keeps in ``store``.
+
+    Each (seed, batch, plan) is drawn once; a later call with an equal
+    seed, batch and plan gets a float copy of the stored draws, which are
+    the bytes a fresh draw would give.  Counts are stored as the smallest
+    unsigned integers that hold them and masks as ``bool``, so the store
+    stays small.  A campaign sweep gives each replicate one store, which
+    its cells share, because they have the same stage seeds.
+    """
+
+    seed: np.random.SeedSequence
+    store: dict
+
+
+def _draw(rng: np.random.Generator, batch: int, spec, compact: bool) -> np.ndarray:
+    if isinstance(spec, Counts):
+        dtype = np.min_scalar_type(spec.draws) if compact else float
+        return bootstrap_counts(rng, spec.draws, spec.size, batch, dtype)
+    return permutation_masks(rng, spec.total, spec.size_a, batch, bool if compact else float)
+
+
+def resample_weights(seed, batch: int, *plan) -> list[np.ndarray]:
+    """Float weight rows, ``batch`` per entry of ``plan``, drawn in order from ``seed``.
+
+    ``seed`` is a ``SharedSeed`` or anything ``np.random.default_rng``
+    takes; a ``Generator`` is used as it is, so its state moves on.  Each
+    entry of ``plan`` is a ``Counts`` or ``Masks``.
+    """
+    if not isinstance(seed, SharedSeed):
+        rng = np.random.default_rng(seed)
+        return [_draw(rng, batch, spec, compact=False) for spec in plan]
+    ss = seed.seed
+    # A SeedSequence's stream depends on these three fields alone.
+    key = (repr(ss.entropy), ss.spawn_key, ss.pool_size, batch, plan)
+    stored = seed.store.get(key)
+    if stored is None:
+        rng = np.random.default_rng(ss)
+        stored = seed.store[key] = [_draw(rng, batch, spec, compact=True) for spec in plan]
+    return [weights.astype(float) for weights in stored]

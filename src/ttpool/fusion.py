@@ -20,7 +20,7 @@ import numpy as np
 
 from .causality import two_sample_permutation
 from .errors import ConfigError, SampleTooSmall
-from .estimators import batched_quad, bootstrap_counts, mmd2_slices
+from .estimators import Counts, batched_quad, mmd2_slices, resample_weights
 from .kernels import GramCache
 from .quantile import inf_quantile
 
@@ -79,10 +79,8 @@ def equivalence_fusion(gram: GramCache, cfg: FusionConfig) -> FusionOutcome:
     d = mmd2_slices(gram, gram.current_slice, gram.historical_slice).root
     statistic = cfg.theta - d
 
-    rng = np.random.default_rng(cfg.seed)
     b = cfg.num_bootstrap
-    w_c = bootstrap_counts(rng, gram.m, gram.m, b)
-    w_h = bootstrap_counts(rng, gram.l, gram.l, b)
+    w_c, w_h = resample_weights(cfg.seed, b, Counts(gram.m, gram.m), Counts(gram.l, gram.l))
     s = _bootstrap_root_terms(gram.k_cc, w_c) + _bootstrap_root_terms(gram.k_hh, w_h)
     critical = inf_quantile(s, 1.0 - cfg.alpha_f)
     return FusionOutcome(
@@ -101,9 +99,8 @@ def classic_fusion(gram: GramCache, cfg: FusionConfig) -> FusionOutcome:
     if gram.m < 1 or gram.l < 1:
         raise SampleTooSmall("classic fusion needs nonempty control arms")
     p = gram.m + gram.l
-    rng = np.random.default_rng(cfg.seed)
     statistic, critical = two_sample_permutation(
-        gram.matrix[:p, :p], gram.m, gram.l, cfg.alpha_f, cfg.num_bootstrap, rng
+        gram.matrix[:p, :p], gram.m, gram.l, cfg.alpha_f, cfg.num_bootstrap, cfg.seed
     )
     return FusionOutcome(
         statistic=statistic,

@@ -2,7 +2,9 @@
 
 Replicates are embarrassingly parallel and seeded per replicate from the
 campaign master seed, so results are bitwise identical for any worker
-count.  ``worker_pool`` opens the one process pool that a command's
+count.  ``run_sweep`` runs a sweep replicate-major: one pool item is one
+replicate of every cell, and the cells share that replicate's resampling
+draws.  ``worker_pool`` opens the one process pool that a command's
 campaigns share; each of its workers runs one BLAS thread.  Data
 generation uses numpy's PCG64 Generator (``standard_normal`` scaled and
 shifted), recorded in the result for replay.
@@ -27,6 +29,7 @@ import numpy as np
 from . import causality
 from .causality import Method
 from .errors import ConfigError, TTPoolError
+from .estimators import SharedSeed
 from .kernels import Arm, Sample, build_gram
 from .pipeline import TTPConfig, run_ttp
 from .quantile import inf_quantile
@@ -108,13 +111,20 @@ class Scenario:
 
 @dataclass(frozen=True)
 class CampaignResult:
+    """Rates of one campaign cell.
+
+    ``seconds`` is the time this cell's replicates took, summed over
+    replicates, whichever process ran them.  In a sweep, the first cell
+    of a replicate to need a draw makes it; the later cells copy it.
+    """
+
     scenario: Scenario
     merge_rate: float
     reject_rate: float
     stderr_merge: float
     stderr_reject: float
     per_method_rates: dict
-    wall_time: float
+    seconds: float
     rng_algorithm: str = RNG_ALGORITHM
 
 
@@ -134,13 +144,16 @@ def draw_arms(scn: Scenario, rep: int):
     )
 
 
-def _replicate_seeds(scn: Scenario, rep: int, n_methods: int):
+def _replicate_seeds(scn: Scenario, rep: int, n_methods: int, store: Optional[dict]):
+    """The fusion seed and one causality seed per method, over ``store`` if given."""
     fusion_ss = np.random.SeedSequence([int(scn.master_seed), rep, 1])
-    causality_ss = np.random.SeedSequence([int(scn.master_seed), rep, 2])
-    return fusion_ss, causality_ss.spawn(n_methods)
+    causality_seeds = np.random.SeedSequence([int(scn.master_seed), rep, 2]).spawn(n_methods)
+    if store is None:
+        return fusion_ss, causality_seeds
+    return SharedSeed(fusion_ss, store), [SharedSeed(ss, store) for ss in causality_seeds]
 
 
-def _run_replicate(scn: Scenario, rep: int) -> dict:
+def _run_replicate(scn: Scenario, rep: int, store: Optional[dict] = None) -> dict:
     """One TTP replicate through ``pipeline.run_ttp``, with replicate-derived seeds.
 
     Reports the merge flag and a reject flag for the primary method
@@ -148,12 +161,14 @@ def _run_replicate(scn: Scenario, rep: int) -> dict:
     only differ after an equivalence-mode merge; otherwise one test
     runs (standard permutation without a merge, naive pooling after a
     classic-mode merge) and every method column carries its outcome.
+    With a ``store``, the seeds are ``SharedSeed``s over it, so the
+    resampling draws are kept there for the other cells of the replicate.
     """
     current, historical, treatment = draw_arms(scn, rep)
     try:
         gram = build_gram(scn.ttp.kernel, current, historical, treatment)
         fusion_ss, causality_seeds = _replicate_seeds(
-            scn, rep, 1 + len(scn.compare_methods)
+            scn, rep, 1 + len(scn.compare_methods), store
         )
         fusion, outcomes = run_ttp(
             gram, scn.ttp, fusion_ss, causality_seeds, scn.compare_methods
@@ -254,8 +269,8 @@ def worker_pool(workers: int):
     threading, which large matrix products need.  Otherwise yields a
     ``ProcessPoolExecutor`` of ``workers`` processes, open while NumPy's
     OpenBLAS runs one thread; the saved thread count is restored once the
-    pool has closed.  Pass it as ``pool`` to ``run_campaign`` or
-    ``null_distribution_study``.
+    pool has closed.  Pass it as ``pool`` to ``run_sweep``, ``run_campaign``
+    or ``null_distribution_study``.
     """
     _check_workers(workers)
     if workers == 1:
@@ -292,15 +307,27 @@ def _map_replicates(run, replicates: int, workers: int, pool=None) -> list:
     return list(pool.map(run, reps, chunksize=math.ceil(replicates / workers)))
 
 
-def run_campaign(scn: Scenario, workers: int = 1, pool=None) -> CampaignResult:
-    """Run all replicates and aggregate merge / rejection rates.
+def _sweep_item(scenarios: tuple, rep: int) -> list[tuple[dict, float]]:
+    """Replicate ``rep`` of every cell: per cell, its ``_run_replicate`` row and seconds.
 
-    Replicates run on ``workers`` processes, in ``pool`` (an open
-    ``worker_pool(workers)``) when given; ``workers < 1`` is a ``ConfigError``.
+    Cells with the same master seed have the same stage seeds, so their
+    draws of one plan are the same bytes.  With more than one cell, the
+    cells share one store for the item: each (seed, plan) is drawn once
+    and copied to the later cells.  A single cell has no later cell to
+    read its draws, so it draws without storing them.
     """
-    start = time.perf_counter()
-    rows = _map_replicates(partial(_run_replicate, scn), scn.replicates, workers, pool)
+    store = {} if len(scenarios) > 1 else None
+    out = []
+    for scn in scenarios:
+        start = time.perf_counter()
+        row = _run_replicate(scn, rep, store)
+        out.append((row, time.perf_counter() - start))
+    return out
 
+
+def _cell_result(scn: Scenario, timed_rows: list) -> CampaignResult:
+    """Aggregate one cell's (row, seconds) pairs, in replicate order."""
+    rows = [row for row, _ in timed_rows]
     merges = sum(r["merged"] for r in rows)
     methods = (scn.ttp.merged_method,) + tuple(scn.compare_methods)
     per_method = {
@@ -316,8 +343,43 @@ def run_campaign(scn: Scenario, workers: int = 1, pool=None) -> CampaignResult:
         stderr_merge=_binomial_stderr(merge_rate, scn.replicates),
         stderr_reject=_binomial_stderr(reject_rate, scn.replicates),
         per_method_rates=per_method,
-        wall_time=time.perf_counter() - start,
+        seconds=sum(seconds for _, seconds in timed_rows),
     )
+
+
+def run_sweep(scenarios, workers: int = 1, pool=None) -> list[CampaignResult]:
+    """Run every cell of a sweep and aggregate each cell's merge / rejection rates.
+
+    The cells must have one replicate count.  The sweep runs
+    replicate-major: one item is replicate r of every cell, in order, and
+    the items run on ``workers`` processes, in ``pool`` (an open
+    ``worker_pool(workers)``) when given.  The cells of an item share its
+    resampling draws (see ``_sweep_item``); they were the same draws
+    before, so each result equals ``run_campaign`` of its cell alone, for
+    any worker count.  ``workers < 1`` is a ``ConfigError``.
+    """
+    scenarios = tuple(scenarios)
+    counts = {scn.replicates for scn in scenarios}
+    if len(counts) != 1:
+        raise ConfigError(
+            f"a sweep needs cells with one replicate count, got {sorted(counts)}"
+        )
+    items = _map_replicates(partial(_sweep_item, scenarios), counts.pop(), workers, pool)
+    return [
+        _cell_result(scn, [item[cell] for item in items])
+        for cell, scn in enumerate(scenarios)
+    ]
+
+
+def run_campaign(scn: Scenario, workers: int = 1, pool=None) -> CampaignResult:
+    """Run all replicates of one cell and aggregate merge / rejection rates.
+
+    ``run_sweep`` of the one cell.  Replicates run on ``workers``
+    processes, in ``pool`` (an open ``worker_pool(workers)``) when given;
+    ``workers < 1`` is a ``ConfigError``.
+    """
+    (result,) = run_sweep((scn,), workers, pool)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +435,16 @@ def _null_replicate(
     return out
 
 
+def check_null_study(probe_levels, ref_draws: int, methods=()) -> None:
+    """Refuse null-study settings that ``null_distribution_study`` cannot run."""
+    if ref_draws < 1:
+        raise ConfigError(f"ref_draws must be >= 1, got {ref_draws}")
+    if not all(0.0 < level < 1.0 for level in probe_levels):
+        raise ConfigError(f"probe levels must lie in (0, 1), got {list(probe_levels)}")
+    if Method.STANDARD_PERMUTATION in methods:
+        raise ConfigError("the null study compares merged-branch methods only")
+
+
 def null_distribution_study(
     scn: Scenario,
     probe_levels=(0.9, 0.95),
@@ -393,12 +465,7 @@ def null_distribution_study(
     processes, in ``pool`` (an open ``worker_pool(workers)``) when given;
     the rows are bitwise identical for any worker count.
     """
-    if ref_draws < 1:
-        raise ConfigError(f"ref_draws must be >= 1, got {ref_draws}")
-    if not all(0.0 < level < 1.0 for level in probe_levels):
-        raise ConfigError(f"probe levels must lie in (0, 1), got {list(probe_levels)}")
-    if Method.STANDARD_PERMUTATION in methods:
-        raise ConfigError("the null study compares merged-branch methods only")
+    check_null_study(probe_levels, ref_draws, methods)
     per_rep = _map_replicates(
         partial(_null_replicate, scn, probe_generator, ref_draws, methods),
         scn.replicates,

@@ -1,5 +1,6 @@
 """CLI surface: config handling, dataset ingestion, exit codes, round-trips."""
 
+import itertools
 import json
 import logging
 import os
@@ -251,7 +252,7 @@ class TestExitCodes:
         def refuse(*args, **kwargs):
             raise AssertionError("an analysis or replicate ran")
 
-        for name in ("run_equivalence_ttp", "run_campaign", "null_distribution_study"):
+        for name in ("run_equivalence_ttp", "run_sweep", "null_distribution_study"):
             monkeypatch.setattr(cli, name, refuse)
         data = ["--set", f"data={dataset}"] if command == "test" else []
         rc = main([command, "--out", str(tmp_path / "r.txt"), *data, *spelling])
@@ -276,7 +277,7 @@ class TestExitCodes:
         def refuse(*args, **kwargs):
             raise AssertionError("an analysis or replicate ran")
 
-        for name in ("run_equivalence_ttp", "run_campaign"):
+        for name in ("run_equivalence_ttp", "run_sweep"):
             monkeypatch.setattr(cli, name, refuse)
         data = ["--set", f"data={dataset}"] if command == "test" else []
         sets = [arg for method in methods for arg in ("--set", method)]
@@ -306,6 +307,20 @@ class TestExitCodes:
              "--set", "fusion.num_bootstrap=80", "--set", "causality.num_resamples=0"]
         )
         assert rc == EXIT_OK
+
+    def test_null_study_accepts_zero_causality_resamples(self, tmp_path):
+        # The study draws nullstudy.ref_draws references per replicate; the
+        # causality resample count does not enter it.
+        args = ["null-study", "--set", "nullstudy.ref_draws=5", *SMALL_CAMPAIGN]
+
+        def rows(name, resamples):
+            out = tmp_path / name
+            sets = ["--set", f"causality.num_resamples={resamples}"]
+            assert main(args + sets + ["--out", str(out)]) == EXIT_OK
+            lines = Path(f"{out}.tsv").read_text().splitlines()
+            return [ln for ln in lines if not ln.startswith("# ")]
+
+        assert rows("zero.txt", 0) == rows("some.txt", 80)
 
     def test_unparsable_set_value_exit_2(self, tmp_path, capsys):
         rc = main(["simulate", "--out", str(tmp_path / "s.txt"), "--set", "sizes.n=abc"])
@@ -583,6 +598,46 @@ def test_sweep_tsv_bitwise_identical_for_workers_1_2_3(tmp_path, command, sweep)
         assert main(args + ["--out", str(out), "--workers", workers]) == EXIT_OK
         tables.append((tmp_path / f"w{workers}.txt.tsv").read_bytes())
     assert tables[0] == tables[1] == tables[2]
+
+
+@pytest.mark.parametrize("workers", ["1", "2", "3"])
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        # The two fusion modes share a fusion seed but draw different plans.
+        {"fusion.mode": ["equivalence", "classic"], "scenario.mu_c_minus_mu_t": ["0", "0.4"]},
+        # Each arm size draws weights of another shape.
+        {"sizes.n": ["10", "16", "21"]},
+    ],
+)
+def test_sweep_rows_equal_each_cell_run_alone(tmp_path, sweep, workers):
+    # A sweep's cells share each replicate's resampling draws.  The keys of
+    # ``sweep`` are in sweep-key order, so the cells come in this order.
+    args = [
+        "simulate",
+        "--set", "replicates=5",
+        "--set", "sizes.n=16", "--set", "sizes.m=12", "--set", "sizes.l=14",
+        "--set", "scenario.mu_h_minus_mu_c=0.2",
+        "--set", "compare_methods=partial_permutation,normal_approx",
+        "--seed", "6",
+        *FAST,
+    ]
+
+    def rows(name, sets, run_workers="1"):
+        out = tmp_path / name
+        assert main(args + sets + ["--out", str(out), "--workers", run_workers]) == EXIT_OK
+        lines = Path(f"{out}.tsv").read_text().splitlines()
+        return [ln for ln in lines if not ln.startswith("# ")]
+
+    def sets(pairs):
+        return [arg for key, value in pairs for arg in ("--set", f"{key}={value}")]
+
+    swept = rows("sweep.txt", sets((k, ",".join(v)) for k, v in sweep.items()), workers)
+    alone = []
+    for i, combo in enumerate(itertools.product(*sweep.values())):
+        header, row = rows(f"cell{i}.txt", sets(zip(sweep, combo)))
+        alone.append(row)
+    assert swept == [header, *alone]
 
 
 # Run a two-replicate campaign through the CLI, then measure how much RSS

@@ -16,10 +16,10 @@ from ttpool.causality import (
     run_causality,
 )
 from ttpool.errors import ConfigError, SampleTooSmall
-from ttpool.estimators import Estimator
+from ttpool.estimators import Counts, Estimator, Masks, SharedSeed, resample_weights
 from ttpool.fusion import FusionConfig, FusionMode
 from ttpool.kernels import build_gram
-from ttpool import simulate
+from ttpool import causality, cli, estimators, fusion, simulate
 from ttpool.pipeline import TTPConfig, run_classic_ttp, run_equivalence_ttp
 from ttpool.simulate import (
     CampaignResult,
@@ -197,7 +197,7 @@ class TestCampaign:
         seq = run_campaign(scn, workers=1)
         par = run_campaign(scn, workers=3)
         for field in dataclasses.fields(CampaignResult):
-            if field.name in ("wall_time",):
+            if field.name in ("seconds",):
                 continue
             assert getattr(seq, field.name) == getattr(par, field.name), field.name
 
@@ -219,6 +219,86 @@ class TestCampaign:
         b = run_campaign(scn)
         assert a.merge_rate == b.merge_rate
         assert a.per_method_rates == b.per_method_rates
+
+
+class TestSharedDraws:
+    """A sweep draws each replicate's resampling weights once for all its cells."""
+
+    @pytest.fixture
+    def draw_calls(self, monkeypatch):
+        """Count calls of the count and mask draws, through every package binding."""
+        calls = []
+        for name in ("bootstrap_counts", "permutation_masks"):
+            original = getattr(estimators, name)
+
+            def counted(*args, _original=original, **kwargs):
+                calls.append(1)
+                return _original(*args, **kwargs)
+
+            for module in (estimators, fusion, causality):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_sweep_draws_each_plan_once_per_replicate(self, tmp_path, draw_calls):
+        # Per replicate: 2 fusion count draws, 3 partial-bootstrap count draws,
+        # 1 partial-permutation and 1 standard-permutation mask draw.
+        reps = 3
+        argv = [
+            "simulate", "--out", str(tmp_path / "s.txt"),
+            "--set", f"replicates={reps}",
+            "--set", "sizes.n=16", "--set", "sizes.m=12", "--set", "sizes.l=14",
+            "--set", "fusion.num_bootstrap=40", "--set", "causality.num_resamples=40",
+            "--set", "fusion.theta=0.8",
+            "--set", "scenario.mu_h_minus_mu_c=0,0.2,0.4,0.8",
+            "--set", "scenario.mu_c_minus_mu_t=0,0.4",
+            "--set", "compare_methods=partial_permutation,normal_approx",
+        ]
+        assert cli.main(argv) == 0
+        assert 0 < len(draw_calls) <= 7 * reps
+
+    def test_single_cell_draws_as_before(self, draw_calls):
+        ttp = TTPConfig(
+            fusion=FusionConfig(theta=0.6, num_bootstrap=60),
+            causality=CausalityConfig(num_resamples=60),
+        )
+        compare = (Method.PARTIAL_PERMUTATION, Method.NORMAL_APPROX)
+        scn = tiny_scenario(
+            reps=6, seed=2, generator=MeanShift(0.6, 0.2), ttp=ttp, compare_methods=compare
+        )
+        res = run_campaign(scn)
+        merged = round(res.merge_rate * scn.replicates)
+        assert 0 < merged < scn.replicates
+        # Fusion draws twice; a merge runs 3 + 1 draws, no merge 1.
+        assert len(draw_calls) == 2 * scn.replicates + 4 * merged + (scn.replicates - merged)
+
+    def test_shared_draws_are_the_fresh_bytes(self):
+        def seed():
+            return np.random.SeedSequence([3, 1, 2]).spawn(2)[1]
+
+        plan = (Counts(7, 5), Masks(9, 4), Counts(300, 5))
+        fresh = resample_weights(seed(), 11, *plan)
+        store = {}
+        first = resample_weights(SharedSeed(seed(), store), 11, *plan)
+        again = resample_weights(SharedSeed(seed(), store), 11, *plan)
+        assert len(store) == 1
+        for want, *got in zip(fresh, first, again):
+            assert want.dtype == float
+            for weights in got:
+                assert weights.dtype == float and weights.tobytes() == want.tobytes()
+        assert again[0] is not first[0]
+
+    def test_sweep_results_equal_campaigns(self):
+        scns = [tiny_scenario(reps=4, seed=9, generator=MeanShift(c, 0.2)) for c in (0.0, 0.5)]
+        scns.append(tiny_scenario(reps=4, seed=9, n=11))
+        swept = simulate.run_sweep(scns)
+        for scn, result in zip(scns, swept):
+            alone = run_campaign(scn)
+            assert dataclasses.replace(result, seconds=0) == dataclasses.replace(alone, seconds=0)
+
+    def test_cells_need_one_replicate_count(self, no_process):
+        with pytest.raises(ConfigError, match="one replicate count"):
+            simulate.run_sweep([tiny_scenario(reps=2), tiny_scenario(reps=3)])
 
 
 class TestReplicateMatchesPipeline:
