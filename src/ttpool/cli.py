@@ -40,10 +40,10 @@ from .simulate import (
     Scenario,
     VarShift,
     check_null_study,
+    check_workers,
     keep_freed_heap,
     null_distribution_study,
     run_sweep,
-    worker_pool,
 )
 
 EXIT_OK = 0
@@ -424,6 +424,7 @@ def _format_cell(value) -> str:
 
 def cmd_test(args) -> int:
     cfg = load_config("test", args.config, args.set, args.seed)
+    check_workers(args.workers)
     if not cfg["data"]:
         raise ConfigError("the test command requires a 'data' config key (CSV path)")
     arms = load_dataset(cfg["data"])
@@ -479,8 +480,7 @@ def cmd_simulate(args) -> int:
     cells = expand_sweeps(cfg)
     scenarios = [build_scenario(cell) for cell in cells]
     _warn_if_not_characteristic(scenarios[0].ttp.kernel)
-    with worker_pool(args.workers) as pool:
-        results = list(zip(cells, run_sweep(scenarios, workers=args.workers, pool=pool)))
+    results = list(zip(cells, run_sweep(scenarios, workers=args.workers)))
 
     method_names = [cfg["merged_method"], *cfg.get("compare_methods", [])]
     header = list(_SWEEP_KEYS) + [
@@ -508,7 +508,7 @@ def cmd_simulate(args) -> int:
             + " ".join(
                 f"reject[{name}]={res.per_method_rates[name]:.3f}" for name in method_names
             )
-            + f" ({res.seconds:.1f}s)"
+            + f" ({res.seconds * 1e3:.1f} ms)"
         )
     text = "\n".join(lines) + "\n"
     Path(args.out).write_text(text)
@@ -539,34 +539,32 @@ def cmd_null_study(args) -> int:
     ]
     swept = [c for c in _SWEEP_KEYS if c != "sizes.n" and isinstance(cfg[c], list)]
     rows, lines = [], ["ttpool null-study report", "========================"]
-    with worker_pool(args.workers) as pool:
-        for cell, scn in zip(cells, scenarios):
-            probe = None
-            if cell["nullstudy.probe_mu_c_minus_mu_t"] is not None:
-                probe = MeanShift(
-                    mu_c_minus_mu_t=cell["nullstudy.probe_mu_c_minus_mu_t"],
-                    mu_h_minus_mu_c=cell["scenario.mu_h_minus_mu_c"],
-                )
-            study = null_distribution_study(
-                scn,
-                probe_levels=tuple(cell["nullstudy.probe_levels"]),
-                probe_generator=probe,
-                ref_draws=cell["nullstudy.ref_draws"],
-                workers=args.workers,
-                pool=pool,
+    for cell, scn in zip(cells, scenarios):
+        probe = None
+        if cell["nullstudy.probe_mu_c_minus_mu_t"] is not None:
+            probe = MeanShift(
+                mu_c_minus_mu_t=cell["nullstudy.probe_mu_c_minus_mu_t"],
+                mu_h_minus_mu_c=cell["scenario.mu_h_minus_mu_c"],
             )
-            label = "".join(f" {c}={cell[c]}" for c in swept)
-            for row in study:
-                rows.append(
-                    [cell[c] for c in _SWEEP_KEYS]
-                    + [row.method, row.level]
-                    + [row.reference_quantile, row.true_quantile, row.ks_distance]
-                )
-                lines.append(
-                    f"n={cell['sizes.n']}{label} method={row.method} level={row.level} "
-                    f"ref_q={row.reference_quantile:.4g} true_q={row.true_quantile:.4g} "
-                    f"ks={row.ks_distance:.4f}"
-                )
+        study = null_distribution_study(
+            scn,
+            probe_levels=tuple(cell["nullstudy.probe_levels"]),
+            probe_generator=probe,
+            ref_draws=cell["nullstudy.ref_draws"],
+            workers=args.workers,
+        )
+        label = "".join(f" {c}={cell[c]}" for c in swept)
+        for row in study:
+            rows.append(
+                [cell[c] for c in _SWEEP_KEYS]
+                + [row.method, row.level]
+                + [row.reference_quantile, row.true_quantile, row.ks_distance]
+            )
+            lines.append(
+                f"n={cell['sizes.n']}{label} method={row.method} level={row.level} "
+                f"ref_q={row.reference_quantile:.4g} true_q={row.true_quantile:.4g} "
+                f"ks={row.ks_distance:.4f}"
+            )
     write_table(Path(str(args.out) + ".tsv"), cfg, header, rows)
     text = "\n".join(lines) + "\n"
     Path(args.out).write_text(text)

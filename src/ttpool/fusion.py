@@ -45,6 +45,9 @@ class FusionConfig:
             raise ConfigError("num_bootstrap must be >= 0")
         if self.mode is FusionMode.EQUIVALENCE and self.num_bootstrap < 1:
             raise ConfigError("equivalence mode needs at least one bootstrap draw")
+        # theta = inf is the always-merge limit; NaN can never merge.
+        if np.isnan(self.theta):
+            raise ConfigError("theta must be a number, got nan")
         if self.mode is FusionMode.EQUIVALENCE and self.theta < 0:
             raise ConfigError("theta must be nonnegative in equivalence mode")
 

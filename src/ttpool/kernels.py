@@ -59,8 +59,10 @@ class KernelSpec:
     epsilon: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.bandwidth is not None and not self.bandwidth > 0:
-            raise ConfigError(f"fixed bandwidth must be > 0, got {self.bandwidth}")
+        if self.bandwidth is not None and not 0 < self.bandwidth < np.inf:
+            raise ConfigError(f"fixed bandwidth must be finite and > 0, got {self.bandwidth}")
+        if not np.isfinite(self.epsilon):
+            raise ConfigError(f"epsilon must be finite, got {self.epsilon}")
         if self.family is KernelFamily.LINEAR_PLUS_RBF and not self.epsilon > 0:
             raise ConfigError("epsilon must be > 0 for the linear+rbf kernel")
 

@@ -2,12 +2,13 @@
 
 Replicates are embarrassingly parallel and seeded per replicate from the
 campaign master seed, so results are bitwise identical for any worker
-count.  ``run_sweep`` runs a sweep replicate-major: one pool item is one
+count.  ``run_sweep`` runs a sweep replicate-major: one item is one
 replicate of every cell, and the cells share that replicate's resampling
-draws.  ``worker_pool`` opens the one process pool that a command's
-campaigns share; each of its workers runs one BLAS thread.  Data
-generation uses numpy's PCG64 Generator (``standard_normal`` scaled and
-shifted), recorded in the result for replay.
+draws.  ``_map_replicates`` is the one place that runs replicates: in
+this process for one worker, otherwise in a process pool that it opens
+for the call, whose workers each run one BLAS thread.  Data generation
+uses numpy's PCG64 Generator (``standard_normal`` scaled and shifted),
+recorded in the result for replay.
 """
 
 from __future__ import annotations
@@ -256,55 +257,37 @@ def _one_blas_thread():
         lib.scipy_openblas_set_num_threads64_(saved)
 
 
-def _check_workers(workers: int) -> None:
+def check_workers(workers: int) -> None:
+    """Refuse a worker count below 1."""
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
 
 
-@contextmanager
-def worker_pool(workers: int):
-    """The process pool that every campaign of one command shares.
-
-    Yields ``None`` for ``workers == 1``: serial runs keep the default BLAS
-    threading, which large matrix products need.  Otherwise yields a
-    ``ProcessPoolExecutor`` of ``workers`` processes, open while NumPy's
-    OpenBLAS runs one thread; the saved thread count is restored once the
-    pool has closed.  Pass it as ``pool`` to ``run_sweep``, ``run_campaign``
-    or ``null_distribution_study``.
-    """
-    _check_workers(workers)
-    if workers == 1:
-        yield None
-        return
-    with _one_blas_thread(), ProcessPoolExecutor(workers, mp_context=_POOL_CONTEXT) as pool:
-        yield pool
-
-
-def _map_replicates(run, replicates: int, workers: int, pool=None) -> list:
+def _map_replicates(run, replicates: int, workers: int) -> list:
     """``[run(rep) for rep in range(replicates)]``, on ``workers`` processes if > 1.
 
-    ``run`` must be picklable (a module-level function or a ``partial``
-    of one); the rows come back in replicate order either way.  ``pool``
-    is an open ``worker_pool(workers)``; without one, this call opens its
-    own.  The replicates go out in chunks of ``ceil(replicates / workers)``,
-    one per worker.
+    One worker runs the loop here, with the default BLAS threading that
+    large matrix products need.  More open a process pool for this call
+    and close it after; ``run`` must then be picklable (a module-level
+    function or a ``partial`` of one).  The rows come back in replicate
+    order either way.  The replicates go out in chunks of
+    ``ceil(replicates / workers)``, one per worker.
 
-    Workers fork at the pool's first map, while ``worker_pool`` holds the
-    parent's OpenBLAS at one thread, so each worker starts with one BLAS
-    thread.  Setting the count inside a worker after the fork is not
-    enough: OpenBLAS has started its helper threads by then, and they keep
+    Workers fork at the pool's first map, while ``_one_blas_thread`` holds
+    the parent's OpenBLAS at one thread, so each worker starts with one
+    BLAS thread; the saved count is restored once the pool has closed.
+    Setting the count inside a worker after the fork is not enough:
+    OpenBLAS has started its helper threads by then, and they keep
     competing with the other workers for the cores.  In a forked worker on
     a 2-vCPU VM, 20 products of 1000×150 by 150×150 took 30–33 ms pinned
     before the fork, 65–73 ms pinned after it and 87–147 ms unpinned.
     """
-    _check_workers(workers)
+    check_workers(workers)
     reps = range(replicates)
     if workers == 1:
         return [run(rep) for rep in reps]
-    if pool is None:
-        with worker_pool(workers) as own_pool:
-            return _map_replicates(run, replicates, workers, own_pool)
-    return list(pool.map(run, reps, chunksize=math.ceil(replicates / workers)))
+    with _one_blas_thread(), ProcessPoolExecutor(workers, mp_context=_POOL_CONTEXT) as pool:
+        return list(pool.map(run, reps, chunksize=math.ceil(replicates / workers)))
 
 
 def _sweep_item(scenarios: tuple, rep: int) -> list[tuple[dict, float]]:
@@ -347,16 +330,17 @@ def _cell_result(scn: Scenario, timed_rows: list) -> CampaignResult:
     )
 
 
-def run_sweep(scenarios, workers: int = 1, pool=None) -> list[CampaignResult]:
+def run_sweep(scenarios, workers: int = 1) -> list[CampaignResult]:
     """Run every cell of a sweep and aggregate each cell's merge / rejection rates.
 
     The cells must have one replicate count.  The sweep runs
     replicate-major: one item is replicate r of every cell, in order, and
-    the items run on ``workers`` processes, in ``pool`` (an open
-    ``worker_pool(workers)``) when given.  The cells of an item share its
-    resampling draws (see ``_sweep_item``); they were the same draws
-    before, so each result equals ``run_campaign`` of its cell alone, for
-    any worker count.  ``workers < 1`` is a ``ConfigError``.
+    the items run on ``workers`` processes, all in one map of
+    ``_map_replicates``, so a sweep opens at most one pool.  The cells of
+    an item share its resampling draws (see ``_sweep_item``); they were
+    the same draws before, so each result equals ``run_campaign`` of its
+    cell alone, for any worker count.  ``workers < 1`` is a
+    ``ConfigError``.
     """
     scenarios = tuple(scenarios)
     counts = {scn.replicates for scn in scenarios}
@@ -364,21 +348,20 @@ def run_sweep(scenarios, workers: int = 1, pool=None) -> list[CampaignResult]:
         raise ConfigError(
             f"a sweep needs cells with one replicate count, got {sorted(counts)}"
         )
-    items = _map_replicates(partial(_sweep_item, scenarios), counts.pop(), workers, pool)
+    items = _map_replicates(partial(_sweep_item, scenarios), counts.pop(), workers)
     return [
         _cell_result(scn, [item[cell] for item in items])
         for cell, scn in enumerate(scenarios)
     ]
 
 
-def run_campaign(scn: Scenario, workers: int = 1, pool=None) -> CampaignResult:
+def run_campaign(scn: Scenario, workers: int = 1) -> CampaignResult:
     """Run all replicates of one cell and aggregate merge / rejection rates.
 
     ``run_sweep`` of the one cell.  Replicates run on ``workers``
-    processes, in ``pool`` (an open ``worker_pool(workers)``) when given;
-    ``workers < 1`` is a ``ConfigError``.
+    processes; ``workers < 1`` is a ``ConfigError``.
     """
-    (result,) = run_sweep((scn,), workers, pool)
+    (result,) = run_sweep((scn,), workers)
     return result
 
 
@@ -452,7 +435,6 @@ def null_distribution_study(
     ref_draws: int = 20,
     methods=(Method.PARTIAL_BOOTSTRAP, Method.PARTIAL_PERMUTATION, Method.NORMAL_APPROX),
     workers: int = 1,
-    pool=None,
 ) -> list[NullStudyRow]:
     """Compare per-method reference distributions against true-null Monte Carlo.
 
@@ -462,15 +444,14 @@ def null_distribution_study(
     ``probe_generator`` (default: the null generator itself, whose
     replicate Gram is then reused), pooling ``ref_draws`` resamples per
     replicate across replicates.  Replicates run on ``workers``
-    processes, in ``pool`` (an open ``worker_pool(workers)``) when given;
-    the rows are bitwise identical for any worker count.
+    processes, through one ``_map_replicates`` call per study; the rows
+    are bitwise identical for any worker count.
     """
     check_null_study(probe_levels, ref_draws, methods)
     per_rep = _map_replicates(
         partial(_null_replicate, scn, probe_generator, ref_draws, methods),
         scn.replicates,
         workers,
-        pool,
     )
     rows = []
     for method in methods:

@@ -5,6 +5,7 @@ import json
 import logging
 import os
 import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -235,16 +236,45 @@ class TestExitCodes:
         assert rc == EXIT_CONFIG
         assert "config error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["simulate", "null-study"])
+    @pytest.mark.parametrize("command", ["test", "simulate", "null-study"])
     @pytest.mark.parametrize("workers", ["0", "-3"])
-    def test_workers_below_one_exit_2(self, tmp_path, capsys, monkeypatch, command, workers):
+    def test_workers_below_one_exit_2(
+        self, tmp_path, capsys, monkeypatch, dataset, command, workers
+    ):
         def refuse(*args, **kwargs):
-            raise AssertionError("a process pool was opened")
+            raise AssertionError("a process pool was opened or an analysis ran")
 
         monkeypatch.setattr(simulate, "ProcessPoolExecutor", refuse)
-        rc = main([command, "--out", str(tmp_path / "s.txt"), "--workers", workers])
+        monkeypatch.setattr(cli, "run_equivalence_ttp", refuse)
+        data = ["--set", f"data={dataset}"] if command == "test" else []
+        rc = main([command, "--out", str(tmp_path / "s.txt"), *data, "--workers", workers])
         assert rc == EXIT_CONFIG
         assert "config error: workers must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            # An infinite bandwidth makes every kernel entry 1: nothing differs.
+            (["kernel.bandwidth=inf"], "fixed bandwidth must be finite and > 0, got inf"),
+            # An infinite RBF weight makes the statistics NaN: nothing merges or rejects.
+            (["kernel.family=linear+rbf", "kernel.epsilon=inf"], "epsilon must be finite"),
+            # No statistic exceeds a NaN margin: nothing merges.
+            (["fusion.theta=nan"], "theta must be a number"),
+        ],
+        ids=["bandwidth-inf", "epsilon-inf", "theta-nan"],
+    )
+    def test_non_finite_setting_exit_2(self, tmp_path, capsys, monkeypatch, settings, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setattr(cli, "run_sweep", refuse)
+        sets = [arg for item in settings for arg in ("--set", item)]
+        rc = main(
+            ["simulate", "--out", str(tmp_path / "s.txt"), "--set", "replicates=4",
+             "--set", "scenario.mu_c_minus_mu_t=1.0", *sets]
+        )
+        assert rc == EXIT_CONFIG
+        assert f"config error: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["test", "simulate", "null-study"])
     @pytest.mark.parametrize("spelling", [["--set", "seed=-1"], ["--seed", "-1"]])
@@ -475,6 +505,25 @@ class TestCmdSimulate:
         assert (tmp_path / "a.txt.tsv").read_bytes() == (tmp_path / "b.txt.tsv").read_bytes()
 
 
+    def test_every_cell_reports_a_nonzero_time(self, tmp_path):
+        # The rate_table shape: 8 paper-shape cells of 2 replicates each.
+        out = tmp_path / "sim.txt"
+        rc = main(
+            [
+                "simulate", "--out", str(out),
+                "--set", "replicates=2",
+                "--set", "scenario.mu_c_minus_mu_t=0,0.4",
+                "--set", "scenario.mu_h_minus_mu_c=0,0.2,0.4,0.6",
+                "--set", "compare_methods=partial_permutation,normal_approx",
+            ]
+        )
+        assert rc == EXIT_OK
+        rows = out.read_text().splitlines()[2:]
+        assert len(rows) == 8
+        times = [re.fullmatch(r".* \((\d+\.\d) ms\)", row) for row in rows]
+        assert all(times), rows
+        assert all(float(t.group(1)) > 0 for t in times), rows
+
     def test_fusion_mode_sweep_equals_single_mode_runs(self, tmp_path):
         args = [
             "simulate",
@@ -647,6 +696,7 @@ def test_sweep_rows_equal_each_cell_run_alone(tmp_path, sweep, workers):
 # the next one on the heap, and a worker forked after that inherits it.
 _HEAP_PROBE = """
 import os, sys
+from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 from ttpool import cli, simulate
 
@@ -664,7 +714,7 @@ def rss_drop():
 
 args = ["simulate", "--out", sys.argv[1], "--set", "replicates=2"]
 assert cli.main(args) == 0
-with simulate.worker_pool(2) as pool:
+with ProcessPoolExecutor(2, mp_context=simulate._POOL_CONTEXT) as pool:
     print(pool.submit(rss_drop).result(timeout=120))
 print(rss_drop())
 """

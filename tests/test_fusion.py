@@ -75,10 +75,12 @@ class TestEquivalenceFusion:
             assert out.statistic <= 0.0 <= out.critical_value
 
     def test_huge_theta_always_merges(self, rng):
-        for _ in range(10):
-            gram = make_gram(rng, shift_h=rng.uniform(-2, 2))
-            out = equivalence_fusion(gram, FusionConfig(theta=1e6, seed=1))
-            assert out.merged
+        # theta = inf is the always-merge limit, and a valid setting.
+        for theta in (1e6, np.inf):
+            for _ in range(10):
+                gram = make_gram(rng, shift_h=rng.uniform(-2, 2))
+                out = equivalence_fusion(gram, FusionConfig(theta=theta, seed=1))
+                assert out.merged
 
     def test_statistic_is_theta_minus_root_mmd(self, rng):
         gram = make_gram(rng, shift_h=0.5)

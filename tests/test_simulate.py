@@ -30,11 +30,11 @@ from ttpool.simulate import (
     _map_replicates,
     _null_replicate,
     _numpy_openblas,
+    _one_blas_thread,
     _run_replicate,
     draw_arms,
     null_distribution_study,
     run_campaign,
-    worker_pool,
 )
 
 
@@ -129,14 +129,10 @@ class TestWorkerPool:
             run_campaign(tiny_scenario(reps=2), workers=workers)
         with pytest.raises(ConfigError, match="workers"):
             null_distribution_study(tiny_scenario(reps=2), workers=workers)
-        with pytest.raises(ConfigError, match="workers"):
-            with worker_pool(workers):
-                pass
 
     def test_serial_run_opens_no_pool(self, no_process):
-        with worker_pool(1) as pool:
-            assert pool is None
-            run_campaign(tiny_scenario(reps=2), workers=1, pool=pool)
+        run_campaign(tiny_scenario(reps=2), workers=1)
+        null_distribution_study(tiny_scenario(reps=2), ref_draws=3, workers=1)
 
     @pytest.mark.skipif(
         _numpy_openblas() is None,
@@ -149,12 +145,11 @@ class TestWorkerPool:
 
     def test_pool_logs_the_pinned_library(self, caplog, monkeypatch):
         found = _numpy_openblas() is not None
-        # Opening a forked pool starts no process until its first map.
         with caplog.at_level(logging.DEBUG, logger="ttpool.simulate"):
-            with worker_pool(2):
+            with _one_blas_thread():
                 pass
             monkeypatch.setattr(simulate, "_numpy_openblas", lambda: None)
-            with worker_pool(2):
+            with _one_blas_thread():
                 pass
         messages = [r.getMessage() for r in caplog.records]
         if found:
