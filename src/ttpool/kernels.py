@@ -6,18 +6,21 @@ three-arm pool, and one over current || treatment with the bandwidth
 resolved on the two-arm pool.  The no-merge analysis path uses the
 latter; everything else uses the former.
 
-A Gram build makes one pass over the squared distances: the three-arm
-pairwise distances give the three-arm median and, expanded to a square
-matrix, both kernel matrices (the two-arm one is a block slice of it).
-Each kernel is applied in place on its distance matrix, which is exactly
-symmetric with a zero diagonal, so only the ``x @ x.T`` term of the
-linear kernels is mirrored.
+``build_gram`` builds the three-arm matrix and bandwidth only.  The
+two-arm bandwidth and matrix are built on first read, because a merged
+analysis never reads the matrix and a campaign replicate that merges
+reads neither.  Each pool's Gram is made by one helper: ``pdist`` gives
+the pairwise squared distances, whose median is partitioned in place;
+``squareform`` expands them to a square matrix, which is exactly
+symmetric with a zero diagonal; and the kernel is applied in place on
+it, so only the ``x @ x.T`` term of the linear kernels is mirrored.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -211,28 +214,76 @@ def _mirrored_product(x: np.ndarray) -> np.ndarray:
     return k
 
 
+def _pool_gram(spec: KernelSpec, pooled: np.ndarray) -> tuple[np.ndarray, Optional[float]]:
+    """The kernel matrix of one pool and the bandwidth resolved on it.
+
+    Distance-based kernels take one ``pdist``: through ``squareform`` it
+    is the squared-distance matrix that the kernel overwrites, and its
+    median, partitioned in place after that, is the bandwidth.  The
+    linear kernel has no bandwidth.
+
+    Raises:
+        DegenerateSample: if the median bandwidth is zero.
+    """
+    if spec.family is KernelFamily.LINEAR:
+        return _mirrored_product(pooled), None
+    pair_sq = pdist(pooled, metric="sqeuclidean")
+    sq = squareform(pair_sq)
+    bandwidth = _median_bandwidth(spec, pair_sq)
+    del pair_sq
+    linear = _mirrored_product(pooled) if spec.family is KernelFamily.LINEAR_PLUS_RBF else None
+    return _apply_kernel(spec, bandwidth, sq, linear), bandwidth
+
+
 @dataclass(frozen=True)
 class GramCache:
-    """Precomputed kernel matrices over the pooled arms.
+    """Kernel matrices over the pooled arms.
 
     ``matrix`` is (N, N) over current || historical || treatment with the
-    three-arm bandwidth; ``matrix_nomerge`` is (m+n, m+n) over
-    current || treatment with the two-arm bandwidth.  Both are immutable
-    and safe to share across resampling workers.
+    three-arm bandwidth ``bandwidth_pooled3``; ``points`` are the N pooled
+    points it was built from.  ``matrix_nomerge`` is (m+n, m+n) over
+    current || treatment with the two-arm bandwidth ``bandwidth_pooled2``.
+
+    First-read rule: the two-arm side is built from ``points`` when it is
+    first read and kept on the instance.  Reading ``bandwidth_pooled2``
+    alone resolves the bandwidth without building the matrix; reading
+    ``matrix_nomerge`` builds both at once.  A degenerate two-arm pool
+    therefore raises ``DegenerateSample`` at that first read, not in
+    ``build_gram``.  ``dataclasses.replace`` makes a new instance, which
+    builds its own two-arm side.  Every matrix is read-only and safe to
+    share across resampling workers.
     """
 
     kernel: KernelSpec
     matrix: np.ndarray
-    matrix_nomerge: np.ndarray
+    points: np.ndarray
     m: int
     l: int
     n: int
     bandwidth_pooled3: Optional[float]
-    bandwidth_pooled2: Optional[float]
 
     def __post_init__(self) -> None:
         self.matrix.setflags(write=False)
-        self.matrix_nomerge.setflags(write=False)
+        self.points.setflags(write=False)
+
+    @property
+    def _pooled2(self) -> np.ndarray:
+        return np.concatenate([self.points[: self.m], self.points[self.m + self.l :]])
+
+    @cached_property
+    def bandwidth_pooled2(self) -> Optional[float]:
+        if self.kernel.family is KernelFamily.LINEAR:
+            return None
+        return resolve_bandwidth(self.kernel, self._pooled2)
+
+    @cached_property
+    def matrix_nomerge(self) -> np.ndarray:
+        matrix, bandwidth = _pool_gram(self.kernel, self._pooled2)
+        matrix.setflags(write=False)
+        # cached_property keeps its value in the instance dict; fill it here
+        # so that a later bandwidth read does not resolve the median again.
+        self.__dict__.setdefault("bandwidth_pooled2", bandwidth)
+        return matrix
 
     @property
     def size(self) -> int:
@@ -287,49 +338,24 @@ def build_gram(
 ) -> GramCache:
     """Build the Gram cache for three dimension-consistent samples.
 
-    Distance-based kernels take one ``pdist`` over the three-arm pool: it
-    gives the three-arm median and, through ``squareform``, the full
-    squared-distance matrix, whose current || treatment block is the
-    two-arm one.  The two-arm median is a ``pdist`` over the two-arm
-    pool.  Each kernel is then applied in place.  Only the linear term
-    is mirrored, because ``x @ x.T`` need not be exactly symmetric.
+    Only the three-arm matrix and bandwidth are built here; the two-arm
+    side is built on first read (see ``GramCache``).
 
     Raises:
-        DegenerateSample: if a median bandwidth is zero.
+        DegenerateSample: if the three-arm median bandwidth is zero.
     """
     if not (current.dim == historical.dim == treatment.dim):
         raise DimensionMismatch(
             f"arm dimensions differ: {current.dim}, {historical.dim}, {treatment.dim}"
         )
-    m, l, n = current.size, historical.size, treatment.size
-    pooled3 = np.vstack([current.points, historical.points, treatment.points])
-    pooled2 = np.vstack([current.points, treatment.points])
-    bw3 = bw2 = None
-    if spec.family is KernelFamily.LINEAR:
-        matrix = _mirrored_product(pooled3)
-        matrix_nomerge = _mirrored_product(pooled2)
-    else:
-        pair_sq = pdist(pooled3, metric="sqeuclidean")
-        sq3 = squareform(pair_sq)
-        bw3 = _median_bandwidth(spec, pair_sq)
-        del pair_sq
-        bw2 = resolve_bandwidth(spec, pooled2)
-        two_arm = np.r_[0:m, m + l : m + l + n]
-        sq2 = sq3[np.ix_(two_arm, two_arm)]
-        with_linear = spec.family is KernelFamily.LINEAR_PLUS_RBF
-        matrix = _apply_kernel(
-            spec, bw3, sq3, _mirrored_product(pooled3) if with_linear else None
-        )
-        matrix_nomerge = _apply_kernel(
-            spec, bw2, sq2, _mirrored_product(pooled2) if with_linear else None
-        )
+    pooled = np.vstack([current.points, historical.points, treatment.points])
+    matrix, bandwidth = _pool_gram(spec, pooled)
     return GramCache(
         kernel=spec,
         matrix=matrix,
-        matrix_nomerge=matrix_nomerge,
-        m=m,
-        l=l,
-        n=n,
-        bandwidth_pooled3=bw3,
-        bandwidth_pooled2=bw2,
+        points=pooled,
+        m=current.size,
+        l=historical.size,
+        n=treatment.size,
+        bandwidth_pooled3=bandwidth,
     )

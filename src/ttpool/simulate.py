@@ -55,6 +55,12 @@ class MeanShift:
     mu_c_minus_mu_t: float = 0.0
     mu_h_minus_mu_c: float = 0.0
 
+    def __post_init__(self) -> None:
+        for name in ("mu_c_minus_mu_t", "mu_h_minus_mu_c"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
+
     def draw(self, rng: np.random.Generator, n: int, m: int, l: int):
         mu_c = self.mu_c_minus_mu_t
         mu_h = self.mu_h_minus_mu_c + mu_c
@@ -70,6 +76,12 @@ class VarShift:
 
     var_c_over_var_t: float = 1.0
     var_h_over_var_c: float = 1.0
+
+    def __post_init__(self) -> None:
+        for name in ("var_c_over_var_t", "var_h_over_var_c"):
+            value = getattr(self, name)
+            if not 0 < value < np.inf:
+                raise ConfigError(f"{name} must be finite and > 0, got {value}")
 
     def draw(self, rng: np.random.Generator, n: int, m: int, l: int):
         var_c = self.var_c_over_var_t

@@ -27,11 +27,15 @@ from ttpool.causality import (
 )
 from ttpool.errors import ConfigError, SampleTooSmall
 from ttpool.estimators import (
+    Counts,
     Estimator,
+    Masks,
     batched_quad,
     bootstrap_counts,
     mmd2,
+    mmd2_from_sums,
     permutation_masks,
+    resample_weights,
 )
 from ttpool.fusion import FusionConfig, equivalence_fusion
 from ttpool.kernels import Arm, KernelFamily, KernelSpec, Sample, build_gram
@@ -430,6 +434,94 @@ class TestSharedProducts:
                 tracemalloc.stop()
 
         assert peak(partial_bootstrap_draws) <= peak(_six_quad_partial_bootstrap)
+
+
+def _diag_mask_sums(k, masks):
+    """``_mask_sums`` that always computes the diagonal totals."""
+    rowsum = masks @ k
+    s_aa = np.einsum("bq,bq->b", rowsum, masks)
+    s_ab = rowsum.sum(axis=1) - s_aa
+    diag = np.diag(k)
+    d_a = masks @ diag
+    return s_aa, s_ab, k.sum() - s_aa - 2.0 * s_ab, d_a, diag.sum() - d_a
+
+
+def _gather_partial_permutation_draws(gram, num_resamples, seed, estimator):
+    """Partial-permutation draws over the ``np.ix_`` gather of current || treatment."""
+    m, l, n = gram.m, gram.l, gram.n
+    big = m + l
+    pos_ct = np.concatenate([gram.current, gram.treatment])
+    k_ct = gram.matrix[np.ix_(pos_ct, pos_ct)]
+    k_xh = gram.matrix[:, gram.historical_slice]
+    hrow = np.concatenate([k_xh[:m].sum(axis=1), k_xh[big:].sum(axis=1)])
+    (masks,) = resample_weights(seed, num_resamples, Masks(m + n, m))
+    cc, ct, tt, d_c, d_t = _diag_mask_sums(k_ct, masks)
+    ch = masks @ hrow
+    th = hrow.sum() - ch
+    within_f = cc + 2.0 * ch + gram.k_hh.sum()
+    diag_f = d_c + gram.k_hh.trace()
+    return mmd2_from_sums(within_f, tt, ct + th, diag_f, d_t, big, n, estimator)
+
+
+def _diag_partial_bootstrap_draws(gram, num_resamples, seed, estimator):
+    """Partial-bootstrap draws that always compute the diagonal totals."""
+    m, l, n = gram.m, gram.l, gram.n
+    k_cc, k_ch = gram.k_cc, gram.k_ch
+    u, v, w = resample_weights(seed, num_resamples, Counts(m, m), Counts(n, m), Counts(l, l))
+    uk = u @ k_cc
+    cc_uu, cc_uv = np.einsum("bq,bq->b", uk, u), np.einsum("bq,bq->b", uk, v)
+    cc_vv = batched_quad(k_cc, v, v)
+    wk = w @ k_ch.T
+    ch_uw, ch_vw = np.einsum("bq,bq->b", wk, u), np.einsum("bq,bq->b", wk, v)
+    d_cc = np.diag(k_cc)
+    big = m + l
+    t_full = mmd2_from_sums(0.0, cc_vv, cc_uv + ch_vw, 0.0, v @ d_cc, big, n, estimator)
+    t_center = mmd2_from_sums(0.0, cc_uu, cc_uu + ch_uw, 0.0, u @ d_cc, big, m, estimator)
+    return np.sqrt(n) * (t_full - t_center)
+
+
+class TestExactSpeedups:
+    """The copy from four views and the skipped V diagonal totals change no bit."""
+
+    SIZES = [(50, 100, 100), (7, 12, 5)]
+
+    @pytest.mark.parametrize("estimator", [Estimator.VSTAT, Estimator.USTAT])
+    @pytest.mark.parametrize("sizes", SIZES)
+    def test_partial_permutation_equals_gather_construction(self, estimator, sizes):
+        gram = make_gram(np.random.default_rng(sum(sizes)), *sizes, shift_h=0.4, shift_t=0.2)
+        got = partial_permutation_draws(gram, 500, 12, estimator)
+        want = _gather_partial_permutation_draws(gram, 500, 12, estimator)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("estimator", [Estimator.VSTAT, Estimator.USTAT])
+    @pytest.mark.parametrize("sizes", SIZES)
+    def test_partial_bootstrap_equals_diagonal_formula(self, estimator, sizes):
+        gram = make_gram(np.random.default_rng(sum(sizes)), *sizes, shift_h=0.4, shift_t=0.2)
+        got = partial_bootstrap_draws(gram, 500, 13, estimator)
+        want = _diag_partial_bootstrap_draws(gram, 500, 13, estimator)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("estimator", [Estimator.VSTAT, Estimator.USTAT])
+    @pytest.mark.parametrize("sizes", SIZES)
+    def test_permutation_stats_equal_diagonal_formula(self, estimator, sizes):
+        rng = np.random.default_rng(sum(sizes))
+        gram = make_gram(rng, *sizes, shift_h=0.4, shift_t=0.2)
+        size_a, size_b = gram.m, gram.n
+        (masks,) = resample_weights(14, 500, Masks(size_a + size_b, size_a))
+        k2 = gram.matrix_nomerge
+        got = permutation_two_sample_stats(k2, masks, size_a, size_b, estimator)
+        s_aa, s_ab, s_bb, d_a, d_b = _diag_mask_sums(k2, masks)
+        want = mmd2_from_sums(s_aa, s_bb, s_ab, d_a, d_b, size_a, size_b, estimator)
+        assert got.tobytes() == want.tobytes()
+
+    def test_ustat_draws_subtract_the_diagonal_totals(self):
+        # The same draws differ between the estimators only through the
+        # diagonal totals and the normalisation, so U must not equal V.
+        gram = make_gram(np.random.default_rng(5), 7, 12, 5)
+        for draws in (partial_bootstrap_draws, partial_permutation_draws):
+            v = draws(gram, 50, 3, Estimator.VSTAT)
+            u = draws(gram, 50, 3, Estimator.USTAT)
+            assert not np.allclose(u, v)
 
 
 class TestDeltaSkipsHistoricalBlock:

@@ -276,6 +276,33 @@ class TestExitCodes:
         assert rc == EXIT_CONFIG
         assert f"config error: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            (["scenario.mu_c_minus_mu_t=nan"], "mu_c_minus_mu_t must be finite, got nan"),
+            (["scenario.mu_h_minus_mu_c=inf"], "mu_h_minus_mu_c must be finite, got inf"),
+            (
+                ["scenario.generator=var_shift", "scenario.var_c_over_var_t=-1"],
+                "var_c_over_var_t must be finite and > 0, got -1.0",
+            ),
+            (
+                ["scenario.generator=var_shift", "scenario.var_h_over_var_c=inf"],
+                "var_h_over_var_c must be finite and > 0, got inf",
+            ),
+        ],
+        ids=["mean-shift-nan", "historical-shift-inf", "variance-ratio-negative", "variance-ratio-inf"],
+    )
+    def test_bad_scenario_setting_exit_2(self, tmp_path, capsys, monkeypatch, settings, message):
+        # Before the check these ran replicate 0 and exited 4 on NaN distances.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setattr(cli, "run_sweep", refuse)
+        sets = [arg for item in settings for arg in ("--set", item)]
+        rc = main(["simulate", "--out", str(tmp_path / "s.txt"), "--set", "replicates=2", *sets])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
     @pytest.mark.parametrize("command", ["test", "simulate", "null-study"])
     @pytest.mark.parametrize("spelling", [["--set", "seed=-1"], ["--seed", "-1"]])
     def test_negative_seed_exit_2(self, tmp_path, capsys, monkeypatch, dataset, command, spelling):
@@ -386,6 +413,24 @@ class TestExitCodes:
             ["test", "--out", str(tmp_path / "r.txt"), "--set", f"data={const}"]
         )
         assert rc == EXIT_STATISTICAL
+
+    @pytest.mark.parametrize("theta", ["0", "inf"], ids=["no-merge", "merge"])
+    def test_constant_two_arm_pool_exit_4(self, tmp_path, capsys, theta):
+        # Current and treatment are one value, the historical arm varies: the
+        # three-arm median is positive and the two-arm one is zero.  The
+        # two-arm side is built on first read, and the report reads both
+        # bandwidths, so a merged run fails as the unmerged one does.
+        path = tmp_path / "two_arm_constant.csv"
+        write_csv(path, [2.0] * 3, np.random.default_rng(3).normal(size=20).round(4), [2.0] * 3)
+        rc = main(
+            ["test", "--out", str(tmp_path / "r.txt"), "--set", f"data={path}",
+             "--set", f"fusion.theta={theta}", *FAST]
+        )
+        assert rc == EXIT_STATISTICAL
+        assert (
+            "statistical precondition failure: median pairwise distance is zero"
+            in capsys.readouterr().err
+        )
 
     def test_statistical_decision_does_not_affect_exit(self, tmp_path, dataset):
         # theta = 0 forces no-merge; exit must still be 0.

@@ -1,0 +1,73 @@
+"""Output digests of three small fixed-seed runs.
+
+A change that claims to leave every output bitwise equal (a speed-up that
+reorders no floating-point operation and moves no random stream) must
+keep these SHA-256 digests.  A change that moves the outputs on purpose
+updates them and says so.  The runs are at the paper shape (m=50, l=100,
+n=100) or smaller, where the outputs are the same under one and two BLAS
+threads.  Every path handed to the CLI is relative to the test's working
+directory, so no absolute path enters an output.
+"""
+
+import hashlib
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from ttpool.cli import EXIT_OK, main
+
+PAPER_SIZES = ["--set", "sizes.m=50", "--set", "sizes.l=100", "--set", "sizes.n=100"]
+
+DIGESTS = {
+    "test": "2aca76c01062503a1c9f412cc3cd2d7411b4e5de784931614f048878559d880b",
+    "simulate": "dbc6b8723d6297bbd2393b6cd33be28dbd0476d861b6eaf7c164716df09e395d",
+    "null-study": "c6e20cee2171a8917a38ccc31dd4b97dc8ec2ac56d56e64120f43adbaa35f2fd",
+}
+
+
+def _write_arms(path: Path) -> None:
+    """A paper-shape CSV whose historical arm is shifted far enough not to merge."""
+    rng = np.random.default_rng(20260418)
+    arms = (
+        ("current", rng.normal(size=50)),
+        ("historical", 1.0 + rng.normal(size=100)),
+        ("treatment", 0.3 + rng.normal(size=100)),
+    )
+    lines = [f"{label},{value!r}" for label, values in arms for value in values.tolist()]
+    path.write_text("arm,y\n" + "\n".join(lines) + "\n")
+
+
+def _run(tmp_path, monkeypatch, capsys, args) -> None:
+    monkeypatch.chdir(tmp_path)
+    assert main(args) == EXIT_OK
+    capsys.readouterr()
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("command", list(DIGESTS))
+def test_output_digest(tmp_path, monkeypatch, capsys, command):
+    if command == "test":
+        _write_arms(tmp_path / "arms.csv")
+        _run(tmp_path, monkeypatch, capsys, ["test", "--out", "r.txt", "--set", "data=arms.csv"])
+        output = tmp_path / "r.txt.json"
+    elif command == "simulate":
+        _run(
+            tmp_path, monkeypatch, capsys,
+            ["simulate", "--out", "s.txt", *PAPER_SIZES, "--seed", "7",
+             "--set", "replicates=6", "--set", "scenario.mu_h_minus_mu_c=0,0.6",
+             "--set", "compare_methods=partial_permutation,normal_approx",
+             "--set", "fusion.num_bootstrap=300", "--set", "causality.num_resamples=300"],
+        )
+        output = tmp_path / "s.txt.tsv"
+    else:
+        _run(
+            tmp_path, monkeypatch, capsys,
+            ["null-study", "--out", "n.txt", *PAPER_SIZES, "--seed", "11",
+             "--set", "replicates=8", "--set", "scenario.mu_h_minus_mu_c=0.3"],
+        )
+        output = tmp_path / "n.txt.tsv"
+    assert _sha256(output) == DIGESTS[command]

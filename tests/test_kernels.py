@@ -1,5 +1,6 @@
 """Kernel evaluation, bandwidth selection, and Gram construction."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -257,6 +258,23 @@ class TestBuildGram:
         assert np.array_equal(joined, np.arange(9))
         assert gram.size == 9
 
+    def test_replace_builds_its_own_two_arm_side(self, rng):
+        # The two-arm side is cached on the instance, not a field, so a
+        # replaced cache does not carry it across.
+        gram = build_gram(
+            KernelSpec(),
+            Sample(rng.normal(size=(4, 1)), Arm.CURRENT),
+            Sample(rng.normal(size=(5, 1)), Arm.HISTORICAL),
+            Sample(rng.normal(size=(6, 1)), Arm.TREATMENT),
+        )
+        nomerge, bw2 = gram.matrix_nomerge, gram.bandwidth_pooled2
+        replaced = dataclasses.replace(gram, matrix=np.zeros_like(gram.matrix))
+        assert "matrix_nomerge" not in vars(replaced)
+        assert "bandwidth_pooled2" not in vars(replaced)
+        assert replaced.matrix_nomerge is not nomerge
+        assert np.array_equal(replaced.matrix_nomerge, nomerge)
+        assert replaced.bandwidth_pooled2 == bw2
+
     def test_matrices_are_read_only(self):
         gram = build_gram(
             KernelSpec(bandwidth=1.0),
@@ -264,8 +282,9 @@ class TestBuildGram:
             Sample(np.ones((2, 1)), Arm.HISTORICAL),
             Sample(2 * np.ones((2, 1)), Arm.TREATMENT),
         )
-        with pytest.raises(ValueError):
-            gram.matrix[0, 0] = 5.0
+        for k in (gram.matrix, gram.matrix_nomerge, gram.points):
+            with pytest.raises(ValueError):
+                k[0, 0] = 5.0
 
 
 def test_kernel_matrix_cross_block(rng):
@@ -327,15 +346,21 @@ class TestSinglePassGram:
 
     def test_constant_two_arm_pool_is_degenerate(self, rng):
         # The three-arm median is positive, but every current || treatment
-        # pair coincides, so the two-arm median is zero.
+        # pair coincides, so the two-arm median is zero.  The two-arm side
+        # is built on first read, so whichever of its attributes is read
+        # first raises, and so does every later read.
         c = np.full((3, 1), 2.0)
         h = rng.normal(size=(20, 1))
         t = np.full((3, 1), 2.0)
         assert np.median(pdist(np.vstack([c, h, t]), metric="sqeuclidean")) > 0
-        with pytest.raises(DegenerateSample):
-            build_gram(
+        for first in ("bandwidth_pooled2", "matrix_nomerge"):
+            gram = build_gram(
                 KernelSpec(),
                 Sample(c, Arm.CURRENT),
                 Sample(h, Arm.HISTORICAL),
                 Sample(t, Arm.TREATMENT),
             )
+            assert gram.bandwidth_pooled3 > 0
+            for name in (first, "bandwidth_pooled2", "matrix_nomerge"):
+                with pytest.raises(DegenerateSample, match="median pairwise distance is zero"):
+                    getattr(gram, name)

@@ -19,7 +19,7 @@ from ttpool.errors import ConfigError, SampleTooSmall
 from ttpool.estimators import Counts, Estimator, Masks, SharedSeed, resample_weights
 from ttpool.fusion import FusionConfig, FusionMode
 from ttpool.kernels import build_gram
-from ttpool import causality, cli, estimators, fusion, simulate
+from ttpool import causality, cli, estimators, fusion, kernels, simulate
 from ttpool.pipeline import TTPConfig, run_classic_ttp, run_equivalence_ttp
 from ttpool.simulate import (
     CampaignResult,
@@ -432,3 +432,66 @@ class TestNullStudy:
         monkeypatch.setattr(Scenario, "__post_init__", lambda self: None)
         with pytest.raises(SampleTooSmall):
             null_distribution_study(tiny_scenario(reps=2, ttp=ttp, **{arm: 1}), ref_draws=5)
+
+
+class TestTwoArmBuiltOnFirstRead:
+    """A replicate builds only the side of the Gram cache that its branch reads."""
+
+    TWO_ARM_ROWS = 15 + 20  # m + n of tiny_scenario
+
+    @pytest.fixture
+    def two_arm_builds(self, monkeypatch):
+        """Two-arm builds: matrices by ``_pool_gram``, lone bandwidths by ``resolve_bandwidth``."""
+        builds = {"matrix": 0, "bandwidth": 0}
+
+        def counting(name, fn):
+            def wrapper(spec, pooled):
+                if pooled.shape[0] == self.TWO_ARM_ROWS:
+                    builds[name] += 1
+                return fn(spec, pooled)
+
+            return wrapper
+
+        monkeypatch.setattr(kernels, "_pool_gram", counting("matrix", kernels._pool_gram))
+        monkeypatch.setattr(
+            kernels, "resolve_bandwidth", counting("bandwidth", kernels.resolve_bandwidth)
+        )
+        return builds
+
+    @staticmethod
+    def _scenario(theta, compare=()):
+        ttp = TTPConfig(
+            fusion=FusionConfig(theta=theta, num_bootstrap=60),
+            causality=CausalityConfig(num_resamples=60),
+        )
+        return tiny_scenario(reps=2, ttp=ttp, compare_methods=compare)
+
+    def test_merged_replicate_builds_no_two_arm_side(self, two_arm_builds):
+        # theta = inf always merges.
+        scn = self._scenario(np.inf, (Method.PARTIAL_PERMUTATION, Method.NORMAL_APPROX))
+        assert _run_replicate(scn, 0)["merged"]
+        assert two_arm_builds == {"matrix": 0, "bandwidth": 0}
+
+    def test_null_study_replicate_builds_no_two_arm_side(self, two_arm_builds):
+        methods = (Method.PARTIAL_BOOTSTRAP, Method.PARTIAL_PERMUTATION, Method.NORMAL_APPROX)
+        _null_replicate(self._scenario(0.4), MeanShift(1.0, 0.0), 5, methods, 0)
+        assert two_arm_builds == {"matrix": 0, "bandwidth": 0}
+
+    def test_merged_report_builds_the_two_arm_bandwidth_only(self, two_arm_builds):
+        scn = self._scenario(np.inf)
+        report = run_equivalence_ttp(*draw_arms(scn, 0), scn.ttp, master_seed=0)
+        assert report.fusion.merged
+        assert report.bandwidth_pooled2 > 0
+        assert two_arm_builds == {"matrix": 0, "bandwidth": 1}
+
+    def test_unmerged_replicate_builds_the_two_arm_side_once(self, two_arm_builds):
+        # theta = 0 never merges; the standard permutation reads the two-arm matrix.
+        scn = self._scenario(0.0)
+        assert not _run_replicate(scn, 0)["merged"]
+        assert two_arm_builds == {"matrix": 1, "bandwidth": 0}
+
+    def test_unmerged_report_resolves_the_two_arm_median_once(self, two_arm_builds):
+        scn = self._scenario(0.0)
+        report = run_equivalence_ttp(*draw_arms(scn, 0), scn.ttp, master_seed=0)
+        assert not report.fusion.merged
+        assert two_arm_builds == {"matrix": 1, "bandwidth": 0}
