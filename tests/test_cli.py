@@ -789,3 +789,41 @@ class TestFreedHeap:
         assert [r.getMessage() for r in caplog.records] == [
             "no C library mallopt found; freed heap pages go back to the system"
         ]
+
+
+_IMPORT_PROBE = """
+import sys
+from ttpool import cli
+
+args = [
+    "simulate", "--out", sys.argv[1],
+    "--set", "replicates=2",
+    "--set", "sizes.n=16", "--set", "sizes.m=12", "--set", "sizes.l=14",
+    "--set", "fusion.num_bootstrap=20",
+    "--set", "causality.num_resamples=20",
+    "--set", "compare_methods=normal_approx",
+]
+assert cli.main(args) == 0
+print(" ".join(sorted(sys.modules)))
+"""
+
+# SciPy subpackages that ``scipy.stats`` pulls in; none of them is needed at
+# run time, and loading them roughly doubles a fresh process's start-up.
+_UNUSED_SCIPY = (
+    "scipy.stats", "scipy.optimize", "scipy.integrate", "scipy.interpolate", "scipy.ndimage",
+)
+
+
+def test_cli_run_loads_no_scipy_stats(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, str(tmp_path / "s.txt")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "ttpool.causality" in loaded
+    assert [name for name in _UNUSED_SCIPY if name in loaded] == []

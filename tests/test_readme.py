@@ -1,5 +1,6 @@
 """The README's library quick start and experiment commands run as written."""
 
+import argparse
 import os
 import re
 import shlex
@@ -8,7 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from ttpool.cli import expand_sweeps, load_config
+from ttpool.cli import _build_parser, expand_sweeps, load_config
 
 ROOT = Path(__file__).resolve().parent.parent
 QUICK_START = re.compile(r"## Quick start \(library\)\n.*?```python\n(.*?)```", re.S)
@@ -66,3 +67,21 @@ def test_experiment_commands_run(tmp_path):
         tsv = tmp_path / (args[args.index("--out") + 1] + ".tsv")
         table = [ln for ln in tsv.read_text().splitlines() if not ln.startswith("#")]
         assert len(table) == 1 + per_cell * len(cells), argv
+
+
+SYNOPSIS = re.compile(r"## Command-line interface\n.*?```\n(.*?)```", re.S)
+
+
+def test_cli_synopsis_brackets_exactly_the_optional_flags():
+    match = SYNOPSIS.search((ROOT / "README.md").read_text())
+    assert match, "README has no ``` block under 'Command-line interface'"
+    (subparsers,) = [
+        a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    lines = {line.split()[1]: line for line in match.group(1).splitlines() if line.strip()}
+    assert sorted(lines) == sorted(subparsers.choices)
+    for command, parser in subparsers.choices.items():
+        # The flags left once every [...] group is cut out are the unbracketed ones.
+        bare = set(re.findall(r"--[\w-]+", re.sub(r"\[[^\]]*\]", "", lines[command])))
+        required = {a.option_strings[0] for a in parser._actions if a.option_strings and a.required}
+        assert bare == required, (command, bare, required)
