@@ -37,8 +37,7 @@ from .pipeline import (
     TTPConfig,
     TTPReport,
     derive_stage_seeds,
-    run_classic_ttp,
-    run_equivalence_ttp,
+    run_report,
     run_ttp,
 )
 from .simulate import (

@@ -21,7 +21,7 @@ import math
 import sys
 from pathlib import Path
 
-from .causality import CausalityConfig, CausalityOutcome, DiagnosticsReport, Method
+from .causality import CausalityConfig, Method
 from .errors import (
     ConfigError,
     DataError,
@@ -32,9 +32,9 @@ from .errors import (
     TTPoolError,
 )
 from .estimators import Estimator
-from .fusion import FusionConfig, FusionMode, FusionOutcome
+from .fusion import FusionConfig, FusionMode
 from .kernels import Arm, KernelFamily, KernelSpec, Sample
-from .pipeline import TTPConfig, TTPReport, run_classic_ttp, run_equivalence_ttp
+from .pipeline import TTPConfig, TTPReport, run_report
 from .simulate import (
     MeanShift,
     Scenario,
@@ -354,20 +354,8 @@ def load_dataset(path) -> dict:
 
 def report_to_dict(report: TTPReport, effective_config: dict) -> dict:
     return {
-        "fusion": {
-            "statistic": report.fusion.statistic,
-            "critical_value": report.fusion.critical_value,
-            "merged": report.fusion.merged,
-            "mode": report.fusion.mode.value,
-            "resamples_used": report.fusion.resamples_used,
-        },
-        "causality": {
-            "statistic": report.causality.statistic,
-            "critical_value": report.causality.critical_value,
-            "reject": report.causality.reject,
-            "method": report.causality.method.value,
-            "merged_analysis": report.causality.merged_analysis,
-        },
+        "fusion": dataclasses.asdict(report.fusion),
+        "causality": dataclasses.asdict(report.causality),
         "diagnostics": dataclasses.asdict(report.diagnostics),
         "bandwidth_pooled3": report.bandwidth_pooled3,
         "bandwidth_pooled2": report.bandwidth_pooled2,
@@ -375,28 +363,6 @@ def report_to_dict(report: TTPReport, effective_config: dict) -> dict:
         "seeds": report.seeds,
         "config": effective_config,
     }
-
-
-def report_from_dict(payload: dict) -> tuple:
-    """Rebuild the outcome objects from a serialized report (round-trip)."""
-    f = payload["fusion"]
-    fusion = FusionOutcome(
-        statistic=f["statistic"],
-        critical_value=f["critical_value"],
-        merged=f["merged"],
-        mode=FusionMode(f["mode"]),
-        resamples_used=f["resamples_used"],
-    )
-    c = payload["causality"]
-    causality = CausalityOutcome(
-        statistic=c["statistic"],
-        critical_value=c["critical_value"],
-        reject=c["reject"],
-        method=Method(c["method"]),
-        merged_analysis=c["merged_analysis"],
-    )
-    diagnostics = DiagnosticsReport(**payload["diagnostics"])
-    return fusion, causality, diagnostics, payload["config"]
 
 
 def _config_header_lines(cfg: dict) -> list[str]:
@@ -430,10 +396,7 @@ def cmd_test(args) -> int:
     arms = load_dataset(cfg["data"])
     ttp = build_ttp_config(cfg)
     _warn_if_not_characteristic(ttp.kernel)
-    runner = (
-        run_equivalence_ttp if ttp.fusion.mode is FusionMode.EQUIVALENCE else run_classic_ttp
-    )
-    report = runner(
+    report = run_report(
         arms[Arm.CURRENT],
         arms[Arm.HISTORICAL],
         arms[Arm.TREATMENT],
@@ -520,12 +483,9 @@ def cmd_null_study(args) -> int:
     cfg = load_config("null-study", args.config, args.set, args.seed)
     cells = expand_sweeps(cfg)
     for cell in cells:
-        gen = cell["scenario.generator"]
-        if gen == "mean_shift" and cell["scenario.mu_c_minus_mu_t"] != 0.0:
-            raise ConfigError("null-study requires Qc = Qt (scenario.mu_c_minus_mu_t = 0)")
-        if gen == "var_shift" and cell["scenario.var_c_over_var_t"] != 1.0:
-            raise ConfigError("null-study requires Qc = Qt (scenario.var_c_over_var_t = 1)")
-    check_null_study(cfg["nullstudy.probe_levels"], cfg["nullstudy.ref_draws"])
+        check_null_study(
+            build_generator(cell), cfg["nullstudy.probe_levels"], cfg["nullstudy.ref_draws"]
+        )
     # The study draws nullstudy.ref_draws references of each method per
     # replicate and never reads causality.num_resamples, so its scenarios
     # carry the former: a partial bootstrap with zero resamples is not run.

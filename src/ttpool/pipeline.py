@@ -145,7 +145,28 @@ def run_ttp(
     return fusion, (outcome,) * len(methods)
 
 
-def _run_report(current, historical, treatment, cfg: TTPConfig, master_seed) -> TTPReport:
+def run_report(
+    current: Sample,
+    historical: Sample,
+    treatment: Sample,
+    cfg: TTPConfig,
+    master_seed=None,
+) -> TTPReport:
+    """One test-then-pool analysis of a dataset, in the fusion mode ``cfg`` names.
+
+    Builds the Gram cache, runs ``run_ttp`` with the configured stage
+    seeds (a stage without one takes its substream of ``master_seed``)
+    and reports the outcomes, the consistency diagnostics, both
+    bandwidths and the seeds.
+
+    * Not merged (either mode): standard permutation of current vs
+      treatment on the two-arm bandwidth.
+    * Equivalence mode, merged: ``cfg.merged_method`` on the fused control
+      vs treatment with the three-arm bandwidth.
+    * Classic mode, merged: naive pooling, a permutation test of the fused
+      control (current || historical) vs treatment on the three-arm
+      bandwidth; ``cfg.merged_method`` is not used.
+    """
     gram = build_gram(cfg.kernel, current, historical, treatment)
     fusion_seed, causality_seed = _stage_seeds(cfg, master_seed)
     fusion, (causality,) = run_ttp(gram, cfg, fusion_seed, (causality_seed,))
@@ -159,40 +180,3 @@ def _run_report(current, historical, treatment, cfg: TTPConfig, master_seed) -> 
         bandwidth_used="pooled3" if fusion.merged else "pooled2",
         seeds=_seed_record(master_seed, fusion_seed, causality_seed),
     )
-
-
-def run_equivalence_ttp(
-    current: Sample,
-    historical: Sample,
-    treatment: Sample,
-    cfg: TTPConfig,
-    master_seed=None,
-) -> TTPReport:
-    """Equivalence TTP: equivalence fusion, then branch-matched causality test.
-
-    Not merged: standard permutation of current vs treatment on the
-    two-arm bandwidth.  Merged: cfg.merged_method on the fused control
-    vs treatment with the three-arm bandwidth.
-    """
-    if cfg.fusion.mode is not FusionMode.EQUIVALENCE:
-        raise ConfigError("run_equivalence_ttp requires fusion.mode=equivalence")
-    return _run_report(current, historical, treatment, cfg, master_seed)
-
-
-def run_classic_ttp(
-    current: Sample,
-    historical: Sample,
-    treatment: Sample,
-    cfg: TTPConfig,
-    master_seed=None,
-) -> TTPReport:
-    """Classic TTP baseline: point-null fusion, then a permutation causality test.
-
-    Merged: naive pooling, a permutation test of the fused control
-    (current || historical) vs treatment on the three-arm bandwidth;
-    cfg.merged_method is not used.  Not merged: standard permutation of
-    current vs treatment.
-    """
-    if cfg.fusion.mode is not FusionMode.CLASSIC_PERMUTATION:
-        raise ConfigError("run_classic_ttp requires fusion.mode=classic")
-    return _run_report(current, historical, treatment, cfg, master_seed)

@@ -157,25 +157,22 @@ def draw_arms(scn: Scenario, rep: int):
     )
 
 
-def _replicate_seeds(scn: Scenario, rep: int, n_methods: int, store: Optional[dict]):
-    """The fusion seed and one causality seed per method, over ``store`` if given."""
+def _replicate_seeds(scn: Scenario, rep: int, n_methods: int, store: dict):
+    """The fusion seed and one causality seed per method, as ``SharedSeed``s over ``store``."""
     fusion_ss = np.random.SeedSequence([int(scn.master_seed), rep, 1])
     causality_seeds = np.random.SeedSequence([int(scn.master_seed), rep, 2]).spawn(n_methods)
-    if store is None:
-        return fusion_ss, causality_seeds
     return SharedSeed(fusion_ss, store), [SharedSeed(ss, store) for ss in causality_seeds]
 
 
-def _run_replicate(scn: Scenario, rep: int, store: Optional[dict] = None) -> dict:
-    """One TTP replicate through ``pipeline.run_ttp``, with replicate-derived seeds.
+def _run_replicate(scn: Scenario, rep: int, store: dict) -> tuple:
+    """One TTP replicate: ``pipeline.run_ttp``'s ``(fusion, outcomes)``, with replicate seeds.
 
-    Reports the merge flag and a reject flag for the primary method
-    (``merged_method``) and each of ``compare_methods``.  The methods
-    only differ after an equivalence-mode merge; otherwise one test
-    runs (standard permutation without a merge, naive pooling after a
-    classic-mode merge) and every method column carries its outcome.
-    With a ``store``, the seeds are ``SharedSeed``s over it, so the
-    resampling draws are kept there for the other cells of the replicate.
+    ``outcomes`` holds one causality outcome per method of ``(merged_method,
+    *compare_methods)``.  The methods only differ after an
+    equivalence-mode merge; otherwise one test runs (standard permutation
+    without a merge, naive pooling after a classic-mode merge) and every
+    method slot carries its outcome.  The resampling draws are kept in
+    ``store`` for the other cells of the replicate.
     """
     current, historical, treatment = draw_arms(scn, rep)
     try:
@@ -183,16 +180,11 @@ def _run_replicate(scn: Scenario, rep: int, store: Optional[dict] = None) -> dic
         fusion_ss, causality_seeds = _replicate_seeds(
             scn, rep, 1 + len(scn.compare_methods), store
         )
-        fusion, outcomes = run_ttp(
-            gram, scn.ttp, fusion_ss, causality_seeds, scn.compare_methods
-        )
+        return run_ttp(gram, scn.ttp, fusion_ss, causality_seeds, scn.compare_methods)
     except TTPoolError as exc:
         raise TTPoolError(
             f"replicate {rep} (master_seed={scn.master_seed}) failed: {exc}"
         ) from exc
-    methods = (scn.ttp.merged_method, *scn.compare_methods)
-    rejects = {method.value: o.reject for method, o in zip(methods, outcomes)}
-    return {"merged": fusion.merged, "rejects": rejects}
 
 
 @cache
@@ -282,8 +274,10 @@ def _map_replicates(run, replicates: int, workers: int) -> list:
     large matrix products need.  More open a process pool for this call
     and close it after; ``run`` must then be picklable (a module-level
     function or a ``partial`` of one).  The rows come back in replicate
-    order either way.  The replicates go out in chunks of
-    ``ceil(replicates / workers)``, one per worker.
+    order either way.  The pool opens ``min(workers, replicates)``
+    processes, because a fork-context pool starts all of its processes at
+    the first submit, and the replicates go out in chunks of
+    ``ceil(replicates / processes)``, one per process.
 
     Workers fork at the pool's first map, while ``_one_blas_thread`` holds
     the parent's OpenBLAS at one thread, so each worker starts with one
@@ -298,38 +292,38 @@ def _map_replicates(run, replicates: int, workers: int) -> list:
     reps = range(replicates)
     if workers == 1:
         return [run(rep) for rep in reps]
-    with _one_blas_thread(), ProcessPoolExecutor(workers, mp_context=_POOL_CONTEXT) as pool:
-        return list(pool.map(run, reps, chunksize=math.ceil(replicates / workers)))
+    processes = min(workers, replicates)
+    with _one_blas_thread(), ProcessPoolExecutor(processes, mp_context=_POOL_CONTEXT) as pool:
+        return list(pool.map(run, reps, chunksize=math.ceil(replicates / processes)))
 
 
-def _sweep_item(scenarios: tuple, rep: int) -> list[tuple[dict, float]]:
-    """Replicate ``rep`` of every cell: per cell, its ``_run_replicate`` row and seconds.
+def _sweep_item(scenarios: tuple, rep: int) -> list[tuple[tuple, float]]:
+    """Replicate ``rep`` of every cell: per cell, its ``_run_replicate`` outcomes and seconds.
 
     Cells with the same master seed have the same stage seeds, so their
-    draws of one plan are the same bytes.  With more than one cell, the
-    cells share one store for the item: each (seed, plan) is drawn once
-    and copied to the later cells.  A single cell has no later cell to
-    read its draws, so it draws without storing them.
+    draws of one plan are the same bytes.  The cells share one store for
+    the item: each (seed, plan) is drawn once and copied to the later
+    cells.  A single cell stores its draws too; that measured no slower
+    than drawing without a store.
     """
-    store = {} if len(scenarios) > 1 else None
+    store = {}
     out = []
     for scn in scenarios:
         start = time.perf_counter()
-        row = _run_replicate(scn, rep, store)
-        out.append((row, time.perf_counter() - start))
+        run = _run_replicate(scn, rep, store)
+        out.append((run, time.perf_counter() - start))
     return out
 
 
 def _cell_result(scn: Scenario, timed_rows: list) -> CampaignResult:
-    """Aggregate one cell's (row, seconds) pairs, in replicate order."""
-    rows = [row for row, _ in timed_rows]
-    merges = sum(r["merged"] for r in rows)
-    methods = (scn.ttp.merged_method,) + tuple(scn.compare_methods)
+    """Aggregate one cell's ((fusion, outcomes), seconds) pairs, in replicate order."""
+    runs = [run for run, _ in timed_rows]
+    merge_rate = sum(fusion.merged for fusion, _ in runs) / scn.replicates
+    methods = (scn.ttp.merged_method, *scn.compare_methods)
     per_method = {
-        method.value: sum(r["rejects"][method.value] for r in rows) / scn.replicates
-        for method in methods
+        method.value: sum(outcomes[i].reject for _, outcomes in runs) / scn.replicates
+        for i, method in enumerate(methods)
     }
-    merge_rate = merges / scn.replicates
     reject_rate = per_method[scn.ttp.merged_method.value]
     return CampaignResult(
         scenario=scn,
@@ -430,8 +424,15 @@ def _null_replicate(
     return out
 
 
-def check_null_study(probe_levels, ref_draws: int, methods=()) -> None:
-    """Refuse null-study settings that ``null_distribution_study`` cannot run."""
+def check_null_study(generator: Generator, probe_levels, ref_draws: int, methods=()) -> None:
+    """Refuse null-study settings that ``null_distribution_study`` cannot run.
+
+    ``generator`` must fix Qc = Qt; the probe generator is not checked.
+    """
+    if isinstance(generator, MeanShift) and generator.mu_c_minus_mu_t != 0.0:
+        raise ConfigError("null-study requires Qc = Qt (scenario.mu_c_minus_mu_t = 0)")
+    if isinstance(generator, VarShift) and generator.var_c_over_var_t != 1.0:
+        raise ConfigError("null-study requires Qc = Qt (scenario.var_c_over_var_t = 1)")
     if ref_draws < 1:
         raise ConfigError(f"ref_draws must be >= 1, got {ref_draws}")
     if not all(0.0 < level < 1.0 for level in probe_levels):
@@ -450,16 +451,17 @@ def null_distribution_study(
 ) -> list[NullStudyRow]:
     """Compare per-method reference distributions against true-null Monte Carlo.
 
-    ``scn.generator`` must fix Qc = Qt; it supplies the true null draws of
-    the test statistics (Delta for bootstrap / normal approximation, T
-    for partial permutation).  Reference draws are computed on data from
-    ``probe_generator`` (default: the null generator itself, whose
-    replicate Gram is then reused), pooling ``ref_draws`` resamples per
-    replicate across replicates.  Replicates run on ``workers``
+    ``scn.generator`` must fix Qc = Qt, else this is a ``ConfigError``; it
+    supplies the true null draws of the test statistics (Delta for
+    bootstrap / normal approximation, T for partial permutation).
+    Reference draws are computed on data from ``probe_generator``
+    (default: the null generator itself, whose replicate Gram is then
+    reused), pooling ``ref_draws`` resamples per replicate across
+    replicates.  Replicates run on ``workers``
     processes, through one ``_map_replicates`` call per study; the rows
     are bitwise identical for any worker count.
     """
-    check_null_study(probe_levels, ref_draws, methods)
+    check_null_study(scn.generator, probe_levels, ref_draws, methods)
     per_rep = _map_replicates(
         partial(_null_replicate, scn, probe_generator, ref_draws, methods),
         scn.replicates,

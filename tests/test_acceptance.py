@@ -22,7 +22,7 @@ from ttpool.cli import main
 from ttpool.estimators import Estimator, mmd2, mmd2_v
 from ttpool.fusion import FusionConfig, FusionMode
 from ttpool.kernels import Arm, KernelFamily, KernelSpec, Sample, build_gram, kernel_matrix
-from ttpool.pipeline import TTPConfig, derive_stage_seeds, run_equivalence_ttp
+from ttpool.pipeline import TTPConfig, derive_stage_seeds, run_report
 from ttpool.simulate import MeanShift, Scenario, VarShift, draw_arms, null_distribution_study, run_campaign
 
 
@@ -360,7 +360,7 @@ def test_criterion_11_theta_limit_identities():
             Sample(0.5 * (seed % 3) + rng.normal(size=(30, 1)), Arm.HISTORICAL),
             Sample(0.4 + rng.normal(size=(35, 1)), Arm.TREATMENT),
         )
-        r0 = run_equivalence_ttp(*arms, cfg0, master_seed=seed)
+        r0 = run_report(*arms, cfg0, master_seed=seed)
         never_merge &= not r0.fusion.merged
 
         gram = build_gram(KernelSpec(), *arms)
@@ -376,7 +376,7 @@ def test_criterion_11_theta_limit_identities():
             and r0.causality.reject == standalone.reject
         )
 
-        r_inf = run_equivalence_ttp(*arms, cfg_inf, master_seed=seed)
+        r_inf = run_report(*arms, cfg_inf, master_seed=seed)
         always_merge &= r_inf.fusion.merged
     report(11, [
         ("theta=0 never merges", never_merge, "10 datasets"),

@@ -14,20 +14,23 @@ import numpy as np
 import pytest
 
 from ttpool import cli, simulate
+from ttpool.causality import CausalityOutcome, DiagnosticsReport
 from ttpool.cli import (
     _SWEEP_KEYS,
     EXIT_CONFIG,
     EXIT_DATA,
     EXIT_OK,
     EXIT_STATISTICAL,
+    build_ttp_config,
     expand_sweeps,
     load_config,
     load_dataset,
     main,
-    report_from_dict,
 )
 from ttpool.errors import ConfigError, DataError
+from ttpool.fusion import FusionOutcome
 from ttpool.kernels import Arm
+from ttpool.pipeline import run_report
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -245,7 +248,7 @@ class TestExitCodes:
             raise AssertionError("a process pool was opened or an analysis ran")
 
         monkeypatch.setattr(simulate, "ProcessPoolExecutor", refuse)
-        monkeypatch.setattr(cli, "run_equivalence_ttp", refuse)
+        monkeypatch.setattr(cli, "run_report", refuse)
         data = ["--set", f"data={dataset}"] if command == "test" else []
         rc = main([command, "--out", str(tmp_path / "s.txt"), *data, "--workers", workers])
         assert rc == EXIT_CONFIG
@@ -309,7 +312,7 @@ class TestExitCodes:
         def refuse(*args, **kwargs):
             raise AssertionError("an analysis or replicate ran")
 
-        for name in ("run_equivalence_ttp", "run_sweep", "null_distribution_study"):
+        for name in ("run_report", "run_sweep", "null_distribution_study"):
             monkeypatch.setattr(cli, name, refuse)
         data = ["--set", f"data={dataset}"] if command == "test" else []
         rc = main([command, "--out", str(tmp_path / "r.txt"), *data, *spelling])
@@ -334,7 +337,7 @@ class TestExitCodes:
         def refuse(*args, **kwargs):
             raise AssertionError("an analysis or replicate ran")
 
-        for name in ("run_equivalence_ttp", "run_sweep"):
+        for name in ("run_report", "run_sweep"):
             monkeypatch.setattr(cli, name, refuse)
         data = ["--set", f"data={dataset}"] if command == "test" else []
         sets = [arg for method in methods for arg in ("--set", method)]
@@ -471,10 +474,14 @@ class TestCmdTest:
         assert rc == EXIT_OK
         assert out.exists()
         payload = json.loads((tmp_path / "report.txt.json").read_text())
-        fusion, causality, diagnostics, cfg = report_from_dict(payload)
-        assert fusion.merged == payload["fusion"]["merged"]
-        assert causality.reject == payload["causality"]["reject"]
+        # The JSON sections rebuild the library's outcomes for the same config.
+        cfg = payload["config"]
         assert cfg["seed"] == 5
+        arms = load_dataset(dataset)
+        report = run_report(*(arms[arm] for arm in Arm), build_ttp_config(cfg), master_seed=5)
+        assert FusionOutcome(**payload["fusion"]) == report.fusion
+        assert CausalityOutcome(**payload["causality"]) == report.causality
+        assert DiagnosticsReport(**payload["diagnostics"]) == report.diagnostics
         text = out.read_text()
         assert "fusion statistic" in text
         assert "effective config" in text
@@ -603,6 +610,18 @@ class TestCmdNullStudy:
             ]
         )
         assert rc == EXIT_CONFIG
+
+    def test_requires_null_variance_scenario(self, tmp_path, capsys):
+        rc = main(
+            [
+                "null-study", "--out", str(tmp_path / "n.txt"),
+                "--set", "scenario.generator=var_shift", "--set", "scenario.var_c_over_var_t=2",
+            ]
+        )
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: null-study requires Qc = Qt (scenario.var_c_over_var_t = 1)\n"
+        )
 
     def test_sweep_with_a_non_null_cell_exit_2(self, tmp_path):
         rc = main(

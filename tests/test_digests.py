@@ -1,4 +1,4 @@
-"""Output digests of three small fixed-seed runs.
+"""Output digests of five small fixed-seed runs.
 
 A change that claims to leave every output bitwise equal (a speed-up that
 reorders no floating-point operation and moves no random stream) must
@@ -10,6 +10,7 @@ directory, so no absolute path enters an output.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 import numpy as np
@@ -21,17 +22,19 @@ PAPER_SIZES = ["--set", "sizes.m=50", "--set", "sizes.l=100", "--set", "sizes.n=
 
 DIGESTS = {
     "test": "2aca76c01062503a1c9f412cc3cd2d7411b4e5de784931614f048878559d880b",
+    "test-merged": "1e9db722d32c01273cf966289f5d8eab56ba6c82ab5f0502259563049b6027a7",
     "simulate": "dbc6b8723d6297bbd2393b6cd33be28dbd0476d861b6eaf7c164716df09e395d",
+    "simulate-classic": "7a7fad06c1f992f17802539fffa34d9e5e66790d830a95ef0b95f16059fa48f4",
     "null-study": "c6e20cee2171a8917a38ccc31dd4b97dc8ec2ac56d56e64120f43adbaa35f2fd",
 }
 
 
-def _write_arms(path: Path) -> None:
-    """A paper-shape CSV whose historical arm is shifted far enough not to merge."""
+def _write_arms(path: Path, historical_shift: float = 1.0) -> None:
+    """A paper-shape CSV; the default historical shift is far enough not to merge."""
     rng = np.random.default_rng(20260418)
     arms = (
         ("current", rng.normal(size=50)),
-        ("historical", 1.0 + rng.normal(size=100)),
+        ("historical", historical_shift + rng.normal(size=100)),
         ("treatment", 0.3 + rng.normal(size=100)),
     )
     lines = [f"{label},{value!r}" for label, values in arms for value in values.tolist()]
@@ -54,12 +57,26 @@ def test_output_digest(tmp_path, monkeypatch, capsys, command):
         _write_arms(tmp_path / "arms.csv")
         _run(tmp_path, monkeypatch, capsys, ["test", "--out", "r.txt", "--set", "data=arms.csv"])
         output = tmp_path / "r.txt.json"
+    elif command == "test-merged":
+        _write_arms(tmp_path / "arms.csv", historical_shift=0.0)
+        _run(tmp_path, monkeypatch, capsys, ["test", "--out", "r.txt", "--set", "data=arms.csv"])
+        output = tmp_path / "r.txt.json"
+        assert json.loads(output.read_text())["fusion"]["merged"]
     elif command == "simulate":
         _run(
             tmp_path, monkeypatch, capsys,
             ["simulate", "--out", "s.txt", *PAPER_SIZES, "--seed", "7",
              "--set", "replicates=6", "--set", "scenario.mu_h_minus_mu_c=0,0.6",
              "--set", "compare_methods=partial_permutation,normal_approx",
+             "--set", "fusion.num_bootstrap=300", "--set", "causality.num_resamples=300"],
+        )
+        output = tmp_path / "s.txt.tsv"
+    elif command == "simulate-classic":
+        _run(
+            tmp_path, monkeypatch, capsys,
+            ["simulate", "--out", "s.txt", *PAPER_SIZES, "--seed", "5", "--workers", "2",
+             "--set", "replicates=6", "--set", "fusion.mode=classic",
+             "--set", "scenario.mu_c_minus_mu_t=0.4", "--set", "scenario.mu_h_minus_mu_c=0.4",
              "--set", "fusion.num_bootstrap=300", "--set", "causality.num_resamples=300"],
         )
         output = tmp_path / "s.txt.tsv"

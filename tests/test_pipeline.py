@@ -7,12 +7,7 @@ from ttpool.causality import CausalityConfig, Method, standard_permutation_test
 from ttpool.errors import ConfigError
 from ttpool.fusion import FusionConfig, FusionMode
 from ttpool.kernels import Arm, KernelSpec, Sample, build_gram
-from ttpool.pipeline import (
-    TTPConfig,
-    derive_stage_seeds,
-    run_classic_ttp,
-    run_equivalence_ttp,
-)
+from ttpool.pipeline import TTPConfig, derive_stage_seeds, run_report
 
 
 def make_arms(seed, m=25, l=30, n=35, shift_h=0.0, shift_t=0.0):
@@ -47,19 +42,12 @@ class TestConfigValidation:
         for method in (Method.PARTIAL_PERMUTATION, Method.NORMAL_APPROX):
             TTPConfig(causality=no_draws, merged_method=method)
 
-    def test_mode_mismatch(self):
-        arms = make_arms(0)
-        with pytest.raises(ConfigError):
-            run_equivalence_ttp(*arms, small_cfg(mode=FusionMode.CLASSIC_PERMUTATION))
-        with pytest.raises(ConfigError):
-            run_classic_ttp(*arms, small_cfg())
-
 
 class TestBranchConsistency:
     def test_merged_analysis_tracks_fusion(self):
         for seed in range(8):
             arms = make_arms(seed, shift_h=0.3 * (seed % 3))
-            report = run_equivalence_ttp(*arms, small_cfg(), master_seed=seed)
+            report = run_report(*arms, small_cfg(), master_seed=seed)
             assert report.causality.merged_analysis == report.fusion.merged
             assert report.bandwidth_used == (
                 "pooled3" if report.fusion.merged else "pooled2"
@@ -68,7 +56,7 @@ class TestBranchConsistency:
     def test_merged_branch_uses_requested_method(self):
         arms = make_arms(3)  # Qh = Qc: merge very likely
         for method in (Method.PARTIAL_PERMUTATION, Method.NORMAL_APPROX):
-            report = run_equivalence_ttp(
+            report = run_report(
                 *arms, small_cfg(theta=1e6, method=method), master_seed=1
             )
             assert report.fusion.merged
@@ -76,7 +64,7 @@ class TestBranchConsistency:
 
     def test_no_merge_branch_is_standard_permutation(self):
         arms = make_arms(5, shift_h=3.0)
-        report = run_equivalence_ttp(*arms, small_cfg(theta=0.0), master_seed=2)
+        report = run_report(*arms, small_cfg(theta=0.0), master_seed=2)
         assert not report.fusion.merged
         assert report.causality.method is Method.STANDARD_PERMUTATION
 
@@ -84,15 +72,15 @@ class TestBranchConsistency:
 class TestSeedReplay:
     def test_bitwise_identical_reports(self):
         arms = make_arms(7, shift_h=0.2, shift_t=0.4)
-        a = run_equivalence_ttp(*arms, small_cfg(), master_seed=99)
-        b = run_equivalence_ttp(*arms, small_cfg(), master_seed=99)
+        a = run_report(*arms, small_cfg(), master_seed=99)
+        b = run_report(*arms, small_cfg(), master_seed=99)
         assert a.fusion == b.fusion
         assert a.causality == b.causality
         assert a.diagnostics == b.diagnostics
 
     def test_seed_record_describes_master(self):
         arms = make_arms(7)
-        report = run_equivalence_ttp(*arms, small_cfg(), master_seed=42)
+        report = run_report(*arms, small_cfg(), master_seed=42)
         assert report.seeds["master"] == 42
         assert report.seeds["fusion"] is not None
         assert report.seeds["causality"] is not None
@@ -100,8 +88,8 @@ class TestSeedReplay:
     def test_one_stage_seed_set_other_from_master(self):
         arms = make_arms(7, shift_h=0.2, shift_t=0.4)
         cfg = TTPConfig(fusion=FusionConfig(seed=1))
-        a = run_equivalence_ttp(*arms, cfg, master_seed=5)
-        b = run_equivalence_ttp(*arms, cfg, master_seed=5)
+        a = run_report(*arms, cfg, master_seed=5)
+        b = run_report(*arms, cfg, master_seed=5)
         assert a.fusion == b.fusion
         assert a.causality == b.causality
         assert a.seeds == b.seeds
@@ -115,7 +103,7 @@ class TestThetaLimits:
     def test_theta_zero_equals_standalone_two_sample(self):
         for seed in range(5):
             arms = make_arms(seed, shift_t=0.5)
-            report = run_equivalence_ttp(*arms, small_cfg(theta=0.0), master_seed=seed)
+            report = run_report(*arms, small_cfg(theta=0.0), master_seed=seed)
             assert not report.fusion.merged
 
             gram = build_gram(KernelSpec(), *arms)
@@ -135,7 +123,7 @@ class TestThetaLimits:
     def test_huge_theta_always_merges(self):
         for seed in range(5):
             arms = make_arms(seed, shift_h=1.0)
-            report = run_equivalence_ttp(*arms, small_cfg(theta=1e6), master_seed=seed)
+            report = run_report(*arms, small_cfg(theta=1e6), master_seed=seed)
             assert report.fusion.merged
 
     def test_theta_monotone_merge_decision(self):
@@ -143,7 +131,7 @@ class TestThetaLimits:
             arms = make_arms(seed, shift_h=0.4)
             merges = []
             for theta in (0.05, 0.2, 0.4, 0.7, 1.2):
-                report = run_equivalence_ttp(
+                report = run_report(
                     *arms, small_cfg(theta=theta), master_seed=seed
                 )
                 merges.append(report.fusion.merged)
@@ -159,7 +147,7 @@ class TestClassicPipeline:
             Sample(pts, Arm.HISTORICAL),
             Sample(pts, Arm.TREATMENT),
         )
-        report = run_classic_ttp(
+        report = run_report(
             *arms, small_cfg(mode=FusionMode.CLASSIC_PERMUTATION), master_seed=0
         )
         assert report.fusion.merged
@@ -168,7 +156,7 @@ class TestClassicPipeline:
 
     def test_distant_historical_rarely_merges(self):
         arms = make_arms(13, m=60, l=60, shift_h=2.5)
-        report = run_classic_ttp(
+        report = run_report(
             *arms, small_cfg(mode=FusionMode.CLASSIC_PERMUTATION), master_seed=1
         )
         assert not report.fusion.merged
@@ -177,7 +165,7 @@ class TestClassicPipeline:
     def test_merged_branch_pools_controls(self):
         # Qh = Qc: classic fusion merges, causality runs fused-vs-treatment.
         arms = make_arms(17, shift_t=2.0)
-        report = run_classic_ttp(
+        report = run_report(
             *arms, small_cfg(mode=FusionMode.CLASSIC_PERMUTATION), master_seed=3
         )
         if report.fusion.merged:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import logging
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from ttpool.estimators import Counts, Estimator, Masks, SharedSeed, resample_wei
 from ttpool.fusion import FusionConfig, FusionMode
 from ttpool.kernels import build_gram
 from ttpool import causality, cli, estimators, fusion, kernels, simulate
-from ttpool.pipeline import TTPConfig, run_classic_ttp, run_equivalence_ttp
+from ttpool.pipeline import TTPConfig, run_report
 from ttpool.simulate import (
     CampaignResult,
     MeanShift,
@@ -112,6 +113,10 @@ def _blas_threads(_rep):
     return _numpy_openblas().scipy_openblas_get_num_threads64_()
 
 
+def _double(rep):
+    return 2 * rep
+
+
 @pytest.fixture
 def no_process(monkeypatch):
     """Fail the test if a process pool is opened."""
@@ -133,6 +138,19 @@ class TestWorkerPool:
     def test_serial_run_opens_no_pool(self, no_process):
         run_campaign(tiny_scenario(reps=2), workers=1)
         null_distribution_study(tiny_scenario(reps=2), ref_draws=3, workers=1)
+
+    def test_pool_opens_no_more_processes_than_replicates(self, monkeypatch):
+        # A fork-context pool starts every process it is given at its first submit.
+        sizes = []
+
+        def recording(max_workers, **kwargs):
+            sizes.append(max_workers)
+            return ProcessPoolExecutor(max_workers, **kwargs)
+
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", recording)
+        assert _map_replicates(_double, 2, 4) == [0, 2]
+        assert _map_replicates(_double, 3, 2) == [0, 2, 4]
+        assert sizes == [2, 2]
 
     @pytest.mark.skipif(
         _numpy_openblas() is None,
@@ -311,10 +329,9 @@ class TestReplicateMatchesPipeline:
             ),
             compare_methods=(Method.PARTIAL_PERMUTATION,),
         )
-        runner = run_equivalence_ttp if mode is FusionMode.EQUIVALENCE else run_classic_ttp
         branches = set()
         for rep in range(scn.replicates):
-            row = _run_replicate(scn, rep)
+            fusion_outcome, outcomes = _run_replicate(scn, rep, {})
             cfg = dataclasses.replace(
                 scn.ttp,
                 fusion=dataclasses.replace(
@@ -325,13 +342,13 @@ class TestReplicateMatchesPipeline:
                     seed=np.random.SeedSequence([scn.master_seed, rep, 2]).spawn(1)[0],
                 ),
             )
-            report = runner(*draw_arms(scn, rep), cfg)
-            assert row["merged"] == report.fusion.merged, rep
-            assert row["rejects"]["partial_bootstrap"] == report.causality.reject, rep
+            report = run_report(*draw_arms(scn, rep), cfg)
+            assert fusion_outcome == report.fusion, rep
+            assert outcomes[0] == report.causality, rep
             if mode is FusionMode.CLASSIC_PERMUTATION:
                 # One naive-pooling (or no-merge) outcome fills every method column.
-                assert row["rejects"]["partial_permutation"] == report.causality.reject, rep
-            branches.add(row["merged"])
+                assert outcomes[1] == report.causality, rep
+            branches.add(fusion_outcome.merged)
         assert branches == {True, False}
 
 
@@ -383,6 +400,11 @@ class TestNullStudy:
         serial = null_distribution_study(scn, ref_draws=6, workers=1)
         pooled = null_distribution_study(scn, ref_draws=6, workers=2)
         assert serial == pooled
+
+    @pytest.mark.parametrize("generator", [MeanShift(0.4, 0.0), VarShift(2.0, 1.0)])
+    def test_non_null_generator_is_a_config_error(self, no_process, generator):
+        with pytest.raises(ConfigError, match="requires Qc = Qt"):
+            null_distribution_study(tiny_scenario(reps=2, generator=generator), workers=2)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -469,7 +491,7 @@ class TestTwoArmBuiltOnFirstRead:
     def test_merged_replicate_builds_no_two_arm_side(self, two_arm_builds):
         # theta = inf always merges.
         scn = self._scenario(np.inf, (Method.PARTIAL_PERMUTATION, Method.NORMAL_APPROX))
-        assert _run_replicate(scn, 0)["merged"]
+        assert _run_replicate(scn, 0, {})[0].merged
         assert two_arm_builds == {"matrix": 0, "bandwidth": 0}
 
     def test_null_study_replicate_builds_no_two_arm_side(self, two_arm_builds):
@@ -479,7 +501,7 @@ class TestTwoArmBuiltOnFirstRead:
 
     def test_merged_report_builds_the_two_arm_bandwidth_only(self, two_arm_builds):
         scn = self._scenario(np.inf)
-        report = run_equivalence_ttp(*draw_arms(scn, 0), scn.ttp, master_seed=0)
+        report = run_report(*draw_arms(scn, 0), scn.ttp, master_seed=0)
         assert report.fusion.merged
         assert report.bandwidth_pooled2 > 0
         assert two_arm_builds == {"matrix": 0, "bandwidth": 1}
@@ -487,11 +509,11 @@ class TestTwoArmBuiltOnFirstRead:
     def test_unmerged_replicate_builds_the_two_arm_side_once(self, two_arm_builds):
         # theta = 0 never merges; the standard permutation reads the two-arm matrix.
         scn = self._scenario(0.0)
-        assert not _run_replicate(scn, 0)["merged"]
+        assert not _run_replicate(scn, 0, {})[0].merged
         assert two_arm_builds == {"matrix": 1, "bandwidth": 0}
 
     def test_unmerged_report_resolves_the_two_arm_median_once(self, two_arm_builds):
         scn = self._scenario(0.0)
-        report = run_equivalence_ttp(*draw_arms(scn, 0), scn.ttp, master_seed=0)
+        report = run_report(*draw_arms(scn, 0), scn.ttp, master_seed=0)
         assert not report.fusion.merged
         assert two_arm_builds == {"matrix": 1, "bandwidth": 0}
