@@ -47,6 +47,7 @@ from .simulate import (
     Scenario,
     VarShift,
     null_distribution_study,
+    null_study_sweep,
     run_campaign,
     run_sweep,
 )

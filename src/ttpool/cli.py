@@ -39,10 +39,9 @@ from .simulate import (
     MeanShift,
     Scenario,
     VarShift,
-    check_null_study,
     check_workers,
     keep_freed_heap,
-    null_distribution_study,
+    null_study_sweep,
     run_sweep,
 )
 
@@ -365,22 +364,27 @@ def report_to_dict(report: TTPReport, effective_config: dict) -> dict:
     }
 
 
-def _config_header_lines(cfg: dict) -> list[str]:
-    return [f"# {key}={json.dumps(cfg[key])}" for key in sorted(cfg)]
-
-
-def write_table(path, cfg: dict, header: list[str], rows: list[list]) -> None:
-    lines = _config_header_lines(cfg)
+def format_table(cfg: dict, header: list[str], rows: list[list]) -> str:
+    lines = [f"# {key}={json.dumps(cfg[key])}" for key in sorted(cfg)]
     lines.append("\t".join(header))
     for row in rows:
         lines.append("\t".join(_format_cell(c) for c in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def _format_cell(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
+
+
+def _write_outputs(out, lines: list[str], suffix: str, companion: str) -> int:
+    """Write the report ``lines`` to ``out`` and ``companion`` to ``out + suffix``, then print."""
+    text = "\n".join(lines) + "\n"
+    Path(out).write_text(text)
+    Path(f"{out}{suffix}").write_text(companion)
+    print(text, end="")
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -403,15 +407,11 @@ def cmd_test(args) -> int:
         ttp,
         master_seed=cfg["seed"],
     )
-    payload = report_to_dict(report, cfg)
-    text = _render_report_text(report, cfg)
-    Path(args.out).write_text(text)
-    Path(str(args.out) + ".json").write_text(json.dumps(payload, indent=2) + "\n")
-    print(text, end="")
-    return EXIT_OK
+    payload = json.dumps(report_to_dict(report, cfg), indent=2) + "\n"
+    return _write_outputs(args.out, _report_lines(report, cfg), ".json", payload)
 
 
-def _render_report_text(report: TTPReport, cfg: dict) -> str:
+def _report_lines(report: TTPReport, cfg: dict) -> list[str]:
     d = report.diagnostics
     lines = [
         "ttpool test report",
@@ -434,8 +434,7 @@ def _render_report_text(report: TTPReport, cfg: dict) -> str:
         f"seeds               : {json.dumps(report.seeds)}",
         "effective config    :",
     ]
-    lines += [f"  {k} = {json.dumps(cfg[k])}" for k in sorted(cfg)]
-    return "\n".join(lines) + "\n"
+    return lines + [f"  {k} = {json.dumps(cfg[k])}" for k in sorted(cfg)]
 
 
 def cmd_simulate(args) -> int:
@@ -443,8 +442,6 @@ def cmd_simulate(args) -> int:
     cells = expand_sweeps(cfg)
     scenarios = [build_scenario(cell) for cell in cells]
     _warn_if_not_characteristic(scenarios[0].ttp.kernel)
-    results = list(zip(cells, run_sweep(scenarios, workers=args.workers)))
-
     method_names = [cfg["merged_method"], *cfg.get("compare_methods", [])]
     header = list(_SWEEP_KEYS) + [
         "merge_rate",
@@ -453,19 +450,16 @@ def cmd_simulate(args) -> int:
         "stderr_reject",
         "replicates",
     ]
-    rows = []
-    for cell, res in results:
+    swept = [c for c in _SWEEP_KEYS if isinstance(cfg[c], list)]
+    rows, lines = [], ["ttpool simulate report", "======================"]
+    for cell, res in zip(cells, run_sweep(scenarios, workers=args.workers)):
         rows.append(
             [cell[c] for c in _SWEEP_KEYS]
             + [res.merge_rate, res.stderr_merge]
             + [res.per_method_rates[name] for name in method_names]
             + [res.stderr_reject, res.scenario.replicates]
         )
-    write_table(Path(str(args.out) + ".tsv"), cfg, header, rows)
-
-    lines = ["ttpool simulate report", "======================"]
-    for cell, res in results:
-        sweep = ", ".join(f"{c}={cell[c]}" for c in _SWEEP_KEYS if isinstance(cfg[c], list))
+        sweep = ", ".join(f"{c}={cell[c]}" for c in swept)
         lines.append(
             f"[{sweep or 'single cell'}] merge={res.merge_rate:.3f} "
             + " ".join(
@@ -473,46 +467,35 @@ def cmd_simulate(args) -> int:
             )
             + f" ({res.seconds * 1e3:.1f} ms)"
         )
-    text = "\n".join(lines) + "\n"
-    Path(args.out).write_text(text)
-    print(text, end="")
-    return EXIT_OK
+    return _write_outputs(args.out, lines, ".tsv", format_table(cfg, header, rows))
 
 
 def cmd_null_study(args) -> int:
     cfg = load_config("null-study", args.config, args.set, args.seed)
     cells = expand_sweeps(cfg)
-    for cell in cells:
-        check_null_study(
-            build_generator(cell), cfg["nullstudy.probe_levels"], cfg["nullstudy.ref_draws"]
-        )
-    # The study draws nullstudy.ref_draws references of each method per
-    # replicate and never reads causality.num_resamples, so its scenarios
-    # carry the former: a partial bootstrap with zero resamples is not run.
-    scenarios = [
-        build_scenario({**cell, "causality.num_resamples": cell["nullstudy.ref_draws"]})
-        for cell in cells
-    ]
+    # The study draws nullstudy.ref_draws references and never reads
+    # causality.num_resamples; one resample passes the scenario check.
+    scenarios = [build_scenario({**cell, "causality.num_resamples": 1}) for cell in cells]
     _warn_if_not_characteristic(scenarios[0].ttp.kernel)
+    probe_mu = cfg["nullstudy.probe_mu_c_minus_mu_t"]
+    if probe_mu is not None and cfg["scenario.generator"] != "mean_shift":
+        raise ConfigError("nullstudy.probe_mu_c_minus_mu_t needs scenario.generator=mean_shift")
+    probes = [
+        None if probe_mu is None else dataclasses.replace(scn.generator, mu_c_minus_mu_t=probe_mu)
+        for scn in scenarios
+    ]
+    studies = null_study_sweep(
+        zip(scenarios, probes),
+        probe_levels=tuple(cfg["nullstudy.probe_levels"]),
+        ref_draws=cfg["nullstudy.ref_draws"],
+        workers=args.workers,
+    )
     header = [
         *_SWEEP_KEYS, "method", "level", "reference_quantile", "true_quantile", "ks_distance"
     ]
     swept = [c for c in _SWEEP_KEYS if c != "sizes.n" and isinstance(cfg[c], list)]
     rows, lines = [], ["ttpool null-study report", "========================"]
-    for cell, scn in zip(cells, scenarios):
-        probe = None
-        if cell["nullstudy.probe_mu_c_minus_mu_t"] is not None:
-            probe = MeanShift(
-                mu_c_minus_mu_t=cell["nullstudy.probe_mu_c_minus_mu_t"],
-                mu_h_minus_mu_c=cell["scenario.mu_h_minus_mu_c"],
-            )
-        study = null_distribution_study(
-            scn,
-            probe_levels=tuple(cell["nullstudy.probe_levels"]),
-            probe_generator=probe,
-            ref_draws=cell["nullstudy.ref_draws"],
-            workers=args.workers,
-        )
+    for cell, study in zip(cells, studies):
         label = "".join(f" {c}={cell[c]}" for c in swept)
         for row in study:
             rows.append(
@@ -525,11 +508,7 @@ def cmd_null_study(args) -> int:
                 f"ref_q={row.reference_quantile:.4g} true_q={row.true_quantile:.4g} "
                 f"ks={row.ks_distance:.4f}"
             )
-    write_table(Path(str(args.out) + ".tsv"), cfg, header, rows)
-    text = "\n".join(lines) + "\n"
-    Path(args.out).write_text(text)
-    print(text, end="")
-    return EXIT_OK
+    return _write_outputs(args.out, lines, ".tsv", format_table(cfg, header, rows))
 
 
 # ---------------------------------------------------------------------------

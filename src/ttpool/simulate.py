@@ -1,14 +1,15 @@
 """Monte Carlo campaign runner for the synthetic studies.
 
 Replicates are embarrassingly parallel and seeded per replicate from the
-campaign master seed, so results are bitwise identical for any worker
-count.  ``run_sweep`` runs a sweep replicate-major: one item is one
-replicate of every cell, and the cells share that replicate's resampling
-draws.  ``_map_replicates`` is the one place that runs replicates: in
-this process for one worker, otherwise in a process pool that it opens
-for the call, whose workers each run one BLAS thread.  Data generation
-uses numpy's PCG64 Generator (``standard_normal`` scaled and shifted),
-recorded in the result for replay.
+campaign master seed, so any two runs on 2 or more workers agree bit for
+bit.  A serial run keeps the default BLAS threading, and OpenBLAS rounds
+a product on 1 and on 2 threads apart once its inner dimension reaches
+about 400: serial runs agree with pooled ones below that, as at the
+paper shape.  ``_sweep`` runs the cells of either study replicate-major
+through ``_map_replicates``: in this process for one worker, otherwise in
+one process pool whose workers each run one BLAS thread.  Data
+generation uses numpy's PCG64 Generator (``standard_normal`` scaled and
+shifted), recorded in the result for replay.
 """
 
 from __future__ import annotations
@@ -270,14 +271,15 @@ def check_workers(workers: int) -> None:
 def _map_replicates(run, replicates: int, workers: int) -> list:
     """``[run(rep) for rep in range(replicates)]``, on ``workers`` processes if > 1.
 
-    One worker runs the loop here, with the default BLAS threading that
-    large matrix products need.  More open a process pool for this call
-    and close it after; ``run`` must then be picklable (a module-level
-    function or a ``partial`` of one).  The rows come back in replicate
-    order either way.  The pool opens ``min(workers, replicates)``
-    processes, because a fork-context pool starts all of its processes at
-    the first submit, and the replicates go out in chunks of
-    ``ceil(replicates / processes)``, one per process.
+    One worker runs the loop here, with the default BLAS threading: one
+    thread made a serial benchmark sweep 16–25 % slower on a 2-vCPU VM.
+    More open a process pool for this call and close it after; ``run``
+    must then be picklable (a module-level function or a ``partial`` of
+    one).  The rows come back in replicate order either way.  The pool
+    opens ``min(workers, replicates)`` processes, because a fork-context
+    pool starts all of its processes at the first submit, and the
+    replicates go out in chunks of ``ceil(replicates / processes)``, one
+    per process.
 
     Workers fork at the pool's first map, while ``_one_blas_thread`` holds
     the parent's OpenBLAS at one thread, so each worker starts with one
@@ -297,8 +299,8 @@ def _map_replicates(run, replicates: int, workers: int) -> list:
         return list(pool.map(run, reps, chunksize=math.ceil(replicates / processes)))
 
 
-def _sweep_item(scenarios: tuple, rep: int) -> list[tuple[tuple, float]]:
-    """Replicate ``rep`` of every cell: per cell, its ``_run_replicate`` outcomes and seconds.
+def _sweep_item(runs: tuple, rep: int) -> list[tuple[object, float]]:
+    """Replicate ``rep`` of every cell: per cell, ``run(rep, store)`` and its seconds.
 
     Cells with the same master seed have the same stage seeds, so their
     draws of one plan are the same bytes.  The cells share one store for
@@ -308,11 +310,26 @@ def _sweep_item(scenarios: tuple, rep: int) -> list[tuple[tuple, float]]:
     """
     store = {}
     out = []
-    for scn in scenarios:
+    for run in runs:
         start = time.perf_counter()
-        run = _run_replicate(scn, rep, store)
-        out.append((run, time.perf_counter() - start))
+        result = run(rep, store)
+        out.append((result, time.perf_counter() - start))
     return out
+
+
+def _sweep(runs, scenarios, workers: int) -> list[list[tuple[object, float]]]:
+    """Per cell, the ``(result, seconds)`` of ``runs[cell](rep, store)`` in replicate order.
+
+    The cells' ``scenarios`` must have one replicate count.  All items run
+    in one ``_map_replicates`` map, so a sweep opens at most one pool.
+    """
+    counts = {scn.replicates for scn in scenarios}
+    if len(counts) != 1:
+        raise ConfigError(
+            f"a sweep needs cells with one replicate count, got {sorted(counts)}"
+        )
+    items = _map_replicates(partial(_sweep_item, tuple(runs)), counts.pop(), workers)
+    return [[item[cell] for item in items] for cell in range(len(runs))]
 
 
 def _cell_result(scn: Scenario, timed_rows: list) -> CampaignResult:
@@ -339,26 +356,14 @@ def _cell_result(scn: Scenario, timed_rows: list) -> CampaignResult:
 def run_sweep(scenarios, workers: int = 1) -> list[CampaignResult]:
     """Run every cell of a sweep and aggregate each cell's merge / rejection rates.
 
-    The cells must have one replicate count.  The sweep runs
-    replicate-major: one item is replicate r of every cell, in order, and
-    the items run on ``workers`` processes, all in one map of
-    ``_map_replicates``, so a sweep opens at most one pool.  The cells of
-    an item share its resampling draws (see ``_sweep_item``); they were
-    the same draws before, so each result equals ``run_campaign`` of its
-    cell alone, for any worker count.  ``workers < 1`` is a
-    ``ConfigError``.
+    ``_sweep`` of each cell's ``_run_replicate``, on ``workers`` processes.
+    The cells of a replicate share its resampling draws; they were the
+    same draws before, so each result equals ``run_campaign`` of its cell
+    alone.
     """
     scenarios = tuple(scenarios)
-    counts = {scn.replicates for scn in scenarios}
-    if len(counts) != 1:
-        raise ConfigError(
-            f"a sweep needs cells with one replicate count, got {sorted(counts)}"
-        )
-    items = _map_replicates(partial(_sweep_item, scenarios), counts.pop(), workers)
-    return [
-        _cell_result(scn, [item[cell] for item in items])
-        for cell, scn in enumerate(scenarios)
-    ]
+    runs = [partial(_run_replicate, scn) for scn in scenarios]
+    return list(map(_cell_result, scenarios, _sweep(runs, scenarios, workers)))
 
 
 def run_campaign(scn: Scenario, workers: int = 1) -> CampaignResult:
@@ -399,6 +404,7 @@ def _null_replicate(
     ref_draws: int,
     methods: tuple,
     rep: int,
+    store: dict,
 ):
     """One null-study replicate: per method, its true-null statistic and reference draws.
 
@@ -406,6 +412,8 @@ def _null_replicate(
     and reference law once.  The reference draws are taken on the
     replicate's own Gram, or on arms drawn from ``probe_generator`` with
     the replicate's data seed; the methods share one generator, in order.
+    ``store`` is unused: that generator is the replicate's own, not a
+    stage seed that other cells could share.
     """
     estimator = scn.ttp.causality.estimator
     gram = build_gram(scn.ttp.kernel, *draw_arms(scn, rep))
@@ -424,49 +432,8 @@ def _null_replicate(
     return out
 
 
-def check_null_study(generator: Generator, probe_levels, ref_draws: int, methods=()) -> None:
-    """Refuse null-study settings that ``null_distribution_study`` cannot run.
-
-    ``generator`` must fix Qc = Qt; the probe generator is not checked.
-    """
-    if isinstance(generator, MeanShift) and generator.mu_c_minus_mu_t != 0.0:
-        raise ConfigError("null-study requires Qc = Qt (scenario.mu_c_minus_mu_t = 0)")
-    if isinstance(generator, VarShift) and generator.var_c_over_var_t != 1.0:
-        raise ConfigError("null-study requires Qc = Qt (scenario.var_c_over_var_t = 1)")
-    if ref_draws < 1:
-        raise ConfigError(f"ref_draws must be >= 1, got {ref_draws}")
-    if not all(0.0 < level < 1.0 for level in probe_levels):
-        raise ConfigError(f"probe levels must lie in (0, 1), got {list(probe_levels)}")
-    if Method.STANDARD_PERMUTATION in methods:
-        raise ConfigError("the null study compares merged-branch methods only")
-
-
-def null_distribution_study(
-    scn: Scenario,
-    probe_levels=(0.9, 0.95),
-    probe_generator: Optional[Generator] = None,
-    ref_draws: int = 20,
-    methods=(Method.PARTIAL_BOOTSTRAP, Method.PARTIAL_PERMUTATION, Method.NORMAL_APPROX),
-    workers: int = 1,
-) -> list[NullStudyRow]:
-    """Compare per-method reference distributions against true-null Monte Carlo.
-
-    ``scn.generator`` must fix Qc = Qt, else this is a ``ConfigError``; it
-    supplies the true null draws of the test statistics (Delta for
-    bootstrap / normal approximation, T for partial permutation).
-    Reference draws are computed on data from ``probe_generator``
-    (default: the null generator itself, whose replicate Gram is then
-    reused), pooling ``ref_draws`` resamples per replicate across
-    replicates.  Replicates run on ``workers``
-    processes, through one ``_map_replicates`` call per study; the rows
-    are bitwise identical for any worker count.
-    """
-    check_null_study(scn.generator, probe_levels, ref_draws, methods)
-    per_rep = _map_replicates(
-        partial(_null_replicate, scn, probe_generator, ref_draws, methods),
-        scn.replicates,
-        workers,
-    )
+def _null_rows(per_rep: list, probe_levels, methods) -> list[NullStudyRow]:
+    """Aggregate one cell's ``_null_replicate`` outputs, in replicate order."""
     rows = []
     for method in methods:
         truth = np.array([rep_out[method][0] for rep_out in per_rep])
@@ -482,4 +449,55 @@ def null_distribution_study(
                     ks_distance=ks,
                 )
             )
+    return rows
+
+
+_NULL_METHODS = (Method.PARTIAL_BOOTSTRAP, Method.PARTIAL_PERMUTATION, Method.NORMAL_APPROX)
+
+
+def null_study_sweep(
+    cells, probe_levels, ref_draws: int, methods=_NULL_METHODS, workers: int = 1
+) -> list[list[NullStudyRow]]:
+    """``null_distribution_study`` of each ``(scenario, probe_generator)`` cell, in one ``_sweep``.
+
+    Each setting but a probe generator is checked (``ConfigError``) before a replicate runs.
+    """
+    cells = tuple(cells)
+    for scn, _ in cells:
+        generator = scn.generator
+        if isinstance(generator, MeanShift) and generator.mu_c_minus_mu_t != 0.0:
+            raise ConfigError("null-study requires Qc = Qt (scenario.mu_c_minus_mu_t = 0)")
+        if isinstance(generator, VarShift) and generator.var_c_over_var_t != 1.0:
+            raise ConfigError("null-study requires Qc = Qt (scenario.var_c_over_var_t = 1)")
+    if ref_draws < 1:
+        raise ConfigError(f"ref_draws must be >= 1, got {ref_draws}")
+    if not all(0.0 < level < 1.0 for level in probe_levels):
+        raise ConfigError(f"probe levels must lie in (0, 1), got {list(probe_levels)}")
+    if Method.STANDARD_PERMUTATION in methods:
+        raise ConfigError("the null study compares merged-branch methods only")
+    runs = [partial(_null_replicate, scn, probe, ref_draws, methods) for scn, probe in cells]
+    per_cell = _sweep(runs, [scn for scn, _ in cells], workers)
+    return [_null_rows([out for out, _ in rows], probe_levels, methods) for rows in per_cell]
+
+
+def null_distribution_study(
+    scn: Scenario,
+    probe_levels=(0.9, 0.95),
+    probe_generator: Optional[Generator] = None,
+    ref_draws: int = 20,
+    methods=_NULL_METHODS,
+    workers: int = 1,
+) -> list[NullStudyRow]:
+    """Compare per-method reference distributions against true-null Monte Carlo.
+
+    ``scn.generator`` must fix Qc = Qt, else this is a ``ConfigError``; it
+    supplies the true null draws of the test statistics (Delta for
+    bootstrap / normal approximation, T for partial permutation).
+    Reference draws are computed on data from ``probe_generator``
+    (default: the null generator itself, whose replicate Gram is then
+    reused), pooling ``ref_draws`` resamples per replicate across
+    replicates.  ``null_study_sweep`` of the one cell, on ``workers``
+    processes.
+    """
+    (rows,) = null_study_sweep(((scn, probe_generator),), probe_levels, ref_draws, methods, workers)
     return rows

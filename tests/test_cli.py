@@ -8,6 +8,7 @@ import platform
 import re
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -312,7 +313,7 @@ class TestExitCodes:
         def refuse(*args, **kwargs):
             raise AssertionError("an analysis or replicate ran")
 
-        for name in ("run_report", "run_sweep", "null_distribution_study"):
+        for name in ("run_report", "run_sweep", "null_study_sweep"):
             monkeypatch.setattr(cli, name, refuse)
         data = ["--set", f"data={dataset}"] if command == "test" else []
         rc = main([command, "--out", str(tmp_path / "r.txt"), *data, *spelling])
@@ -687,6 +688,60 @@ class TestCmdNullStudy:
         assert len(set(labels)) == 12
         assert all(" scenario.mu_h_minus_mu_c=" in ln for ln in labels)
 
+    def test_probe_on_a_variance_scenario_exit_2(self, tmp_path, capsys, monkeypatch):
+        # The probe shifts means only; it once dropped both variance ratios.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setattr(simulate, "draw_arms", refuse)
+        rc = main(
+            [
+                "null-study", "--out", str(tmp_path / "n.txt"), *SMALL_CAMPAIGN,
+                "--set", "scenario.generator=var_shift", "--set", "scenario.var_h_over_var_c=4",
+                "--set", "nullstudy.probe_mu_c_minus_mu_t=0.0",
+            ]
+        )
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: nullstudy.probe_mu_c_minus_mu_t needs scenario.generator=mean_shift\n"
+        )
+
+    def test_probe_at_no_shift_keeps_the_historical_shift(self, tmp_path):
+        # A probe at mu_c - mu_t = 0 redraws the scenario's own arms.
+        args = [
+            "null-study", *SMALL_CAMPAIGN, "--set", "nullstudy.ref_draws=5",
+            "--set", "scenario.mu_h_minus_mu_c=0.7",
+        ]
+
+        def rows(name, sets):
+            out = tmp_path / name
+            assert main(args + sets + ["--out", str(out)]) == EXIT_OK
+            lines = Path(f"{out}.tsv").read_text().splitlines()
+            return [ln for ln in lines if not ln.startswith("# ")]
+
+        probed = rows("probe.txt", ["--set", "nullstudy.probe_mu_c_minus_mu_t=0.0"])
+        assert probed == rows("base.txt", [])
+
+
+@pytest.mark.parametrize("command", ["simulate", "null-study"])
+def test_two_cell_sweep_opens_one_pool(tmp_path, monkeypatch, command):
+    sizes = []
+
+    def recording(max_workers, **kwargs):
+        sizes.append(max_workers)
+        return ProcessPoolExecutor(max_workers, **kwargs)
+
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", recording)
+    draws = ["--set", "nullstudy.ref_draws=5"] if command == "null-study" else []
+    rc = main(
+        [
+            command, "--out", str(tmp_path / "r.txt"), "--workers", "2", *SMALL_CAMPAIGN,
+            "--set", "scenario.mu_h_minus_mu_c=0,2", *draws, *FAST,
+        ]
+    )
+    assert rc == EXIT_OK
+    assert sizes == [2]
+
 
 @pytest.mark.parametrize(
     "command, sweep",
@@ -718,20 +773,32 @@ def test_sweep_tsv_bitwise_identical_for_workers_1_2_3(tmp_path, command, sweep)
     "sweep",
     [
         # The two fusion modes share a fusion seed but draw different plans.
-        {"fusion.mode": ["equivalence", "classic"], "scenario.mu_c_minus_mu_t": ["0", "0.4"]},
+        (
+            "simulate",
+            {"fusion.mode": ["equivalence", "classic"], "scenario.mu_c_minus_mu_t": ["0", "0.4"]},
+        ),
         # Each arm size draws weights of another shape.
-        {"sizes.n": ["10", "16", "21"]},
+        ("simulate", {"sizes.n": ["10", "16", "21"]}),
+        # Null-study cells draw from generators of their own, in one map.
+        ("null-study", {"scenario.mu_h_minus_mu_c": ["0", "1"], "sizes.n": ["10", "16"]}),
     ],
 )
 def test_sweep_rows_equal_each_cell_run_alone(tmp_path, sweep, workers):
     # A sweep's cells share each replicate's resampling draws.  The keys of
-    # ``sweep`` are in sweep-key order, so the cells come in this order.
+    # the sweep are in sweep-key order, so the cells come in this order.
+    command, sweep = sweep
+    extra = {
+        "simulate": [
+            "--set", "scenario.mu_h_minus_mu_c=0.2",
+            "--set", "compare_methods=partial_permutation,normal_approx",
+        ],
+        "null-study": ["--set", "nullstudy.ref_draws=5"],
+    }
     args = [
-        "simulate",
+        command,
         "--set", "replicates=5",
         "--set", "sizes.n=16", "--set", "sizes.m=12", "--set", "sizes.l=14",
-        "--set", "scenario.mu_h_minus_mu_c=0.2",
-        "--set", "compare_methods=partial_permutation,normal_approx",
+        *extra[command],
         "--seed", "6",
         *FAST,
     ]
@@ -748,8 +815,8 @@ def test_sweep_rows_equal_each_cell_run_alone(tmp_path, sweep, workers):
     swept = rows("sweep.txt", sets((k, ",".join(v)) for k, v in sweep.items()), workers)
     alone = []
     for i, combo in enumerate(itertools.product(*sweep.values())):
-        header, row = rows(f"cell{i}.txt", sets(zip(sweep, combo)))
-        alone.append(row)
+        header, *cell_rows = rows(f"cell{i}.txt", sets(zip(sweep, combo)))
+        alone += cell_rows
     assert swept == [header, *alone]
 
 

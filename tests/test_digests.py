@@ -1,4 +1,4 @@
-"""Output digests of five small fixed-seed runs.
+"""Output digests of six small fixed-seed runs.
 
 A change that claims to leave every output bitwise equal (a speed-up that
 reorders no floating-point operation and moves no random stream) must
@@ -26,6 +26,7 @@ DIGESTS = {
     "simulate": "dbc6b8723d6297bbd2393b6cd33be28dbd0476d861b6eaf7c164716df09e395d",
     "simulate-classic": "7a7fad06c1f992f17802539fffa34d9e5e66790d830a95ef0b95f16059fa48f4",
     "null-study": "c6e20cee2171a8917a38ccc31dd4b97dc8ec2ac56d56e64120f43adbaa35f2fd",
+    "null-study-sweep": "eaab10c109f00e3ba5e8dff60938dfd1f004d24e163f4d558563dbfc651ff2b3",
 }
 
 
@@ -80,11 +81,18 @@ def test_output_digest(tmp_path, monkeypatch, capsys, command):
              "--set", "fusion.num_bootstrap=300", "--set", "causality.num_resamples=300"],
         )
         output = tmp_path / "s.txt.tsv"
-    else:
+    elif command == "null-study":
         _run(
             tmp_path, monkeypatch, capsys,
             ["null-study", "--out", "n.txt", *PAPER_SIZES, "--seed", "11",
              "--set", "replicates=8", "--set", "scenario.mu_h_minus_mu_c=0.3"],
+        )
+        output = tmp_path / "n.txt.tsv"
+    else:
+        _run(
+            tmp_path, monkeypatch, capsys,
+            ["null-study", "--out", "n.txt", *PAPER_SIZES, "--seed", "11", "--workers", "2",
+             "--set", "replicates=8", "--set", "scenario.mu_h_minus_mu_c=0,0.3"],
         )
         output = tmp_path / "n.txt.tsv"
     assert _sha256(output) == DIGESTS[command]

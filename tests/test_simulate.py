@@ -426,7 +426,7 @@ class TestNullStudy:
         ttp = TTPConfig(causality=CausalityConfig(num_resamples=10, estimator=estimator))
         scn = tiny_scenario(reps=1, seed=3, ttp=ttp)
         methods = (Method.PARTIAL_BOOTSTRAP, Method.PARTIAL_PERMUTATION, Method.NORMAL_APPROX)
-        out = _null_replicate(scn, None, 9, methods, 0)
+        out = _null_replicate(scn, None, 9, methods, 0, {})
         gram = build_gram(scn.ttp.kernel, *draw_arms(scn, 0))
         for method in methods:
             cfg = dataclasses.replace(scn.ttp.causality, method=method, seed=0)
@@ -496,7 +496,7 @@ class TestTwoArmBuiltOnFirstRead:
 
     def test_null_study_replicate_builds_no_two_arm_side(self, two_arm_builds):
         methods = (Method.PARTIAL_BOOTSTRAP, Method.PARTIAL_PERMUTATION, Method.NORMAL_APPROX)
-        _null_replicate(self._scenario(0.4), MeanShift(1.0, 0.0), 5, methods, 0)
+        _null_replicate(self._scenario(0.4), MeanShift(1.0, 0.0), 5, methods, 0, {})
         assert two_arm_builds == {"matrix": 0, "bandwidth": 0}
 
     def test_merged_report_builds_the_two_arm_bandwidth_only(self, two_arm_builds):
