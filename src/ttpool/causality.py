@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import ConfigError, SampleTooSmall
 from .estimators import (
@@ -50,7 +49,7 @@ from .estimators import (
     resample_weights,
 )
 from .kernels import GramCache
-from .quantile import inf_quantile
+from .quantile import inf_quantile, ndtri
 
 
 class Method(str, Enum):
@@ -356,8 +355,8 @@ def normal_scale(gram: GramCache) -> float:
 def normal_approx_test(gram: GramCache, cfg: CausalityConfig) -> CausalityOutcome:
     """Delta against the (1 - alpha)-quantile of N(0, 4(1 + 1/c1) sigma_c^2)."""
     statistic = delta_statistic(gram, cfg.estimator)
-    # ndtri is the standard-normal quantile, bit for bit what scipy.stats'
-    # norm.ppf returns; importing scipy.stats would double every process's start-up.
+    # ndtri is a pure-Python port of the Cephes quantile behind SciPy's
+    # norm.ppf, so the critical value has its bits without importing SciPy.
     critical = float(ndtri(1.0 - cfg.alpha) * normal_scale(gram))
     return _outcome(statistic, critical, Method.NORMAL_APPROX)
 

@@ -9,24 +9,31 @@ latter; everything else uses the former.
 ``build_gram`` builds the three-arm matrix and bandwidth only.  The
 two-arm bandwidth and matrix are built on first read, because a merged
 analysis never reads the matrix and a campaign replicate that merges
-reads neither.  Each pool's Gram is made by one helper: ``pdist`` gives
-the pairwise squared distances, whose median is partitioned in place;
-``squareform`` expands them to a square matrix, which is exactly
-symmetric with a zero diagonal; and the kernel is applied in place on
-it, so only the ``x @ x.T`` term of the linear kernels is mirrored.
+reads neither.
+
+Squared distances come from one NumPy routine, ``_distance_blocks``,
+which works in row blocks of about 512 KiB.  Each entry sums
+(x_k - y_k)**2 over the dimensions in order, as SciPy's ``sqeuclidean``
+does, so every distance, median and kernel value has the bits that
+``pdist``/``cdist`` gave.  A pool's Gram is made by one helper: its
+blocks cover the upper triangle, written straight into the N×N matrix,
+and their strict upper triangle is collected for the median, which is
+partitioned in place.  The kernel is then applied block by block, and
+the columns left of each diagonal block are copied from the rows above,
+so the matrix is exactly symmetric with a zero-distance diagonal.  Only
+the ``x @ x.T`` term of the linear kernels is mirrored on its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist, squareform
 
-from .errors import DegenerateSample, DimensionMismatch, ConfigError
+from .errors import ConfigError, DataError, DegenerateSample, DimensionMismatch
 
 
 class KernelFamily(str, Enum):
@@ -82,15 +89,23 @@ class Arm(str, Enum):
 
 @dataclass(frozen=True)
 class Sample:
-    """Observations from one arm, shape (size, d)."""
+    """Observations from one arm, shape (size, d).
+
+    Raises:
+        DimensionMismatch: unless the points form a (size, d) array with
+            size >= 1 and d >= 1.
+        DataError: if a coordinate is NaN or infinite.
+    """
 
     points: np.ndarray
     arm: Arm
 
     def __post_init__(self) -> None:
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        if pts.ndim != 2 or pts.shape[0] < 1:
-            raise DimensionMismatch("sample must be a nonempty (size, d) array")
+        if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
+            raise DimensionMismatch("sample must be a (size, d) array with size >= 1 and d >= 1")
+        if not np.isfinite(pts).all():
+            raise DataError(f"{Arm(self.arm).value} arm has a non-finite point")
         pts = pts.copy()
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
@@ -117,16 +132,17 @@ def resolve_bandwidth(spec: KernelSpec, pooled: np.ndarray) -> float:
     """
     if spec.bandwidth is not None:
         return float(spec.bandwidth)
-    pooled = np.atleast_2d(np.asarray(pooled, dtype=float))
+    pooled = _check_dim(np.atleast_2d(np.asarray(pooled, dtype=float)))
     if pooled.shape[0] < 2:
         raise DegenerateSample("median heuristic needs at least two points")
-    return _median_bandwidth(spec, pdist(pooled, metric="sqeuclidean"))
+    return _median_bandwidth(spec, _pair_distances(pooled))
 
 
 def _median_bandwidth(spec: KernelSpec, pair_sq: np.ndarray) -> float:
-    """The bandwidth from condensed pairwise squared distances.
+    """The bandwidth from the squared distances of all distinct pairs.
 
-    ``pair_sq`` is reordered in place.  One ``partition`` places the upper
+    ``pair_sq`` holds one value per unordered pair, in any order, and
+    is reordered in place.  One ``partition`` places the upper
     central order statistic; for an even count the lower one is the
     largest value below it, and the two are averaged as ``np.median``
     averages them.  ``np.median`` partitions at two or three positions,
@@ -143,6 +159,94 @@ def _median_bandwidth(spec: KernelSpec, pair_sq: np.ndarray) -> float:
     if med <= 0.0:
         raise DegenerateSample("median pairwise distance is zero; no valid bandwidth")
     return med
+
+
+#: Entries in one row block of a distance matrix: 512 KiB of float64, so
+#: that the several passes over a block run in cache.
+_BLOCK = 1 << 16
+
+
+def _rows_per_block(cols: int) -> int:
+    return max(1, _BLOCK // max(cols, 1))
+
+
+def _check_dim(points: np.ndarray) -> np.ndarray:
+    if points.shape[1] < 1:
+        raise DimensionMismatch("points need at least one coordinate")
+    return points
+
+
+def _distance_blocks(
+    x: np.ndarray, y: np.ndarray, out: Optional[np.ndarray] = None, upper: bool = False
+):
+    """Yield ``(lo, hi, block)``: the squared distances from rows ``lo:hi`` of ``x`` to ``y``.
+
+    Each entry is ((x_1 - y_1)**2 + (x_2 - y_2)**2) + ..., summed over
+    the dimensions in order from zero, as SciPy's ``sqeuclidean`` sums
+    them.  ``block`` is ``out[lo:hi]`` when ``out`` is given, else one
+    reused buffer block.  With ``upper`` (``y`` is ``x``) it holds
+    columns ``lo:`` only: the diagonal block and everything right of it.
+    A block has about ``_BLOCK`` entries, and one more buffer block holds
+    each later dimension's term.  The coordinates are read from
+    transposed copies, so every pass runs over contiguous rows.
+    """
+    rows, cols = x.shape[0], y.shape[0]
+    step = _rows_per_block(cols)
+    buffer = np.empty(step * cols) if out is None else None
+    term = np.empty(step * cols) if x.shape[1] > 1 else None
+    xt = x.T.copy()
+    yt = xt if y is x else y.T.copy()
+    for lo in range(0, rows, step):
+        hi = min(lo + step, rows)
+        first = lo if upper else 0
+        if out is None:
+            block = buffer[: (hi - lo) * (cols - first)].reshape(hi - lo, cols - first)
+        else:
+            block = out[lo:hi, first:]
+        np.subtract.outer(xt[0, lo:hi], yt[0, first:], out=block)
+        np.square(block, out=block)
+        for k in range(1, x.shape[1]):
+            t = term[: block.size].reshape(block.shape)
+            np.subtract.outer(xt[k, lo:hi], yt[k, first:], out=t)
+            np.square(t, out=t)
+            block += t
+        yield lo, hi, block
+
+
+@lru_cache(maxsize=8)
+def _strict_upper(size: int) -> np.ndarray:
+    """Read-only mask of the strict upper triangle of a size×size block.
+
+    Kept between calls because making it is a visible share of a
+    paper-shape build; a mask is at most one block's 64 Ki entries.
+    """
+    mask = np.less.outer(np.arange(size), np.arange(size))
+    mask.setflags(write=False)
+    return mask
+
+
+def _pair_distances(points: np.ndarray, square: Optional[np.ndarray] = None) -> np.ndarray:
+    """The squared distance of every pair i < j of ``points``, as one vector.
+
+    The values are those of ``pdist(points, "sqeuclidean")``, grouped by
+    row block rather than in its order.  With ``square`` (N×N) the
+    blocks of ``_distance_blocks(..., upper=True)`` are written into it,
+    leaving its strict lower triangle outside the diagonal blocks unset.
+    """
+    n = points.shape[0]
+    pairs, pos = None, 0
+    for lo, hi, block in _distance_blocks(points, points, square, upper=True):
+        if hi - lo == n:  # one block holds every pair
+            return block[_strict_upper(n)]
+        if pairs is None:
+            pairs = np.empty(n * (n - 1) // 2)
+        diagonal = block[:, : hi - lo][_strict_upper(hi - lo)]
+        pairs[pos : pos + diagonal.size] = diagonal
+        pos += diagonal.size
+        right = block[:, hi - lo :]
+        pairs[pos : pos + right.size].reshape(right.shape)[...] = right
+        pos += right.size
+    return pairs
 
 
 def _apply_kernel(
@@ -179,14 +283,17 @@ def kernel_matrix(
     y: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Evaluate the kernel between all rows of ``x`` and ``y``."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    x = _check_dim(np.atleast_2d(np.asarray(x, dtype=float)))
     y = x if y is None else np.atleast_2d(np.asarray(y, dtype=float))
     if x.shape[1] != y.shape[1]:
         raise DimensionMismatch(f"dimensions differ: {x.shape[1]} vs {y.shape[1]}")
     if spec.family is KernelFamily.LINEAR:
         return x @ y.T
     linear = x @ y.T if spec.family is KernelFamily.LINEAR_PLUS_RBF else None
-    return _apply_kernel(spec, bandwidth, cdist(x, y, metric="sqeuclidean"), linear)
+    out = np.empty((x.shape[0], y.shape[0]))
+    for lo, hi, block in _distance_blocks(x, y, out):
+        _apply_kernel(spec, bandwidth, block, None if linear is None else linear[lo:hi])
+    return out
 
 
 def eval_kernel(
@@ -217,22 +324,30 @@ def _mirrored_product(x: np.ndarray) -> np.ndarray:
 def _pool_gram(spec: KernelSpec, pooled: np.ndarray) -> tuple[np.ndarray, Optional[float]]:
     """The kernel matrix of one pool and the bandwidth resolved on it.
 
-    Distance-based kernels take one ``pdist``: through ``squareform`` it
-    is the squared-distance matrix that the kernel overwrites, and its
-    median, partitioned in place after that, is the bandwidth.  The
-    linear kernel has no bandwidth.
+    Distance-based kernels take one pass of ``_pair_distances``: it
+    writes the upper row blocks of the squared-distance matrix that the
+    kernel overwrites, and its pairs, partitioned in place after that,
+    give the median bandwidth.  The kernel is then applied to those
+    blocks, and the columns left of each diagonal block are copied from
+    the rows above.  The linear kernel has no bandwidth.
 
     Raises:
         DegenerateSample: if the median bandwidth is zero.
     """
     if spec.family is KernelFamily.LINEAR:
         return _mirrored_product(pooled), None
-    pair_sq = pdist(pooled, metric="sqeuclidean")
-    sq = squareform(pair_sq)
-    bandwidth = _median_bandwidth(spec, pair_sq)
-    del pair_sq
+    n = pooled.shape[0]
+    gram = np.empty((n, n))
+    bandwidth = _median_bandwidth(spec, _pair_distances(pooled, gram))
     linear = _mirrored_product(pooled) if spec.family is KernelFamily.LINEAR_PLUS_RBF else None
-    return _apply_kernel(spec, bandwidth, sq, linear), bandwidth
+    step = _rows_per_block(n)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        strip = None if linear is None else linear[lo:hi, lo:]
+        _apply_kernel(spec, bandwidth, gram[lo:hi, lo:], strip)
+        if lo:
+            gram[lo:hi, :lo] = gram[:lo, lo:hi].T
+    return gram, bandwidth
 
 
 @dataclass(frozen=True)

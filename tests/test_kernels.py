@@ -5,12 +5,13 @@ import math
 
 import numpy as np
 import pytest
-from scipy.spatial.distance import pdist
+from scipy.spatial.distance import cdist, pdist, squareform
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ALL_FAMILIES, oracle_median_sq_distance, random_spec
-from ttpool.errors import ConfigError, DegenerateSample, DimensionMismatch
+from ttpool import kernels
+from ttpool.errors import ConfigError, DataError, DegenerateSample, DimensionMismatch
 from ttpool.kernels import (
     Arm,
     KernelFamily,
@@ -51,6 +52,30 @@ class TestSample:
         s = Sample([1.0, 2.0, 3.0], Arm.TREATMENT)
         assert s.points.shape == (1, 3) or s.points.shape == (3, 1)
         assert s.dim in (1, 3)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_point_is_a_data_error(self, value):
+        with pytest.raises(DataError, match="historical arm has a non-finite point"):
+            Sample([[0.0, 1.0], [2.0, value]], Arm.HISTORICAL)
+
+    def test_infinite_point_is_refused_before_the_median(self):
+        # An inf point made inf and NaN distances whose median was finite,
+        # so a finite Gram was built from it without a word.
+        pts = np.array([[0.0], [1.0], [3.0], [np.inf], [4.0], [6.0]])
+        assert np.isfinite(np.median(pdist(pts, metric="sqeuclidean")))
+        with pytest.raises(DataError, match="treatment"):
+            Sample(pts, Arm.TREATMENT)
+
+    def test_zero_width_sample_is_a_dimension_mismatch(self):
+        # (n, 0) arms under a fixed bandwidth made an all-ones Gram.
+        with pytest.raises(DimensionMismatch, match="d >= 1"):
+            Sample(np.empty((3, 0)), Arm.CURRENT)
+
+    def test_zero_width_raw_points_are_refused(self):
+        with pytest.raises(DimensionMismatch):
+            kernel_matrix(KernelSpec(), 1.0, np.empty((3, 0)))
+        with pytest.raises(DimensionMismatch):
+            resolve_bandwidth(KernelSpec(), np.empty((3, 0)))
 
 
 class TestResolveBandwidth:
@@ -364,3 +389,72 @@ class TestSinglePassGram:
             for name in (first, "bandwidth_pooled2", "matrix_nomerge"):
                 with pytest.raises(DegenerateSample, match="median pairwise distance is zero"):
                     getattr(gram, name)
+
+
+_DISTANCE_FAMILIES = [f for f in KernelFamily if f is not KernelFamily.LINEAR]
+
+
+def _spec(family):
+    return KernelSpec(family=family, epsilon=0.3 if family is KernelFamily.LINEAR_PLUS_RBF else 0.0)
+
+
+class TestSciPyOracle:
+    """Distances, medians and kernels match SciPy's ``pdist``/``cdist`` bit for bit.
+
+    The package computes distances in NumPy row blocks, summing
+    (x_k - y_k)**2 over the dimensions in SciPy's order.  Sizes 250 and
+    1500 take one and several row blocks.
+    """
+
+    @pytest.fixture(params=[1, 2, 3, 7], ids=lambda d: f"d{d}")
+    def dim(self, request):
+        return request.param
+
+    @pytest.fixture(params=[2, 3, 250, 1500], ids=lambda n: f"n{n}")
+    def points(self, request, dim):
+        rng = np.random.default_rng([request.param, dim])
+        return rng.normal(size=(request.param, dim)) * rng.uniform(0.1, 10.0, size=dim)
+
+    def test_squared_distances(self, points):
+        n = len(points)
+        want = pdist(points, metric="sqeuclidean")
+        square = np.empty((n, n))
+        pairs = kernels._pair_distances(points, square)
+        assert np.array_equal(np.sort(pairs), np.sort(want))
+        assert np.array_equal(square[np.triu_indices(n, 1)], want)
+        assert np.array_equal(np.sort(kernels._pair_distances(points)), np.sort(want))
+
+    def test_median_and_bandwidths(self, points):
+        want = float(np.median(pdist(points, metric="sqeuclidean")))
+        assert kernels._median_bandwidth(KernelSpec(), kernels._pair_distances(points)) == want
+        assert resolve_bandwidth(KernelSpec(), points) == want
+        assert kernels._pool_gram(KernelSpec(), points)[1] == want
+
+    @pytest.mark.parametrize("family", _DISTANCE_FAMILIES)
+    def test_pool_gram(self, points, family):
+        spec = _spec(family)
+        matrix, bandwidth = kernels._pool_gram(spec, points)
+        linear = points @ points.T if family is KernelFamily.LINEAR_PLUS_RBF else None
+        if linear is not None:
+            linear = np.triu(linear) + np.triu(linear, 1).T + 0.0
+        sq = squareform(pdist(points, metric="sqeuclidean"))
+        assert np.array_equal(matrix, kernels._apply_kernel(spec, bandwidth, sq, linear))
+
+    @pytest.mark.parametrize("family", _DISTANCE_FAMILIES)
+    def test_kernel_matrix_between_two_sets(self, points, family):
+        rng = np.random.default_rng(len(points))
+        other = rng.normal(size=(len(points) // 2 + 1, points.shape[1]))
+        spec = _spec(family)
+        linear = points @ other.T if family is KernelFamily.LINEAR_PLUS_RBF else None
+        want = kernels._apply_kernel(spec, 0.7, cdist(points, other, metric="sqeuclidean"), linear)
+        assert np.array_equal(kernel_matrix(spec, 0.7, points, other), want)
+
+    @pytest.mark.parametrize("size", [3, 4, 20, 23, 300])
+    def test_tied_integer_points(self, size):
+        # 3 and 23 points have an odd number of pairs; 4, 20 and 300 an even one.
+        rng = np.random.default_rng(size)
+        points = rng.integers(0, 3, size=(size, 2)).astype(float)
+        points[:2] = [[0.0, 0.0], [2.0, 1.0]]
+        want = pdist(points, metric="sqeuclidean")
+        assert np.array_equal(np.sort(kernels._pair_distances(points)), np.sort(want))
+        assert resolve_bandwidth(KernelSpec(), points) == float(np.median(want))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ttpool.causality import CausalityConfig, Method, standard_permutation_test
-from ttpool.errors import ConfigError
+from ttpool.errors import ConfigError, DataError
 from ttpool.fusion import FusionConfig, FusionMode
 from ttpool.kernels import Arm, KernelSpec, Sample, build_gram
 from ttpool.pipeline import TTPConfig, derive_stage_seeds, run_report
@@ -171,3 +171,23 @@ class TestClassicPipeline:
         if report.fusion.merged:
             assert report.causality.merged_analysis
             assert report.causality.reject  # large treatment shift
+
+
+def test_nan_point_under_a_fixed_bandwidth_is_refused():
+    # With a fixed bandwidth no median sees the NaN, and the report came
+    # back with NaN statistics, merged=False and reject=False.
+    rng = np.random.default_rng(4)
+    cfg = TTPConfig(
+        kernel=KernelSpec(bandwidth=1.0),
+        fusion=FusionConfig(num_bootstrap=50),
+        causality=CausalityConfig(num_resamples=50),
+    )
+    historical = rng.normal(size=(30, 1))
+    historical[7, 0] = np.nan
+    with pytest.raises(DataError, match="historical arm has a non-finite point"):
+        run_report(
+            Sample(rng.normal(size=(25, 1)), Arm.CURRENT),
+            Sample(historical, Arm.HISTORICAL),
+            Sample(rng.normal(size=(35, 1)), Arm.TREATMENT),
+            cfg,
+        )

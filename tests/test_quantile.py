@@ -1,11 +1,14 @@
-"""Inf-convention empirical quantile contract."""
+"""Inf-convention empirical quantile contract, and the standard-normal quantile."""
+
+import math
 
 import numpy as np
 import pytest
+from scipy import special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ttpool.quantile import inf_quantile
+from ttpool.quantile import inf_quantile, ndtri
 
 
 def test_small_hand_cases():
@@ -47,3 +50,31 @@ def test_inf_convention_contract(values, level):
     smaller = v[v < q]
     if smaller.size:
         assert (v <= smaller.max()).mean() < level
+
+
+def _ndtri_cases():
+    rng = np.random.default_rng(17)
+    return np.concatenate([
+        rng.random(60_000),  # mostly the central branch, between exp(-2) and 1 - exp(-2)
+        np.exp(-rng.uniform(2.0, 32.0, 20_000)),  # lower tail, x = sqrt(-2 log p) < 8
+        np.exp(-rng.uniform(32.0, 745.0, 20_000)),  # lower tail, x >= 8
+        -np.expm1(-rng.uniform(0.0, 36.0, 20_000)),  # upper tail, through 1 - p
+        np.exp(-2.0) + np.linspace(-1e-6, 1e-6, 2001),  # the branch edges
+        1.0 - np.exp(-2.0) + np.linspace(-1e-6, 1e-6, 2001),
+        np.exp(-32.0) * np.linspace(0.99, 1.01, 2001),
+        [0.0, 1.0, 5e-324, 0.5, np.nextafter(1.0, 0.0), 0.8, 0.9, 0.95, 0.975, 0.99],
+    ])
+
+
+def test_ndtri_matches_scipy_bit_for_bit():
+    p = _ndtri_cases()
+    assert p.size >= 100_000 and (p < math.exp(-32.0)).sum() > 10_000
+    got = np.array([ndtri(float(v)) for v in p])
+    assert np.array_equal(got, special.ndtri(p))
+
+
+def test_ndtri_ends_and_outside():
+    assert ndtri(0.0) == -math.inf and ndtri(1.0) == math.inf
+    assert ndtri(0.5) == 0.0
+    for p in (-0.1, 1.5, math.nan):
+        assert math.isnan(ndtri(p))
