@@ -89,7 +89,7 @@ class Arm(str, Enum):
 
 @dataclass(frozen=True)
 class Sample:
-    """Observations from one arm, shape (size, d).
+    """Observations from one arm, shape (size, d); a 1-D array is (size, 1).
 
     Raises:
         DimensionMismatch: unless the points form a (size, d) array with
@@ -101,7 +101,7 @@ class Sample:
     arm: Arm
 
     def __post_init__(self) -> None:
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
+        pts = _as_points(self.points)
         if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
             raise DimensionMismatch("sample must be a (size, d) array with size >= 1 and d >= 1")
         if not np.isfinite(pts).all():
@@ -132,7 +132,7 @@ def resolve_bandwidth(spec: KernelSpec, pooled: np.ndarray) -> float:
     """
     if spec.bandwidth is not None:
         return float(spec.bandwidth)
-    pooled = _check_dim(np.atleast_2d(np.asarray(pooled, dtype=float)))
+    pooled = _check_dim(_as_points(pooled))
     if pooled.shape[0] < 2:
         raise DegenerateSample("median heuristic needs at least two points")
     return _median_bandwidth(spec, _pair_distances(pooled))
@@ -168,6 +168,12 @@ _BLOCK = 1 << 16
 
 def _rows_per_block(cols: int) -> int:
     return max(1, _BLOCK // max(cols, 1))
+
+
+def _as_points(points) -> np.ndarray:
+    """``points`` as a float array of rows; a 1-D array is one column, one point per value."""
+    pts = np.asarray(points, dtype=float)
+    return pts.reshape(-1, 1) if pts.ndim < 2 else pts
 
 
 def _check_dim(points: np.ndarray) -> np.ndarray:
@@ -283,8 +289,8 @@ def kernel_matrix(
     y: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Evaluate the kernel between all rows of ``x`` and ``y``."""
-    x = _check_dim(np.atleast_2d(np.asarray(x, dtype=float)))
-    y = x if y is None else np.atleast_2d(np.asarray(y, dtype=float))
+    x = _check_dim(_as_points(x))
+    y = x if y is None else _as_points(y)
     if x.shape[1] != y.shape[1]:
         raise DimensionMismatch(f"dimensions differ: {x.shape[1]} vs {y.shape[1]}")
     if spec.family is KernelFamily.LINEAR:

@@ -6,20 +6,19 @@ bit.  A serial run keeps the default BLAS threading, and OpenBLAS rounds
 a product on 1 and on 2 threads apart once its inner dimension reaches
 about 400: serial runs agree with pooled ones below that, as at the
 paper shape.  ``_sweep`` runs the cells of either study replicate-major
-through ``_map_replicates``: in this process for one worker, otherwise in
-one process pool whose workers each run one BLAS thread.  Data
-generation uses numpy's PCG64 Generator (``standard_normal`` scaled and
-shifted), recorded in the result for replay.
+through ``_map_replicates``: on the calling thread for one worker,
+otherwise in one pool of threads of this process, each running its BLAS
+calls on one thread.  Data generation uses numpy's PCG64 Generator
+(``standard_normal`` scaled and shifted), recorded in the result for
+replay.
 """
 
 from __future__ import annotations
 
 import ctypes
 import logging
-import math
-import multiprocessing
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import cache, partial
@@ -39,14 +38,6 @@ from .quantile import inf_quantile
 RNG_ALGORITHM = "numpy.random.Generator(PCG64).standard_normal"
 
 _log = logging.getLogger(__name__)
-
-#: Workers are forked where the platform can, so that they inherit the
-#: parent's one-thread BLAS setting (see ``_map_replicates``).
-_POOL_CONTEXT = (
-    multiprocessing.get_context("fork")
-    if "fork" in multiprocessing.get_all_start_methods()
-    else None
-)
 
 
 @dataclass(frozen=True)
@@ -127,9 +118,10 @@ class Scenario:
 class CampaignResult:
     """Rates of one campaign cell.
 
-    ``seconds`` is the time this cell's replicates took, summed over
-    replicates, whichever process ran them.  In a sweep, the first cell
-    of a replicate to need a draw makes it; the later cells copy it.
+    ``seconds`` is the wall time this cell's replicates took, summed over
+    replicates; on a pool thread that includes its waits for the
+    interpreter lock.  In a sweep, the first cell of a replicate to need a
+    draw makes it; the later cells copy it.
     """
 
     scenario: Scenario
@@ -230,9 +222,9 @@ def keep_freed_heap() -> bool:
     leaves the other at its 128 KiB default.  Trimming is bounded, not
     off: with it off, the free heap pages of a large-shape command stayed
     resident while its next Gram was mapped, which raised peak RSS.
-    Forked pool workers inherit the setting.  Where ``mallopt`` is
-    missing, nothing changes.  The CLI calls this; library functions
-    leave the allocator to their caller.
+    The setting is process-wide, so pool threads share it.  Where
+    ``mallopt`` is missing, nothing changes.  The CLI calls this; library
+    functions leave the allocator to their caller.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -247,10 +239,14 @@ def keep_freed_heap() -> bool:
 
 @contextmanager
 def _one_blas_thread():
-    """Run the block with NumPy's OpenBLAS on one thread; restore the saved count after."""
+    """Run the block with NumPy's OpenBLAS on one thread; restore the saved count after.
+
+    The count is process-wide: while it is 1, each thread that calls into
+    OpenBLAS runs its product on itself, with no helper threads.
+    """
     lib = _numpy_openblas()
     if lib is None:
-        _log.debug("no NumPy OpenBLAS found; pool workers keep the default BLAS threading")
+        _log.debug("no NumPy OpenBLAS found; pool threads keep the default BLAS threading")
         yield
         return
     saved = lib.scipy_openblas_get_num_threads64_()
@@ -269,34 +265,28 @@ def check_workers(workers: int) -> None:
 
 
 def _map_replicates(run, replicates: int, workers: int) -> list:
-    """``[run(rep) for rep in range(replicates)]``, on ``workers`` processes if > 1.
+    """``[run(rep) for rep in range(replicates)]``, on ``workers`` threads if > 1.
 
-    One worker runs the loop here, with the default BLAS threading: one
-    thread made a serial benchmark sweep 16–25 % slower on a 2-vCPU VM.
-    More open a process pool for this call and close it after; ``run``
-    must then be picklable (a module-level function or a ``partial`` of
-    one).  The rows come back in replicate order either way.  The pool
-    opens ``min(workers, replicates)`` processes, because a fork-context
-    pool starts all of its processes at the first submit, and the
-    replicates go out in chunks of ``ceil(replicates / processes)``, one
-    per process.
+    One worker runs the loop on the calling thread, with the default BLAS
+    threading: one thread made a serial benchmark sweep 16–25 % slower on
+    a 2-vCPU VM.  More open a pool of ``min(workers, replicates)`` threads
+    of this process for this call and close it after; the rows come back
+    in replicate order either way.  NumPy releases the interpreter lock in
+    the products, the random fills and large ufuncs, which is where a
+    replicate spends its time, so the threads run side by side there.
 
-    Workers fork at the pool's first map, while ``_one_blas_thread`` holds
-    the parent's OpenBLAS at one thread, so each worker starts with one
-    BLAS thread; the saved count is restored once the pool has closed.
-    Setting the count inside a worker after the fork is not enough:
-    OpenBLAS has started its helper threads by then, and they keep
-    competing with the other workers for the cores.  In a forked worker on
-    a 2-vCPU VM, 20 products of 1000×150 by 150×150 took 30–33 ms pinned
-    before the fork, 65–73 ms pinned after it and 87–147 ms unpinned.
+    The pool runs inside ``_one_blas_thread``, so each thread's OpenBLAS
+    call runs on that thread alone and the threads do not compete with
+    OpenBLAS helper threads for the cores; the saved count is restored
+    once the pool has closed.  An exception in ``run`` reaches the caller
+    after every thread has stopped.
     """
     check_workers(workers)
     reps = range(replicates)
     if workers == 1:
         return [run(rep) for rep in reps]
-    processes = min(workers, replicates)
-    with _one_blas_thread(), ProcessPoolExecutor(processes, mp_context=_POOL_CONTEXT) as pool:
-        return list(pool.map(run, reps, chunksize=math.ceil(replicates / processes)))
+    with _one_blas_thread(), ThreadPoolExecutor(min(workers, replicates)) as pool:
+        return list(pool.map(run, reps))
 
 
 def _sweep_item(runs: tuple, rep: int) -> list[tuple[object, float]]:
@@ -356,7 +346,7 @@ def _cell_result(scn: Scenario, timed_rows: list) -> CampaignResult:
 def run_sweep(scenarios, workers: int = 1) -> list[CampaignResult]:
     """Run every cell of a sweep and aggregate each cell's merge / rejection rates.
 
-    ``_sweep`` of each cell's ``_run_replicate``, on ``workers`` processes.
+    ``_sweep`` of each cell's ``_run_replicate``, on ``workers`` threads.
     The cells of a replicate share its resampling draws; they were the
     same draws before, so each result equals ``run_campaign`` of its cell
     alone.
@@ -370,7 +360,7 @@ def run_campaign(scn: Scenario, workers: int = 1) -> CampaignResult:
     """Run all replicates of one cell and aggregate merge / rejection rates.
 
     ``run_sweep`` of the one cell.  Replicates run on ``workers``
-    processes; ``workers < 1`` is a ``ConfigError``.
+    threads; ``workers < 1`` is a ``ConfigError``.
     """
     (result,) = run_sweep((scn,), workers)
     return result
@@ -497,7 +487,7 @@ def null_distribution_study(
     (default: the null generator itself, whose replicate Gram is then
     reused), pooling ``ref_draws`` resamples per replicate across
     replicates.  ``null_study_sweep`` of the one cell, on ``workers``
-    processes.
+    threads.
     """
     (rows,) = null_study_sweep(((scn, probe_generator),), probe_levels, ref_draws, methods, workers)
     return rows

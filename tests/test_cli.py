@@ -8,7 +8,8 @@ import platform
 import re
 import subprocess
 import sys
-from concurrent.futures import ProcessPoolExecutor
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,7 @@ from ttpool.cli import (
     load_dataset,
     main,
 )
-from ttpool.errors import ConfigError, DataError
+from ttpool.errors import ConfigError, DataError, DegenerateSample
 from ttpool.fusion import FusionOutcome
 from ttpool.kernels import Arm
 from ttpool.pipeline import run_report
@@ -246,9 +247,9 @@ class TestExitCodes:
         self, tmp_path, capsys, monkeypatch, dataset, command, workers
     ):
         def refuse(*args, **kwargs):
-            raise AssertionError("a process pool was opened or an analysis ran")
+            raise AssertionError("a pool was opened or an analysis ran")
 
-        monkeypatch.setattr(simulate, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(simulate, "ThreadPoolExecutor", refuse)
         monkeypatch.setattr(cli, "run_report", refuse)
         data = ["--set", f"data={dataset}"] if command == "test" else []
         rc = main([command, "--out", str(tmp_path / "s.txt"), *data, "--workers", workers])
@@ -435,6 +436,36 @@ class TestExitCodes:
             "statistical precondition failure: median pairwise distance is zero"
             in capsys.readouterr().err
         )
+
+    def test_failing_replicate_in_the_pool_exit_4(self, tmp_path, capsys, monkeypatch):
+        # Replicate 1 of three fails.  Two workers report it as one does, and
+        # no pool thread outlives the command.
+        seen = threading.local()
+        draw_arms, build_gram = simulate.draw_arms, simulate.build_gram
+
+        def recording_draw(scn, rep):
+            seen.rep = rep
+            return draw_arms(scn, rep)
+
+        def failing_gram(*args):
+            if seen.rep == 1:
+                raise DegenerateSample("no spread")
+            return build_gram(*args)
+
+        monkeypatch.setattr(simulate, "draw_arms", recording_draw)
+        monkeypatch.setattr(simulate, "build_gram", failing_gram)
+        threads = threading.active_count()
+        errors = []
+        for workers in ("1", "2"):
+            rc = main(
+                ["simulate", "--out", str(tmp_path / f"w{workers}.txt"), "--workers", workers,
+                 *SMALL_CAMPAIGN, "--set", "replicates=3", "--seed", "7", *FAST]
+            )
+            assert rc == EXIT_STATISTICAL
+            assert threading.active_count() == threads
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert "replicate 1 (master_seed=7) failed: no spread" in errors[0]
 
     def test_statistical_decision_does_not_affect_exit(self, tmp_path, dataset):
         # theta = 0 forces no-merge; exit must still be 0.
@@ -729,9 +760,9 @@ def test_two_cell_sweep_opens_one_pool(tmp_path, monkeypatch, command):
 
     def recording(max_workers, **kwargs):
         sizes.append(max_workers)
-        return ProcessPoolExecutor(max_workers, **kwargs)
+        return ThreadPoolExecutor(max_workers, **kwargs)
 
-    monkeypatch.setattr(simulate, "ProcessPoolExecutor", recording)
+    monkeypatch.setattr(simulate, "ThreadPoolExecutor", recording)
     draws = ["--set", "nullstudy.ref_draws=5"] if command == "null-study" else []
     rc = main(
         [
@@ -820,16 +851,16 @@ def test_sweep_rows_equal_each_cell_run_alone(tmp_path, sweep, workers):
     assert swept == [header, *alone]
 
 
-# Run a two-replicate campaign through the CLI, then measure how much RSS
-# freeing a touched 16 MiB array gives back in a pool worker forked after
-# the command, and then here.  The worker measures first: once glibc's
-# default dynamic threshold has seen a mapped 16 MiB block freed, it keeps
-# the next one on the heap, and a worker forked after that inherits it.
+# Run a two-replicate campaign through the CLI on one and on two workers,
+# then measure how much RSS freeing a touched 16 MiB array gives back in a
+# pool thread, and then in the main thread.  The pool thread measures
+# first: once glibc's default dynamic threshold has seen a mapped 16 MiB
+# block freed, it keeps the next one on the heap in every thread.
 _HEAP_PROBE = """
 import os, sys
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 import numpy as np
-from ttpool import cli, simulate
+from ttpool import cli
 
 PAGE = os.sysconf("SC_PAGE_SIZE")
 
@@ -845,7 +876,8 @@ def rss_drop():
 
 args = ["simulate", "--out", sys.argv[1], "--set", "replicates=2"]
 assert cli.main(args) == 0
-with ProcessPoolExecutor(2, mp_context=simulate._POOL_CONTEXT) as pool:
+assert cli.main([*args, "--workers", "2"]) == 0
+with ThreadPoolExecutor(2) as pool:
     print(pool.submit(rss_drop).result(timeout=120))
 print(rss_drop())
 """
@@ -899,6 +931,7 @@ assert cli.main([
     "simulate", "--out", str(out / "s.txt"),
     "--set", "replicates=2",
     "--set", "sizes.n=16", "--set", "sizes.m=12", "--set", "sizes.l=14",
+    "--workers", "2",
     *small,
     "--set", "compare_methods=normal_approx",
 ]) == 0
@@ -907,9 +940,10 @@ print(" ".join(sorted(sys.modules)))
 
 
 def test_cli_runs_load_no_scipy(tmp_path):
-    # The package runs on NumPy alone: a fresh process that imports the CLI
-    # and runs a test and a simulation with the normal approximation loads
-    # no SciPy module.
+    # The package runs on NumPy alone, and its pool on threads: a fresh
+    # process that imports the CLI and runs a test and a two-worker
+    # simulation with the normal approximation loads no SciPy module and no
+    # process pool.
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE, str(tmp_path)],
@@ -922,3 +956,5 @@ def test_cli_runs_load_no_scipy(tmp_path):
     loaded = set(proc.stdout.split())
     assert {"ttpool.causality", "ttpool.kernels"} <= loaded
     assert sorted(name for name in loaded if name.split(".")[0] == "scipy") == []
+    assert sorted(name for name in loaded if name.split(".")[0] == "multiprocessing") == []
+    assert "concurrent.futures.process" not in loaded

@@ -50,8 +50,8 @@ class TestSample:
 
     def test_one_dimensional_input_promoted(self):
         s = Sample([1.0, 2.0, 3.0], Arm.TREATMENT)
-        assert s.points.shape == (1, 3) or s.points.shape == (3, 1)
-        assert s.dim in (1, 3)
+        assert s.points.shape == (3, 1)
+        assert s.dim == 1
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
     def test_non_finite_point_is_a_data_error(self, value):
@@ -76,6 +76,14 @@ class TestSample:
             kernel_matrix(KernelSpec(), 1.0, np.empty((3, 0)))
         with pytest.raises(DimensionMismatch):
             resolve_bandwidth(KernelSpec(), np.empty((3, 0)))
+
+    def test_one_dimensional_raw_points_are_a_column(self):
+        flat = np.array([0.0, 1.0, 3.0, 7.0])
+        column = flat[:, None]
+        assert resolve_bandwidth(KernelSpec(), flat) == resolve_bandwidth(KernelSpec(), column)
+        want = kernel_matrix(KernelSpec(), 0.7, column, column[:2])
+        assert want.shape == (4, 2)
+        assert np.array_equal(kernel_matrix(KernelSpec(), 0.7, flat, flat[:2]), want)
 
 
 class TestResolveBandwidth:

@@ -191,3 +191,16 @@ def test_nan_point_under_a_fixed_bandwidth_is_refused():
             Sample(rng.normal(size=(35, 1)), Arm.TREATMENT),
             cfg,
         )
+
+
+def test_one_dimensional_arms_are_columns_of_points():
+    # A 1-D array was read as one point with a coordinate per value, so
+    # three arms of different lengths raised DimensionMismatch.
+    columns = make_arms(5, shift_h=0.2, shift_t=0.4)
+    flat = [Sample(s.points[:, 0], s.arm) for s in columns]
+    assert [s.points.shape for s in flat] == [(25, 1), (30, 1), (35, 1)]
+    a = run_report(*flat, small_cfg(), master_seed=3)
+    b = run_report(*columns, small_cfg(), master_seed=3)
+    assert a.fusion == b.fusion
+    assert a.causality == b.causality
+    assert a.bandwidth_pooled3 == b.bandwidth_pooled3

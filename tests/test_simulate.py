@@ -2,7 +2,8 @@
 
 import dataclasses
 import logging
-from concurrent.futures import ProcessPoolExecutor
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -119,12 +120,12 @@ def _double(rep):
 
 @pytest.fixture
 def no_process(monkeypatch):
-    """Fail the test if a process pool is opened."""
+    """Fail the test if a pool is opened."""
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a process pool was opened")
+        raise AssertionError("a pool was opened")
 
-    monkeypatch.setattr(simulate, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(simulate, "ThreadPoolExecutor", refuse)
 
 
 class TestWorkerPool:
@@ -140,17 +141,30 @@ class TestWorkerPool:
         null_distribution_study(tiny_scenario(reps=2), ref_draws=3, workers=1)
 
     def test_pool_opens_no_more_processes_than_replicates(self, monkeypatch):
-        # A fork-context pool starts every process it is given at its first submit.
         sizes = []
 
         def recording(max_workers, **kwargs):
             sizes.append(max_workers)
-            return ProcessPoolExecutor(max_workers, **kwargs)
+            return ThreadPoolExecutor(max_workers, **kwargs)
 
-        monkeypatch.setattr(simulate, "ProcessPoolExecutor", recording)
+        monkeypatch.setattr(simulate, "ThreadPoolExecutor", recording)
         assert _map_replicates(_double, 2, 4) == [0, 2]
         assert _map_replicates(_double, 3, 2) == [0, 2, 4]
         assert sizes == [2, 2]
+
+    def test_more_threads_than_cores_under_fast_switching(self):
+        # The pool threads share the process; with the interpreter switching
+        # threads every microsecond, a sweep on more threads than cores
+        # still gives the serial rates.
+        scn = tiny_scenario(reps=8, seed=3)
+        serial = run_campaign(scn, workers=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pooled = run_campaign(scn, workers=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert dataclasses.replace(pooled, seconds=0.0) == dataclasses.replace(serial, seconds=0.0)
 
     @pytest.mark.skipif(
         _numpy_openblas() is None,
