@@ -268,19 +268,24 @@ def _warn_if_not_characteristic(spec: KernelSpec) -> None:
         )
 
 
+#: The scenario generators by name; each reads ``scenario.<field>`` for its fields only.
+_GENERATORS = {"mean_shift": MeanShift, "var_shift": VarShift}
+
+
 def build_generator(cfg: dict):
+    """The cell's generator; a key of another generator off its default is a ``ConfigError``."""
     kind = cfg["scenario.generator"]
-    if kind == "mean_shift":
-        return MeanShift(
-            mu_c_minus_mu_t=cfg["scenario.mu_c_minus_mu_t"],
-            mu_h_minus_mu_c=cfg["scenario.mu_h_minus_mu_c"],
-        )
-    if kind == "var_shift":
-        return VarShift(
-            var_c_over_var_t=cfg["scenario.var_c_over_var_t"],
-            var_h_over_var_c=cfg["scenario.var_h_over_var_c"],
-        )
-    raise ConfigError(f"unknown scenario generator {kind!r}")
+    if kind not in _GENERATORS:
+        raise ConfigError(f"unknown scenario generator {kind!r}")
+    for other, generator in _GENERATORS.items():
+        if other == kind:
+            continue
+        for f in dataclasses.fields(generator):
+            key = f"scenario.{f.name}"
+            if cfg[key] != _SCENARIO_DEFAULTS[key]:
+                raise ConfigError(f"{key} needs scenario.generator={other}; {kind} ignores it")
+    generator = _GENERATORS[kind]
+    return generator(**{f.name: cfg[f"scenario.{f.name}"] for f in dataclasses.fields(generator)})
 
 
 def build_scenario(cfg: dict) -> Scenario:

@@ -1,16 +1,13 @@
 """Monte Carlo campaign runner for the synthetic studies.
 
 Replicates are embarrassingly parallel and seeded per replicate from the
-campaign master seed, so any two runs on 2 or more workers agree bit for
-bit.  A serial run keeps the default BLAS threading, and OpenBLAS rounds
-a product on 1 and on 2 threads apart once its inner dimension reaches
-about 400: serial runs agree with pooled ones below that, as at the
-paper shape.  ``_sweep`` runs the cells of either study replicate-major
-through ``_map_replicates``: on the calling thread for one worker,
-otherwise in one pool of threads of this process, each running its BLAS
-calls on one thread.  Data generation uses numpy's PCG64 Generator
-(``standard_normal`` scaled and shifted), recorded in the result for
-replay.
+campaign master seed, and every run makes its matrix products on one
+BLAS thread per worker, so runs on any worker count agree bit for bit.
+``_sweep`` runs the cells of either study replicate-major through
+``_map_replicates``: on the calling thread for one worker, otherwise in
+one pool of threads of this process.  Data generation uses numpy's
+PCG64 Generator (``standard_normal`` scaled and shifted), recorded in
+the result for replay.
 """
 
 from __future__ import annotations
@@ -242,15 +239,19 @@ def _one_blas_thread():
     """Run the block with NumPy's OpenBLAS on one thread; restore the saved count after.
 
     The count is process-wide: while it is 1, each thread that calls into
-    OpenBLAS runs its product on itself, with no helper threads.
+    OpenBLAS runs its product on itself, with no helper threads.  NumPy's
+    OpenBLAS rounds a product on 1 and on 2 threads apart once its inner
+    dimension reaches about 400, so a fixed count is what makes a
+    campaign's bytes independent of its worker count.
     """
     lib = _numpy_openblas()
     if lib is None:
-        _log.debug("no NumPy OpenBLAS found; pool threads keep the default BLAS threading")
+        _log.debug("no NumPy OpenBLAS found; replicates keep the default BLAS threading")
         yield
         return
     saved = lib.scipy_openblas_get_num_threads64_()
-    _log.debug("pinning OpenBLAS %s to 1 thread for the pool (saved count %d)", lib._name, saved)
+    _log.debug("pinning OpenBLAS %s to 1 thread for the replicates (saved count %d)",
+               lib._name, saved)
     lib.scipy_openblas_set_num_threads64_(1)
     try:
         yield
@@ -267,26 +268,27 @@ def check_workers(workers: int) -> None:
 def _map_replicates(run, replicates: int, workers: int) -> list:
     """``[run(rep) for rep in range(replicates)]``, on ``workers`` threads if > 1.
 
-    One worker runs the loop on the calling thread, with the default BLAS
-    threading: one thread made a serial benchmark sweep 16–25 % slower on
-    a 2-vCPU VM.  More open a pool of ``min(workers, replicates)`` threads
-    of this process for this call and close it after; the rows come back
-    in replicate order either way.  NumPy releases the interpreter lock in
+    Every worker count runs inside ``_one_blas_thread``, so each OpenBLAS
+    call runs on its calling thread alone: products round the same way on
+    any worker count, and pool threads do not compete with OpenBLAS
+    helper threads for the cores.  The saved count is restored once the
+    replicates are done.  One worker runs the loop on the calling thread;
+    a one-thread pool would move its scratch into a second malloc arena,
+    which raised a serial benchmark sweep's peak RSS from 47.9 to 51.1 MB.
+    More open a pool of ``min(workers, replicates)`` threads of this
+    process for this call and close it after; the rows come back in
+    replicate order either way.  NumPy releases the interpreter lock in
     the products, the random fills and large ufuncs, which is where a
-    replicate spends its time, so the threads run side by side there.
-
-    The pool runs inside ``_one_blas_thread``, so each thread's OpenBLAS
-    call runs on that thread alone and the threads do not compete with
-    OpenBLAS helper threads for the cores; the saved count is restored
-    once the pool has closed.  An exception in ``run`` reaches the caller
-    after every thread has stopped.
+    replicate spends its time, so the threads run side by side there.  An
+    exception in ``run`` reaches the caller after every thread has stopped.
     """
     check_workers(workers)
     reps = range(replicates)
-    if workers == 1:
-        return [run(rep) for rep in reps]
-    with _one_blas_thread(), ThreadPoolExecutor(min(workers, replicates)) as pool:
-        return list(pool.map(run, reps))
+    with _one_blas_thread():
+        if workers == 1:
+            return [run(rep) for rep in reps]
+        with ThreadPoolExecutor(min(workers, replicates)) as pool:
+            return list(pool.map(run, reps))
 
 
 def _sweep_item(runs: tuple, rep: int) -> list[tuple[object, float]]:

@@ -294,11 +294,25 @@ class TestExitCodes:
                 ["scenario.generator=var_shift", "scenario.var_h_over_var_c=inf"],
                 "var_h_over_var_c must be finite and > 0, got inf",
             ),
+            (
+                ["scenario.var_h_over_var_c=4"],
+                "scenario.var_h_over_var_c needs scenario.generator=var_shift; "
+                "mean_shift ignores it",
+            ),
+            (
+                ["scenario.generator=var_shift", "scenario.mu_h_minus_mu_c=0.2"],
+                "scenario.mu_h_minus_mu_c needs scenario.generator=mean_shift; "
+                "var_shift ignores it",
+            ),
         ],
-        ids=["mean-shift-nan", "historical-shift-inf", "variance-ratio-negative", "variance-ratio-inf"],
+        ids=[
+            "mean-shift-nan", "historical-shift-inf", "variance-ratio-negative",
+            "variance-ratio-inf", "mean-shift-ignores-variance", "var-shift-ignores-mean",
+        ],
     )
     def test_bad_scenario_setting_exit_2(self, tmp_path, capsys, monkeypatch, settings, message):
-        # Before the check these ran replicate 0 and exited 4 on NaN distances.
+        # Before the check the first four ran replicate 0 and exited 4 on NaN
+        # distances; the last two exited 0 and wrote a key no arm was drawn with.
         def refuse(*args, **kwargs):
             raise AssertionError("a replicate ran")
 
@@ -797,6 +811,26 @@ def test_sweep_tsv_bitwise_identical_for_workers_1_2_3(tmp_path, command, sweep)
         assert main(args + ["--out", str(out), "--workers", workers]) == EXIT_OK
         tables.append((tmp_path / f"w{workers}.txt.tsv").read_bytes())
     assert tables[0] == tables[1] == tables[2]
+
+
+@pytest.mark.skipif(
+    simulate._numpy_openblas() is None,
+    reason="NumPy's bundled OpenBLAS (scipy_openblas64_) was not found",
+)
+def test_null_study_tsv_bitwise_identical_above_inner_dimension_400(tmp_path):
+    # OpenBLAS rounds the 200 x 400 by 400 x 400 reference products on one
+    # and on two threads apart, so a serial run must pin BLAS as the pool does.
+    args = [
+        "null-study", "--seed", "3", "--set", "replicates=2",
+        "--set", "sizes.n=20", "--set", "sizes.m=20", "--set", "sizes.l=400",
+        "--set", "nullstudy.ref_draws=200",
+    ]
+    tables = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}.txt"
+        assert main(args + ["--out", str(out), "--workers", workers]) == EXIT_OK
+        tables.append((tmp_path / f"w{workers}.txt.tsv").read_bytes())
+    assert tables[0] == tables[1]
 
 
 @pytest.mark.parametrize("workers", ["1", "2", "3"])

@@ -170,9 +170,28 @@ class TestWorkerPool:
         _numpy_openblas() is None,
         reason="NumPy's bundled OpenBLAS (scipy_openblas64_) was not found",
     )
-    def test_pool_workers_run_one_blas_thread(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pool_workers_run_one_blas_thread(self, workers):
         before = _blas_threads(None)
-        assert _map_replicates(_blas_threads, 5, 2) == [1] * 5
+        assert _map_replicates(_blas_threads, 5, workers) == [1] * 5
+        assert _blas_threads(None) == before
+
+    @pytest.mark.skipif(
+        _numpy_openblas() is None,
+        reason="NumPy's bundled OpenBLAS (scipy_openblas64_) was not found",
+    )
+    def test_failing_replicate_restores_the_blas_thread_count(self):
+        counts = []
+
+        def fail_at_two(rep):
+            if rep == 2:
+                raise SampleTooSmall("replicate 2 failed")
+            counts.append(_blas_threads(rep))
+
+        before = _blas_threads(None)
+        with pytest.raises(SampleTooSmall, match="replicate 2"):
+            _map_replicates(fail_at_two, 4, 1)
+        assert counts == [1, 1]
         assert _blas_threads(None) == before
 
     def test_pool_logs_the_pinned_library(self, caplog, monkeypatch):
