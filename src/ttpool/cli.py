@@ -1,9 +1,14 @@
 """Batch command-line interface: `ttpool test | simulate | null-study`.
 
-Configuration is a flat JSON object of dotted key paths; selected keys
-accept lists and expand into a Cartesian sweep.  Every output embeds the
-fully-resolved effective configuration so each row is reproducible from
-its own metadata plus the recorded seeds.
+Configuration is a flat JSON object of dotted key paths.  One table,
+``_KEYS``, gives each key its default, the parser of its ``--set`` text,
+the commands that have it and whether a sweep cell reads it.  In
+``simulate`` and ``null-study`` a list value of such a key expands into a
+Cartesian sweep; every key a cell reads sweeps except ``replicates``,
+``seed``, ``merged_method`` and ``compare_methods``.  A campaign table
+starts with eight fixed key columns, then one column per other swept key.
+Every output embeds the fully-resolved effective configuration so each row
+is reproducible from its own metadata plus the recorded seeds.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 statistical
 precondition failure.  Statistical reject/accept decisions never affect
@@ -20,6 +25,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import Callable, Optional
 
 from .causality import CausalityConfig, Method
 from .errors import (
@@ -61,67 +67,77 @@ _STATISTICAL_ERRORS = (
 # Configuration schema.
 # ---------------------------------------------------------------------------
 
-_COMMON_DEFAULTS = {
-    "kernel.family": "rbf",
-    "kernel.bandwidth": "median",
-    "kernel.epsilon": 0.0,
-    "fusion.mode": "equivalence",
-    "fusion.theta": 0.4,
-    "fusion.alpha": 0.05,
-    "fusion.num_bootstrap": 1000,
-    "causality.alpha": 0.05,
-    "causality.num_resamples": 1000,
-    "causality.estimator": "v",
-    "merged_method": "partial_bootstrap",
-    "seed": 0,
+_ALL = ("test", "simulate", "null-study")
+_STUDIES = ("simulate", "null-study")
+
+
+def _bandwidth(text: str):
+    return text if text == "median" else float(text)
+
+
+def _names(text: str) -> list[str]:
+    return text.split(",") if text else []
+
+
+def _levels(text: str) -> list[float]:
+    return [float(item) for item in text.split(",")]
+
+
+@dataclasses.dataclass(frozen=True)
+class _Key:
+    """One config key: its default, its parser, its commands, and whether it sweeps.
+
+    ``parse`` turns ``--set`` text into a value and raises ``ValueError``
+    on bad text.  A key that ``sweeps`` is read by each sweep cell: in
+    ``simulate`` and ``null-study`` its text is split on commas and each
+    item parsed, and more than one item sweeps it.  Other keys parse
+    their whole text.  ``column`` places one of the key columns that
+    every campaign table starts with.
+    """
+
+    default: object
+    parse: Callable[[str], object]
+    commands: tuple = _ALL
+    sweeps: bool = True
+    column: Optional[int] = None
+
+
+#: Every config key, in the order of each command's effective config.  A
+#: sweep needs one seed and one replicate count, and the merged and compare
+#: methods name the rate columns, so those four keys do not sweep.
+_KEYS = {
+    "kernel.family": _Key("rbf", str),
+    "kernel.bandwidth": _Key("median", _bandwidth, column=0),
+    "kernel.epsilon": _Key(0.0, float),
+    "fusion.mode": _Key("equivalence", str, column=2),
+    "fusion.theta": _Key(0.4, float, column=1),
+    "fusion.alpha": _Key(0.05, float),
+    "fusion.num_bootstrap": _Key(1000, int),
+    "causality.alpha": _Key(0.05, float),
+    "causality.num_resamples": _Key(1000, int),
+    "causality.estimator": _Key("v", str),
+    "merged_method": _Key("partial_bootstrap", str, sweeps=False),
+    "seed": _Key(0, int, sweeps=False),
+    "data": _Key("", str, ("test",), sweeps=False),
+    "scenario.generator": _Key("mean_shift", str, _STUDIES),
+    "scenario.mu_c_minus_mu_t": _Key(0.0, float, _STUDIES, column=3),
+    "scenario.mu_h_minus_mu_c": _Key(0.0, float, _STUDIES, column=4),
+    "scenario.var_c_over_var_t": _Key(1.0, float, _STUDIES, column=5),
+    "scenario.var_h_over_var_c": _Key(1.0, float, _STUDIES, column=6),
+    "sizes.n": _Key(100, int, _STUDIES, column=7),
+    "sizes.m": _Key(50, int, _STUDIES),
+    "sizes.l": _Key(100, int, _STUDIES),
+    "replicates": _Key(1000, int, _STUDIES, sweeps=False),
+    "compare_methods": _Key([], _names, ("simulate",), sweeps=False),
+    "nullstudy.probe_levels": _Key([0.9, 0.95], _levels, ("null-study",), sweeps=False),
+    "nullstudy.probe_mu_c_minus_mu_t": _Key(None, float, ("null-study",), sweeps=False),
+    "nullstudy.ref_draws": _Key(20, int, ("null-study",), sweeps=False),
 }
-
-#: Synthetic-scenario keys shared by ``simulate`` and ``null-study``.
-_SCENARIO_DEFAULTS = {
-    "scenario.generator": "mean_shift",
-    "scenario.mu_c_minus_mu_t": 0.0,
-    "scenario.mu_h_minus_mu_c": 0.0,
-    "scenario.var_c_over_var_t": 1.0,
-    "scenario.var_h_over_var_c": 1.0,
-    "sizes.n": 100,
-    "sizes.m": 50,
-    "sizes.l": 100,
-    "replicates": 1000,
-}
-
-_DEFAULTS = {
-    "test": {**_COMMON_DEFAULTS, "data": ""},
-    "simulate": {**_COMMON_DEFAULTS, **_SCENARIO_DEFAULTS, "compare_methods": []},
-    "null-study": {
-        **_COMMON_DEFAULTS,
-        **_SCENARIO_DEFAULTS,
-        "nullstudy.probe_levels": [0.9, 0.95],
-        "nullstudy.probe_mu_c_minus_mu_t": None,
-        "nullstudy.ref_draws": 20,
-    },
-}
-
-#: Keys whose value may be a list, expanding into a Cartesian sweep
-#: (``simulate`` and ``null-study`` only; ``test`` analyses one config).
-_SWEEP_KEYS = (
-    "kernel.bandwidth",
-    "fusion.theta",
-    "fusion.mode",
-    "scenario.mu_c_minus_mu_t",
-    "scenario.mu_h_minus_mu_c",
-    "scenario.var_c_over_var_t",
-    "scenario.var_h_over_var_c",
-    "sizes.n",
-)
-
-#: Keys that are legitimately list-valued (not sweeps).
-_LIST_KEYS = ("compare_methods", "nullstudy.probe_levels")
-
 
 def load_config(command: str, config_path, overrides, seed=None) -> dict:
     """Merge file config, --set overrides and a --seed override over the command defaults."""
-    defaults = _DEFAULTS[command]
-    cfg = dict(defaults)
+    cfg = {key: entry.default for key, entry in _KEYS.items() if command in entry.commands}
+    settings = []
     if config_path is not None:
         try:
             raw = json.loads(Path(config_path).read_text())
@@ -131,92 +147,67 @@ def load_config(command: str, config_path, overrides, seed=None) -> dict:
             raise ConfigError(f"config file {config_path} is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config file must hold a flat JSON object")
-        for key, value in raw.items():
-            if key not in defaults:
-                raise ConfigError(f"unknown config key {key!r} for command {command!r}")
-            cfg[key] = _coerce_file_value(key, value, defaults[key])
+        settings += [(key, value, _parse_file_value) for key, value in raw.items()]
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, _, text = item.partition("=")
-        if key not in defaults:
+        settings.append((key, text, _parse_text))
+    for key, value, parse in settings:
+        if key not in cfg:
             raise ConfigError(f"unknown config key {key!r} for command {command!r}")
-        cfg[key] = _coerce_override(key, text, defaults[key])
+        cfg[key] = parse(key, value)
     if seed is not None:
         cfg["seed"] = seed
+    for key, value in cfg.items():
+        entry = _KEYS[key]
+        sweeps = entry.sweeps and command in _STUDIES
+        if isinstance(value, list) and not (sweeps or isinstance(entry.default, list)):
+            raise ConfigError(f"config key {key!r} does not accept a list for command {command!r}")
     if cfg["seed"] < 0:
         raise ConfigError(f"seed must be >= 0, got {cfg['seed']}")
-    _validate_types(command, cfg)
     return cfg
 
 
-def _coerce_file_value(key: str, value, default):
+def _parse_text(key: str, text: str):
+    """The value ``--set key=text`` gives; a sweeping key's comma items give a list."""
+    entry = _KEYS[key]
+    try:
+        if not entry.sweeps:
+            return entry.parse(text)
+        items = [entry.parse(item) for item in text.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"cannot parse {key}={text!r}: {exc}") from exc
+    return items if len(items) > 1 else items[0]
+
+
+def _parse_file_value(key: str, value):
     """Parse a config-file value as the ``--set`` text it stands for.
 
     A string is that text and any other JSON value its JSON text; a list
     stands for its items joined by commas, and stays a list.  ``null`` is
     kept for a key whose default is ``None``.
     """
-    if value is None and default is None:
+    if value is None and _KEYS[key].default is None:
         return None
     items = value if isinstance(value, list) else [value]
-    text = ",".join(item if isinstance(item, str) else json.dumps(item) for item in items)
-    parsed = _coerce_override(key, text, default)
+    parsed = _parse_text(key, ",".join(i if isinstance(i, str) else json.dumps(i) for i in items))
     return [parsed] if isinstance(value, list) and not isinstance(parsed, list) else parsed
 
 
-def _coerce_scalar(text: str, template):
-    if isinstance(template, int):
-        return int(text)
-    if isinstance(template, float):
-        return float(text)
-    return text
-
-
-def _coerce_override(key: str, text: str, default):
-    """Parse a ``--set`` value or a config-file string into the key's type."""
-    try:
-        return _coerce_text(key, text, default)
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse {key}={text!r}: {exc}") from exc
-
-
-def _coerce_text(key: str, text: str, default):
-    if key in _SWEEP_KEYS or key in _LIST_KEYS:
-        if key == "kernel.bandwidth":
-            items = [t if t == "median" else float(t) for t in text.split(",")]
-        elif key == "compare_methods":
-            items = text.split(",") if text else []
-        else:
-            template = default[0] if isinstance(default, list) else default
-            items = [_coerce_scalar(t, template) for t in text.split(",")]
-        return items if (len(items) > 1 or key in _LIST_KEYS) else items[0]
-    if default is None:
-        return float(text)
-    return _coerce_scalar(text, default)
-
-
-def _validate_types(command: str, cfg: dict) -> None:
-    sweeps = () if command == "test" else _SWEEP_KEYS
-    for key, value in cfg.items():
-        if isinstance(value, list) and key not in sweeps and key not in _LIST_KEYS:
-            raise ConfigError(
-                f"config key {key!r} does not accept a list for command {command!r}"
-            )
+def _key_columns(cfg: dict) -> list[str]:
+    """The fixed key columns in their order, then each other key that ``cfg`` sweeps."""
+    fixed = sorted((e.column, k) for k, e in _KEYS.items() if e.column is not None)
+    swept = [k for k, e in _KEYS.items() if e.column is None and e.sweeps]
+    return [k for _, k in fixed] + [k for k in swept if isinstance(cfg.get(k), list)]
 
 
 def expand_sweeps(cfg: dict) -> list[dict]:
-    """Cartesian product over every sweep key holding a list."""
-    sweeps = [(k, cfg[k]) for k in _SWEEP_KEYS if k in cfg and isinstance(cfg[k], list)]
-    if not sweeps:
-        return [dict(cfg)]
-    cells = []
-    keys = [k for k, _ in sweeps]
-    for combo in itertools.product(*(v for _, v in sweeps)):
-        cell = dict(cfg)
-        cell.update(zip(keys, combo))
-        cells.append(cell)
-    return cells
+    """Cartesian product over every sweep key holding a list, in key-column order."""
+    keys = [key for key in _key_columns(cfg) if isinstance(cfg.get(key), list)]
+    return [
+        {**cfg, **dict(zip(keys, combo))} for combo in itertools.product(*(cfg[k] for k in keys))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -258,11 +249,11 @@ def build_ttp_config(cfg: dict) -> TTPConfig:
     )
 
 
-def _warn_if_not_characteristic(spec: KernelSpec) -> None:
-    """One stderr line when the kernel's MMD cannot tell every two laws apart."""
-    if not spec.characteristic:
+def _warn_if_not_characteristic(specs) -> None:
+    """One stderr line per kernel family of ``specs`` whose MMD cannot tell every two laws apart."""
+    for family in dict.fromkeys(spec.family for spec in specs if not spec.characteristic):
         print(
-            f"warning: kernel family {spec.family.value!r} is not characteristic; "
+            f"warning: kernel family {family.value!r} is not characteristic; "
             "its MMD only detects mean differences",
             file=sys.stderr,
         )
@@ -282,7 +273,7 @@ def build_generator(cfg: dict):
             continue
         for f in dataclasses.fields(generator):
             key = f"scenario.{f.name}"
-            if cfg[key] != _SCENARIO_DEFAULTS[key]:
+            if cfg[key] != _KEYS[key].default:
                 raise ConfigError(f"{key} needs scenario.generator={other}; {kind} ignores it")
     generator = _GENERATORS[kind]
     return generator(**{f.name: cfg[f"scenario.{f.name}"] for f in dataclasses.fields(generator)})
@@ -404,7 +395,7 @@ def cmd_test(args) -> int:
         raise ConfigError("the test command requires a 'data' config key (CSV path)")
     arms = load_dataset(cfg["data"])
     ttp = build_ttp_config(cfg)
-    _warn_if_not_characteristic(ttp.kernel)
+    _warn_if_not_characteristic([ttp.kernel])
     report = run_report(
         arms[Arm.CURRENT],
         arms[Arm.HISTORICAL],
@@ -446,20 +437,21 @@ def cmd_simulate(args) -> int:
     cfg = load_config("simulate", args.config, args.set, args.seed)
     cells = expand_sweeps(cfg)
     scenarios = [build_scenario(cell) for cell in cells]
-    _warn_if_not_characteristic(scenarios[0].ttp.kernel)
-    method_names = [cfg["merged_method"], *cfg.get("compare_methods", [])]
-    header = list(_SWEEP_KEYS) + [
+    _warn_if_not_characteristic(scn.ttp.kernel for scn in scenarios)
+    method_names = [cfg["merged_method"], *cfg["compare_methods"]]
+    columns = _key_columns(cfg)
+    header = columns + [
         "merge_rate",
         "stderr_merge",
         *[f"reject_rate.{name}" for name in method_names],
         "stderr_reject",
         "replicates",
     ]
-    swept = [c for c in _SWEEP_KEYS if isinstance(cfg[c], list)]
+    swept = [c for c in columns if isinstance(cfg[c], list)]
     rows, lines = [], ["ttpool simulate report", "======================"]
     for cell, res in zip(cells, run_sweep(scenarios, workers=args.workers)):
         rows.append(
-            [cell[c] for c in _SWEEP_KEYS]
+            [cell[c] for c in columns]
             + [res.merge_rate, res.stderr_merge]
             + [res.per_method_rates[name] for name in method_names]
             + [res.stderr_reject, res.scenario.replicates]
@@ -481,9 +473,9 @@ def cmd_null_study(args) -> int:
     # The study draws nullstudy.ref_draws references and never reads
     # causality.num_resamples; one resample passes the scenario check.
     scenarios = [build_scenario({**cell, "causality.num_resamples": 1}) for cell in cells]
-    _warn_if_not_characteristic(scenarios[0].ttp.kernel)
+    _warn_if_not_characteristic(scn.ttp.kernel for scn in scenarios)
     probe_mu = cfg["nullstudy.probe_mu_c_minus_mu_t"]
-    if probe_mu is not None and cfg["scenario.generator"] != "mean_shift":
+    if probe_mu is not None and not all(isinstance(s.generator, MeanShift) for s in scenarios):
         raise ConfigError("nullstudy.probe_mu_c_minus_mu_t needs scenario.generator=mean_shift")
     probes = [
         None if probe_mu is None else dataclasses.replace(scn.generator, mu_c_minus_mu_t=probe_mu)
@@ -495,16 +487,15 @@ def cmd_null_study(args) -> int:
         ref_draws=cfg["nullstudy.ref_draws"],
         workers=args.workers,
     )
-    header = [
-        *_SWEEP_KEYS, "method", "level", "reference_quantile", "true_quantile", "ks_distance"
-    ]
-    swept = [c for c in _SWEEP_KEYS if c != "sizes.n" and isinstance(cfg[c], list)]
+    columns = _key_columns(cfg)
+    header = [*columns, "method", "level", "reference_quantile", "true_quantile", "ks_distance"]
+    swept = [c for c in columns if c != "sizes.n" and isinstance(cfg[c], list)]
     rows, lines = [], ["ttpool null-study report", "========================"]
     for cell, study in zip(cells, studies):
         label = "".join(f" {c}={cell[c]}" for c in swept)
         for row in study:
             rows.append(
-                [cell[c] for c in _SWEEP_KEYS]
+                [cell[c] for c in columns]
                 + [row.method, row.level]
                 + [row.reference_quantile, row.true_quantile, row.ks_distance]
             )

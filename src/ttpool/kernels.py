@@ -128,7 +128,8 @@ def resolve_bandwidth(spec: KernelSpec, pooled: np.ndarray) -> float:
 
     Raises:
         DegenerateSample: if the median distance is zero (no valid
-            bandwidth exists, e.g. all points identical).
+            bandwidth exists, e.g. all points identical) or overflows
+            (finite points too far apart to square).
     """
     if spec.bandwidth is not None:
         return float(spec.bandwidth)
@@ -153,11 +154,18 @@ def _median_bandwidth(spec: KernelSpec, pair_sq: np.ndarray) -> float:
     half = pair_sq.size // 2
     pair_sq.partition(half)
     upper = pair_sq[half]
-    med = float(upper if pair_sq.size % 2 else (pair_sq[:half].max() + upper) / 2.0)
+    # Python floats: a sum that overflows is inf without a NumPy warning.
+    med = float(upper) if pair_sq.size % 2 else (float(pair_sq[:half].max()) + float(upper)) / 2.0
     if np.isnan(pair_sq[half:].max()):
         raise DegenerateSample("pairwise distances include NaN; points must be finite")
     if med <= 0.0:
         raise DegenerateSample("median pairwise distance is zero; no valid bandwidth")
+    # The RBF kernel divides by 2 * bandwidth, which must stay finite too.
+    if 2.0 * med == np.inf:
+        raise DegenerateSample(
+            "median pairwise distance overflows the float range; these points are too "
+            "far apart to square"
+        )
     return med
 
 
@@ -241,17 +249,19 @@ def _pair_distances(points: np.ndarray, square: Optional[np.ndarray] = None) -> 
     """
     n = points.shape[0]
     pairs, pos = None, 0
-    for lo, hi, block in _distance_blocks(points, points, square, upper=True):
-        if hi - lo == n:  # one block holds every pair
-            return block[_strict_upper(n)]
-        if pairs is None:
-            pairs = np.empty(n * (n - 1) // 2)
-        diagonal = block[:, : hi - lo][_strict_upper(hi - lo)]
-        pairs[pos : pos + diagonal.size] = diagonal
-        pos += diagonal.size
-        right = block[:, hi - lo :]
-        pairs[pos : pos + right.size].reshape(right.shape)[...] = right
-        pos += right.size
+    # Far-apart finite points overflow to inf here; the median check refuses that.
+    with np.errstate(over="ignore"):
+        for lo, hi, block in _distance_blocks(points, points, square, upper=True):
+            if hi - lo == n:  # one block holds every pair
+                return block[_strict_upper(n)]
+            if pairs is None:
+                pairs = np.empty(n * (n - 1) // 2)
+            diagonal = block[:, : hi - lo][_strict_upper(hi - lo)]
+            pairs[pos : pos + diagonal.size] = diagonal
+            pos += diagonal.size
+            right = block[:, hi - lo :]
+            pairs[pos : pos + right.size].reshape(right.shape)[...] = right
+            pos += right.size
     return pairs
 
 

@@ -18,7 +18,7 @@ import pytest
 from ttpool import cli, simulate
 from ttpool.causality import CausalityOutcome, DiagnosticsReport
 from ttpool.cli import (
-    _SWEEP_KEYS,
+    _KEYS,
     EXIT_CONFIG,
     EXIT_DATA,
     EXIT_OK,
@@ -65,6 +65,18 @@ def dataset(tmp_path):
 FAST = [
     "--set", "fusion.num_bootstrap=80",
     "--set", "causality.num_resamples=80",
+]
+
+#: The key columns every campaign TSV starts with, swept or not.
+KEY_COLUMNS = [
+    "kernel.bandwidth",
+    "fusion.theta",
+    "fusion.mode",
+    "scenario.mu_c_minus_mu_t",
+    "scenario.mu_h_minus_mu_c",
+    "scenario.var_c_over_var_t",
+    "scenario.var_h_over_var_c",
+    "sizes.n",
 ]
 
 SMALL_CAMPAIGN = [
@@ -145,6 +157,26 @@ class TestConfigLoading:
         assert from_file["fusion.theta"] == [0.2, 0.6]
         assert from_file == from_set
 
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [(command, key) for key, entry in _KEYS.items() for command in entry.commands],
+    )
+    def test_default_round_trips(self, tmp_path, command, key):
+        # Written into a config file and given as --set text, a default loads
+        # as itself, of its own type.  No --set text stands for None.
+        default = _KEYS[key].default
+
+        def typed(value):
+            items = value if isinstance(value, list) else [value]
+            return value, type(value), [type(item) for item in items]
+
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({key: default}))
+        assert typed(load_config(command, cfg, [])[key]) == typed(default)
+        if default is not None:
+            text = ",".join(map(str, default)) if isinstance(default, list) else str(default)
+            assert typed(load_config(command, None, [f"{key}={text}"])[key]) == typed(default)
 
     def test_config_file_null_only_where_the_default_is_null(self, tmp_path):
         cfg = tmp_path / "c.json"
@@ -232,6 +264,8 @@ class TestExitCodes:
             {"replicates": True},
             {"fusion.theta": []},
             {"fusion.theta": {"a": 1}},
+            # A list for a key that does not sweep, checked before the seed's sign.
+            {"seed": [1]},
         ],
     )
     def test_unparsable_config_file_string_exit_2(self, tmp_path, capsys, entry):
@@ -433,6 +467,17 @@ class TestExitCodes:
         )
         assert rc == EXIT_STATISTICAL
 
+    def test_overflowing_median_bandwidth_exit_4(self, tmp_path, capsys):
+        # Finite values whose squared distances overflow: the run once exited
+        # 0 with an infinite bandwidth, NaN statistics and no merge or reject.
+        rng = np.random.default_rng(4)
+        path = tmp_path / "huge.csv"
+        write_csv(path, *(1e200 * rng.normal(size=size) for size in (30, 40, 30)))
+        rc = main(["test", "--out", str(tmp_path / "r.txt"), "--set", f"data={path}", *FAST])
+        assert rc == EXIT_STATISTICAL
+        assert "median pairwise distance overflows the float range" in capsys.readouterr().err
+        assert not (tmp_path / "r.txt.json").exists()
+
     @pytest.mark.parametrize("theta", ["0", "inf"], ids=["no-merge", "merge"])
     def test_constant_two_arm_pool_exit_4(self, tmp_path, capsys, theta):
         # Current and treatment are one value, the historical arm varies: the
@@ -509,6 +554,23 @@ def test_non_characteristic_kernel_warns_once(tmp_path, capsys, dataset, command
         "linear": "warning: kernel family 'linear' is not characteristic; "
         "its MMD only detects mean differences\n",
     }
+
+
+@pytest.mark.parametrize("command", ["simulate", "null-study"])
+def test_swept_non_characteristic_kernel_warns_once(tmp_path, capsys, command):
+    # Two of the four cells, neither of them the first, use the linear kernel.
+    draws = ["--set", "nullstudy.ref_draws=5"] if command == "null-study" else []
+    rc = main(
+        [
+            command, "--out", str(tmp_path / "r.txt"), *SMALL_CAMPAIGN, *draws, *FAST,
+            "--set", "kernel.family=rbf,linear", "--set", "scenario.mu_h_minus_mu_c=0,1",
+        ]
+    )
+    assert rc == EXIT_OK
+    assert capsys.readouterr().err == (
+        "warning: kernel family 'linear' is not characteristic; "
+        "its MMD only detects mean differences\n"
+    )
 
 
 class TestCmdTest:
@@ -694,7 +756,7 @@ class TestCmdNullStudy:
         table = [ln for ln in lines if not ln.startswith("# ")]
         header = table[0].split("\t")
         assert header == [
-            *_SWEEP_KEYS, "method", "level", "reference_quantile", "true_quantile", "ks_distance"
+            *KEY_COLUMNS, "method", "level", "reference_quantile", "true_quantile", "ks_distance"
         ]
         # three methods x two default probe levels
         assert len(table) == 1 + 6
@@ -747,6 +809,22 @@ class TestCmdNullStudy:
             ]
         )
         assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: nullstudy.probe_mu_c_minus_mu_t needs scenario.generator=mean_shift\n"
+        )
+
+    def test_probe_checks_the_generator_of_each_cell(self, tmp_path, capsys):
+        # A config-file list of one generator is a sweep of one mean_shift
+        # cell, which the probe accepts; a var_shift cell is refused.
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"scenario.generator": ["mean_shift"]}))
+        args = [
+            "null-study", "--config", str(cfg), *SMALL_CAMPAIGN,
+            "--set", "nullstudy.ref_draws=5", "--set", "nullstudy.probe_mu_c_minus_mu_t=0.5",
+        ]
+        assert main([*args, "--out", str(tmp_path / "one.txt")]) == EXIT_OK
+        sweep = ["--set", "scenario.generator=mean_shift,var_shift"]
+        assert main([*args, *sweep, "--out", str(tmp_path / "two.txt")]) == EXIT_CONFIG
         assert capsys.readouterr().err == (
             "config error: nullstudy.probe_mu_c_minus_mu_t needs scenario.generator=mean_shift\n"
         )
@@ -846,12 +924,18 @@ def test_null_study_tsv_bitwise_identical_above_inner_dimension_400(tmp_path):
         ("simulate", {"sizes.n": ["10", "16", "21"]}),
         # Null-study cells draw from generators of their own, in one map.
         ("null-study", {"scenario.mu_h_minus_mu_c": ["0", "1"], "sizes.n": ["10", "16"]}),
+        # Cells of other sizes draw counts and masks of other plans.
+        ("simulate", {"causality.estimator": ["v", "u"], "sizes.m": ["10", "12"]}),
+        ("simulate", {"causality.alpha": ["0.05", "0.2"], "sizes.l": ["10", "14"]}),
+        ("null-study", {"sizes.l": ["10", "14"]}),
     ],
 )
 def test_sweep_rows_equal_each_cell_run_alone(tmp_path, sweep, workers):
     # A sweep's cells share each replicate's resampling draws.  The keys of
-    # the sweep are in sweep-key order, so the cells come in this order.
+    # the sweep are in key-column order, so the cells come in this order.
+    # A swept key outside the eight key columns has a column after them.
     command, sweep = sweep
+    added = [key for key in sweep if key not in KEY_COLUMNS]
     extra = {
         "simulate": [
             "--set", "scenario.mu_h_minus_mu_c=0.2",
@@ -877,12 +961,18 @@ def test_sweep_rows_equal_each_cell_run_alone(tmp_path, sweep, workers):
     def sets(pairs):
         return [arg for key, value in pairs for arg in ("--set", f"{key}={value}")]
 
+    def with_added(line, fields):
+        cells = line.split("\t")
+        fixed = len(KEY_COLUMNS)
+        return "\t".join([*cells[:fixed], *fields, *cells[fixed:]])
+
     swept = rows("sweep.txt", sets((k, ",".join(v)) for k, v in sweep.items()), workers)
     alone = []
     for i, combo in enumerate(itertools.product(*sweep.values())):
         header, *cell_rows = rows(f"cell{i}.txt", sets(zip(sweep, combo)))
-        alone += cell_rows
-    assert swept == [header, *alone]
+        values = [value for key, value in zip(sweep, combo) if key in added]
+        alone += [with_added(row, values) for row in cell_rows]
+    assert swept == [with_added(header, added), *alone]
 
 
 # Run a two-replicate campaign through the CLI on one and on two workers,

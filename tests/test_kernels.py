@@ -132,6 +132,20 @@ class TestResolveBandwidth:
         with pytest.raises(DegenerateSample, match="NaN"):
             resolve_bandwidth(KernelSpec(), pts)
 
+    @pytest.mark.parametrize(
+        "pts",
+        [
+            # Finite points whose squared distances exceed the float range.
+            [[0.0], [1e200], [-1e200], [2e200]],
+            # A finite median of about 1.2e308, twice which the RBF kernel divides by.
+            [[0.0], [1.1e154], [2.2e154]],
+        ],
+        ids=["median-inf", "twice-median-inf"],
+    )
+    def test_overflowing_median_is_degenerate(self, pts):
+        with pytest.raises(DegenerateSample, match="overflows the float range"):
+            resolve_bandwidth(KernelSpec(), np.array(pts))
+
 
 class TestEvalKernel:
     def test_rbf_at_zero_distance(self):

@@ -1,6 +1,7 @@
 """The README's library quick start and experiment commands run as written."""
 
 import argparse
+import json
 import os
 import re
 import shlex
@@ -9,7 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from ttpool.cli import _build_parser, expand_sweeps, load_config
+from ttpool.cli import _KEYS, _build_parser, expand_sweeps, load_config
 
 ROOT = Path(__file__).resolve().parent.parent
 QUICK_START = re.compile(r"## Quick start \(library\)\n.*?```python\n(.*?)```", re.S)
@@ -85,3 +86,40 @@ def test_cli_synopsis_brackets_exactly_the_optional_flags():
         bare = set(re.findall(r"--[\w-]+", re.sub(r"\[[^\]]*\]", "", lines[command])))
         required = {a.option_strings[0] for a in parser._actions if a.option_strings and a.required}
         assert bare == required, (command, bare, required)
+
+
+KEY_ROW = re.compile(r"^\| `([\w.]+)` \| `(.*)` \| ([\w, -]+) \| (yes|no) \|$", re.M)
+
+
+def test_key_table_states_every_key_as_the_cli_reads_it():
+    rows = KEY_ROW.findall((ROOT / "README.md").read_text())
+    assert [key for key, *_ in rows] == list(_KEYS)
+    for key, default, commands, sweeps in rows:
+        entry = _KEYS[key]
+        assert default == json.dumps(entry.default), key
+        assert commands.split(", ") == list(entry.commands), key
+        assert (sweeps == "yes") == entry.sweeps, key
+
+
+LADDER = re.compile(r"So a ladder of historical-arm sizes.*?```sh\n(.*?)```", re.S)
+
+
+def test_ladder_command_runs_as_one_sweep(tmp_path):
+    match = LADDER.search((ROOT / "README.md").read_text())
+    assert match, "README has no size-ladder command"
+    (argv,) = [shlex.split(line) for line in match.group(1).splitlines() if line.strip()]
+    assert argv[:2] == ["ttpool", "simulate"], argv
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ttpool.cli", *argv[1:], *SMALL],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    tsv = tmp_path / (argv[argv.index("--out") + 1] + ".tsv")
+    header, *rows = [ln for ln in tsv.read_text().splitlines() if not ln.startswith("#")]
+    assert header.split("\t")[8:10] == ["causality.alpha", "sizes.m"]
+    assert len(rows) == 6
