@@ -20,6 +20,7 @@ from .errors import (
     IndexOutOfRange,
     SampleTooSmall,
     TTPoolError,
+    ZeroBandwidth,
 )
 from .estimators import Estimator, MMDValue, mmd2, mmd2_slices, mmd2_v
 from .fusion import FusionConfig, FusionMode, FusionOutcome, classic_fusion, equivalence_fusion

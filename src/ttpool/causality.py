@@ -12,8 +12,11 @@ Four methods, plus the classic baseline:
 * ``partial_bootstrap_test``: statistic Delta = sqrt(n)(D^2(Qf, Qt) -
   D^2(Qf, Qc)); reference draws bootstrap both the null-treatment and
   the current-control resamples from the current control arm, and the
-  historical resample separately, preserving the null dependence
-  structure even when Qh != Qc.
+  historical resample separately.  It is meant to keep the null
+  dependence structure when Qh != Qc, but there it rejects above its
+  level: with every replicate merged at 100/50/100 (bandwidth 1, B =
+  500, 3,000 replicates, alpha = 0.05) it rejected 0.035, 0.067, 0.100
+  and 0.109 at historical shifts 0, 0.2, 0.35 and 0.5.
 * ``partial_permutation_test``: statistic T = D^2(Qf, Qt); only the
   pooled current + treatment observations are permuted, historicals stay
   fixed as an ancillary sample.  Finite-sample valid.
@@ -46,6 +49,7 @@ from .estimators import (
     block_total,
     mmd2_from_sums,
     mmd2_slices,
+    product_row_dots,
     resample_weights,
 )
 from .kernels import GramCache
@@ -157,10 +161,10 @@ def _mask_sums(k: np.ndarray, masks: np.ndarray, estimator: Estimator) -> tuple[
     U-statistic reads; for the V-statistic they are not computed and are
     passed as zero.  The cross sum is each row total of ``masks @ k``
     minus its within-a part, so no complement mask array is built.
+    ``product_row_dots`` makes the product in row blocks.
     """
-    rowsum = masks @ k
-    s_aa = np.einsum("bq,bq->b", rowsum, masks)
-    s_ab = rowsum.sum(axis=1) - s_aa
+    s_aa, total = product_row_dots(masks, k, masks, totals=True)
+    s_ab = total - s_aa
     s_bb = k.sum() - s_aa - 2.0 * s_ab
     if estimator is not Estimator.USTAT:
         return s_aa, s_ab, s_bb, 0.0, 0.0
@@ -232,9 +236,13 @@ def pooled_permutation_test(gram: GramCache, cfg: CausalityConfig) -> CausalityO
 # ---------------------------------------------------------------------------
 
 
-def _row_dots(product: np.ndarray, *rows: np.ndarray) -> list:
-    """Row-wise dot products of one stacked (B, p) product with each (B, p) array."""
-    return [np.einsum("bq,bq->b", product, r) for r in rows]
+def partial_bootstrap_plan(m: int, l: int, n: int) -> tuple:
+    """The count plan of the partial bootstrap, in draw order.
+
+    m and n picks from the current arm (the current and the null-treatment
+    resample), then l picks from the historical arm.
+    """
+    return Counts(m, m), Counts(n, m), Counts(l, l)
 
 
 def partial_bootstrap_draws(
@@ -255,12 +263,12 @@ def partial_bootstrap_draws(
     k_cc, k_ch = gram.k_cc, gram.k_ch
     # u: the current resample and v: the null-treatment resample, both counts
     # over the current arm; w: the historical resample, over the historical arm.
-    u, v, w = resample_weights(seed, num_resamples, Counts(m, m), Counts(n, m), Counts(l, l))
+    u, v, w = resample_weights(seed, num_resamples, *partial_bootstrap_plan(m, l, n))
 
-    # One product per left factor, each freed before the next is made.
-    cc_uu, cc_uv = _row_dots(u @ k_cc, u, v)
+    # One product per left factor, reduced block by block.
+    cc_uu, cc_uv = product_row_dots(u, k_cc, u, v)
     cc_vv = batched_quad(k_cc, v, v)
-    ch_uw, ch_vw = _row_dots(w @ k_ch.T, u, v)
+    ch_uw, ch_vw = product_row_dots(w, k_ch.T, u, v)
 
     diag_t = diag_c = 0.0  # the V-statistic does not read the diagonal totals
     if estimator is Estimator.USTAT:

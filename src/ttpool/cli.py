@@ -36,6 +36,7 @@ from .errors import (
     IndexOutOfRange,
     SampleTooSmall,
     TTPoolError,
+    ZeroBandwidth,
 )
 from .estimators import Estimator
 from .fusion import FusionConfig, FusionMode
@@ -299,6 +300,10 @@ def build_scenario(cfg: dict) -> Scenario:
 # Dataset ingestion.
 # ---------------------------------------------------------------------------
 
+#: Arm by CSV label (stripped and lower-cased), built once rather than per row.
+_ARM_LABELS = {arm.value: arm for arm in Arm}
+
+
 def load_dataset(path) -> dict:
     """Parse the arm-labelled CSV into one (size, d) array per arm."""
     try:
@@ -314,11 +319,10 @@ def load_dataset(path) -> dict:
     arms: dict = {a: [] for a in Arm}
     width = None
     for lineno, row in enumerate(rows[start:], start=start + 1):
-        if not row or all(not cell.strip() for cell in row):
+        if not "".join(row).strip():  # no cells, or only blank ones
             continue
-        try:
-            arm = Arm(row[0].strip().lower())
-        except ValueError:
+        arm = _ARM_LABELS.get(row[0].strip().lower())
+        if arm is None:
             raise DataError(f"row {lineno}: unknown arm label {row[0]!r}")
         if width is None:
             width = len(row)
@@ -332,7 +336,7 @@ def load_dataset(path) -> dict:
                 value = float(cell)
             except ValueError:
                 raise DataError(f"row {lineno}, column {col}: not a number: {cell!r}")
-            if math.isnan(value) or math.isinf(value):
+            if not math.isfinite(value):
                 raise DataError(f"row {lineno}, column {col}: non-finite value {cell!r}")
             values.append(value)
         arms[arm].append(values)
@@ -549,12 +553,13 @@ def main(argv=None) -> int:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except _STATISTICAL_ERRORS as exc:
-        print(
-            f"statistical precondition failure: {exc}\n"
-            "hint: check for constant-valued arms (median heuristic needs spread) "
-            "and minimum arm sizes",
-            file=sys.stderr,
-        )
+        print(f"statistical precondition failure: {exc}", file=sys.stderr)
+        if isinstance(exc, (ZeroBandwidth, SampleTooSmall)):
+            print(
+                "hint: check for constant-valued arms (median heuristic needs spread) "
+                "and minimum arm sizes",
+                file=sys.stderr,
+            )
         return EXIT_STATISTICAL
     except TTPoolError as exc:
         cause = exc.__cause__

@@ -10,7 +10,11 @@ class DimensionMismatch(TTPoolError):
 
 
 class DegenerateSample(TTPoolError):
-    """Sample admits no valid bandwidth (all pairwise distances zero)."""
+    """Sample admits no valid bandwidth (pairwise distances zero, NaN or overflowing)."""
+
+
+class ZeroBandwidth(DegenerateSample):
+    """The median pairwise distance is zero: too many points share one value."""
 
 
 class IndexOutOfRange(TTPoolError):

@@ -18,6 +18,7 @@ from typing import Union
 
 import numpy as np
 
+from .blas import share, submit
 from .errors import IndexOutOfRange, SampleTooSmall
 from .kernels import GramCache
 
@@ -142,9 +143,45 @@ def mmd2_slices(
 # ---------------------------------------------------------------------------
 
 
+#: Rows of one block of a resampling product.  The blocks are fixed, so a
+#: product has the same bits whichever thread makes each block.
+PRODUCT_ROWS = 512
+
+
+def product_row_dots(
+    left: np.ndarray, right: np.ndarray, *others: np.ndarray, totals: bool = False
+) -> list[np.ndarray]:
+    """Per row b of ``left @ right``: its dot with row b of each of ``others``, then its total.
+
+    The total comes last and only with ``totals``.  Every B-row
+    resampling product is made here, in blocks of ``PRODUCT_ROWS`` rows
+    that ``blas.share`` runs; each block's product is freed once its
+    rows are reduced.  A row's dots and total do not depend on the block
+    it is in, and a block's product does not depend on the thread.
+    """
+    rows = left.shape[0]
+    outs = [np.empty(rows) for _ in range(len(others) + totals)]
+
+    def block(s: slice) -> None:
+        product = left[s] @ right
+        for out, other in zip(outs, others):
+            out[s] = np.einsum("bq,bq->b", product, other[s])
+        if totals:
+            outs[-1][s] = product.sum(axis=1)
+
+    share(block, [slice(lo, lo + PRODUCT_ROWS) for lo in range(0, rows, PRODUCT_ROWS)])
+    return outs
+
+
 def batched_quad(k_block: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Row-wise u_b' K v_b for stacked weight vectors u (B, p), v (B, q)."""
-    return np.einsum("bq,bq->b", u @ k_block, v)
+    (quad,) = product_row_dots(u, k_block, v)
+    return quad
+
+
+#: Count entries of one row block of ``bootstrap_counts``: 512 KiB of 64-bit
+#: counts, so that each ``bincount`` runs in cache.
+_COUNT_BLOCK = 1 << 16
 
 
 def bootstrap_counts(
@@ -154,16 +191,23 @@ def bootstrap_counts(
 
     Each row is an independent multinomial(draws; 1/size, ..., 1/size)
     draw: the counts of ``draws`` uniform picks among ``size`` positions.
-    All picks come from one ``rng.integers`` call, shifted by a per-row
-    offset so that one flat ``bincount`` counts every row at once.  The
-    rows are a function of ``rng``'s state alone, so a seeded generator
-    gives the same counts on every run.
+    The rows are drawn in blocks of about ``_COUNT_BLOCK`` counts.  A
+    block's picks come from one ``rng.integers`` call, shifted by each
+    row's offset in the block, and one flat ``bincount`` counts them.
+    Successive calls continue one stream, so the picks are those of a
+    single call for all rows, and only one block of picks is held at a
+    time.  The rows are a function of ``rng``'s state alone, so a seeded
+    generator gives the same counts on every run.
     """
-    picks = rng.integers(0, size, (batch, draws))
-    picks += size * np.arange(batch)[:, None]
-    counts = np.bincount(picks.ravel(), minlength=batch * size)
-    del picks  # freed before the conversion, so two of the three arrays are live at once
-    return counts.reshape(batch, size).astype(dtype)
+    rows = min(batch, max(1, _COUNT_BLOCK // size))
+    offsets = size * np.arange(rows)[:, None]
+    counts = np.empty((batch, size), dtype)
+    for lo in range(0, batch, rows):
+        block = rng.integers(0, size, (min(rows, batch - lo), draws))
+        block += offsets[: block.shape[0]]
+        found = np.bincount(block.ravel(), minlength=block.shape[0] * size)
+        counts[lo : lo + rows] = found.reshape(block.shape[0], size)
+    return counts
 
 
 def permutation_masks(
@@ -224,17 +268,46 @@ class SharedSeed:
     unsigned integers that hold them and masks as ``bool``, so the store
     stays small.  A campaign sweep gives each replicate one store, which
     its cells share, because they have the same stage seeds.
+    ``defer_weights`` stores a draw that is still being made, for one
+    reader: the first ``resample_weights`` of it takes it out of the store.
     """
 
     seed: np.random.SeedSequence
     store: dict
 
+    def key(self, batch: int, plan: tuple) -> tuple:
+        ss = self.seed
+        # A SeedSequence's stream depends on these three fields alone.
+        return (repr(ss.entropy), ss.spawn_key, ss.pool_size, batch, plan)
+
+    def draw(self, batch: int, plan: tuple) -> list[np.ndarray]:
+        rng = np.random.default_rng(self.seed)
+        return [_draw(rng, batch, spec, compact=True) for spec in plan]
+
 
 def _draw(rng: np.random.Generator, batch: int, spec, compact: bool) -> np.ndarray:
-    if isinstance(spec, Counts):
-        dtype = np.min_scalar_type(spec.draws) if compact else float
-        return bootstrap_counts(rng, spec.draws, spec.size, batch, dtype)
-    return permutation_masks(rng, spec.total, spec.size_a, batch, bool if compact else float)
+    if not isinstance(spec, Counts):
+        return permutation_masks(rng, spec.total, spec.size_a, batch, bool if compact else float)
+    if not compact:
+        return bootstrap_counts(rng, spec.draws, spec.size, batch)
+    dtype = np.min_scalar_type(spec.draws)
+    counts = bootstrap_counts(rng, spec.draws, spec.size, batch, dtype)
+    # A position is rarely picked 256 times, so wider counts mostly fit bytes.
+    if dtype != np.uint8 and counts.max(initial=0) <= 255:
+        counts = counts.astype(np.uint8)
+    return counts
+
+
+def defer_weights(seed: SharedSeed, batch: int, *plan) -> None:
+    """Draw ``resample_weights(seed, batch, *plan)`` on the helper thread (``blas.submit``).
+
+    The first later ``resample_weights`` of the same draw waits for it and
+    takes it out of the store, so its counts are freed once converted.  A
+    draw already stored is not drawn again.
+    """
+    key = seed.key(batch, plan)
+    if key not in seed.store:
+        seed.store[key] = submit(seed.draw, batch, plan)
 
 
 def resample_weights(seed, batch: int, *plan) -> list[np.ndarray]:
@@ -247,11 +320,10 @@ def resample_weights(seed, batch: int, *plan) -> list[np.ndarray]:
     if not isinstance(seed, SharedSeed):
         rng = np.random.default_rng(seed)
         return [_draw(rng, batch, spec, compact=False) for spec in plan]
-    ss = seed.seed
-    # A SeedSequence's stream depends on these three fields alone.
-    key = (repr(ss.entropy), ss.spawn_key, ss.pool_size, batch, plan)
+    key = seed.key(batch, plan)
     stored = seed.store.get(key)
     if stored is None:
-        rng = np.random.default_rng(ss)
-        stored = seed.store[key] = [_draw(rng, batch, spec, compact=True) for spec in plan]
+        stored = seed.store[key] = seed.draw(batch, plan)
+    elif not isinstance(stored, list):  # a deferred draw
+        stored = seed.store.pop(key).result()
     return [weights.astype(float) for weights in stored]

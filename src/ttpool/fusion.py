@@ -61,6 +61,11 @@ class FusionOutcome:
     resamples_used: int
 
 
+def bootstrap_plan(m: int, l: int) -> tuple:
+    """The count plan of the equivalence bootstrap: each control arm resampled from itself."""
+    return Counts(m, m), Counts(l, l)
+
+
 def _bootstrap_root_terms(k_block: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """sqrt(max(D^2_W, 0)) with D^2_W = (1/s^2) (W-1)' K (W-1) per weight row."""
     s = k_block.shape[0]
@@ -83,7 +88,7 @@ def equivalence_fusion(gram: GramCache, cfg: FusionConfig) -> FusionOutcome:
     statistic = cfg.theta - d
 
     b = cfg.num_bootstrap
-    w_c, w_h = resample_weights(cfg.seed, b, Counts(gram.m, gram.m), Counts(gram.l, gram.l))
+    w_c, w_h = resample_weights(cfg.seed, b, *bootstrap_plan(gram.m, gram.l))
     s = _bootstrap_root_terms(gram.k_cc, w_c) + _bootstrap_root_terms(gram.k_hh, w_h)
     critical = inf_quantile(s, 1.0 - cfg.alpha_f)
     return FusionOutcome(

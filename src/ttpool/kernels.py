@@ -29,11 +29,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DegenerateSample, DimensionMismatch
+from .blas import share
+from .errors import (
+    ConfigError,
+    DataError,
+    DegenerateSample,
+    DimensionMismatch,
+    ZeroBandwidth,
+)
 
 
 class KernelFamily(str, Enum):
@@ -139,6 +146,13 @@ def resolve_bandwidth(spec: KernelSpec, pooled: np.ndarray) -> float:
     return _median_bandwidth(spec, _pair_distances(pooled))
 
 
+def pool_bandwidth(spec: KernelSpec, pooled: np.ndarray) -> Optional[float]:
+    """The bandwidth a Gram matrix over ``pooled`` uses: none for the linear kernel."""
+    if spec.family is KernelFamily.LINEAR:
+        return None
+    return resolve_bandwidth(spec, pooled)
+
+
 def _median_bandwidth(spec: KernelSpec, pair_sq: np.ndarray) -> float:
     """The bandwidth from the squared distances of all distinct pairs.
 
@@ -159,7 +173,7 @@ def _median_bandwidth(spec: KernelSpec, pair_sq: np.ndarray) -> float:
     if np.isnan(pair_sq[half:].max()):
         raise DegenerateSample("pairwise distances include NaN; points must be finite")
     if med <= 0.0:
-        raise DegenerateSample("median pairwise distance is zero; no valid bandwidth")
+        raise ZeroBandwidth("median pairwise distance is zero; no valid bandwidth")
     # The RBF kernel divides by 2 * bandwidth, which must stay finite too.
     if 2.0 * med == np.inf:
         raise DegenerateSample(
@@ -337,32 +351,58 @@ def _mirrored_product(x: np.ndarray) -> np.ndarray:
     return k
 
 
-def _pool_gram(spec: KernelSpec, pooled: np.ndarray) -> tuple[np.ndarray, Optional[float]]:
+def _pool_gram(
+    spec: KernelSpec,
+    pooled: np.ndarray,
+    after_median: Optional[Callable[[], None]] = None,
+    bandwidth: Optional[float] = None,
+) -> tuple[np.ndarray, Optional[float]]:
     """The kernel matrix of one pool and the bandwidth resolved on it.
 
     Distance-based kernels take one pass of ``_pair_distances``: it
     writes the upper row blocks of the squared-distance matrix that the
     kernel overwrites, and its pairs, partitioned in place after that,
     give the median bandwidth.  The kernel is then applied to those
-    blocks, and the columns left of each diagonal block are copied from
-    the rows above.  The linear kernel has no bandwidth.
+    blocks, and then the columns left of each diagonal block are copied
+    from the rows above; ``blas.share`` runs both passes, so a helper
+    thread takes blocks too.  The linear kernel has no bandwidth.
+    ``after_median`` is called once the pair vector is freed (for the
+    linear kernel, first).  A ``bandwidth`` already resolved on this pool
+    is used as it is: the distance blocks are written, and no pair is
+    collected.
 
     Raises:
         DegenerateSample: if the median bandwidth is zero.
     """
     if spec.family is KernelFamily.LINEAR:
+        if after_median is not None:
+            after_median()
         return _mirrored_product(pooled), None
     n = pooled.shape[0]
     gram = np.empty((n, n))
-    bandwidth = _median_bandwidth(spec, _pair_distances(pooled, gram))
+    if bandwidth is None:
+        bandwidth = _median_bandwidth(spec, _pair_distances(pooled, gram))
+    else:
+        with np.errstate(over="ignore"):  # as in _pair_distances
+            for _ in _distance_blocks(pooled, pooled, gram, upper=True):
+                pass
+    if after_median is not None:
+        after_median()
     linear = _mirrored_product(pooled) if spec.family is KernelFamily.LINEAR_PLUS_RBF else None
     step = _rows_per_block(n)
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
+    blocks = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+    def apply(block: tuple[int, int]) -> None:
+        lo, hi = block
         strip = None if linear is None else linear[lo:hi, lo:]
         _apply_kernel(spec, bandwidth, gram[lo:hi, lo:], strip)
-        if lo:
-            gram[lo:hi, :lo] = gram[:lo, lo:hi].T
+
+    def mirror(block: tuple[int, int]) -> None:
+        lo, hi = block
+        gram[lo:hi, :lo] = gram[:lo, lo:hi].T
+
+    share(apply, blocks)
+    share(mirror, blocks[1:])
     return gram, bandwidth
 
 
@@ -378,7 +418,8 @@ class GramCache:
     First-read rule: the two-arm side is built from ``points`` when it is
     first read and kept on the instance.  Reading ``bandwidth_pooled2``
     alone resolves the bandwidth without building the matrix; reading
-    ``matrix_nomerge`` builds both at once.  A degenerate two-arm pool
+    ``matrix_nomerge`` builds both at once, or the matrix alone once the
+    bandwidth is known (``keep_bandwidth_pooled2``).  A degenerate two-arm pool
     therefore raises ``DegenerateSample`` at that first read, not in
     ``build_gram``.  ``dataclasses.replace`` makes a new instance, which
     builds its own two-arm side.  Every matrix is read-only and safe to
@@ -403,18 +444,26 @@ class GramCache:
 
     @cached_property
     def bandwidth_pooled2(self) -> Optional[float]:
-        if self.kernel.family is KernelFamily.LINEAR:
-            return None
-        return resolve_bandwidth(self.kernel, self._pooled2)
+        return pool_bandwidth(self.kernel, self._pooled2)
 
     @cached_property
     def matrix_nomerge(self) -> np.ndarray:
-        matrix, bandwidth = _pool_gram(self.kernel, self._pooled2)
+        # cached_property keeps its value in the instance dict.  A bandwidth
+        # kept there is used, and one resolved here is kept, so the two-arm
+        # median is resolved once.
+        known = self.__dict__.get("bandwidth_pooled2")
+        matrix, bandwidth = _pool_gram(self.kernel, self._pooled2, bandwidth=known)
         matrix.setflags(write=False)
-        # cached_property keeps its value in the instance dict; fill it here
-        # so that a later bandwidth read does not resolve the median again.
         self.__dict__.setdefault("bandwidth_pooled2", bandwidth)
         return matrix
+
+    def keep_bandwidth_pooled2(self, bandwidth: Optional[float]) -> None:
+        """Keep a two-arm bandwidth resolved apart, by ``pool_bandwidth`` on ``_pooled2``.
+
+        Later reads of ``bandwidth_pooled2``, and the build of
+        ``matrix_nomerge``, take it instead of resolving the median.
+        """
+        self.__dict__.setdefault("bandwidth_pooled2", bandwidth)
 
     @property
     def size(self) -> int:
@@ -465,12 +514,18 @@ class GramCache:
 
 
 def build_gram(
-    spec: KernelSpec, current: Sample, historical: Sample, treatment: Sample
+    spec: KernelSpec,
+    current: Sample,
+    historical: Sample,
+    treatment: Sample,
+    after_median: Optional[Callable[[], None]] = None,
 ) -> GramCache:
     """Build the Gram cache for three dimension-consistent samples.
 
     Only the three-arm matrix and bandwidth are built here; the two-arm
-    side is built on first read (see ``GramCache``).
+    side is built on first read (see ``GramCache``).  ``after_median``,
+    if given, is called once the three-arm bandwidth is resolved and its
+    pair vector freed, before the kernel is applied.
 
     Raises:
         DegenerateSample: if the three-arm median bandwidth is zero.
@@ -480,7 +535,7 @@ def build_gram(
             f"arm dimensions differ: {current.dim}, {historical.dim}, {treatment.dim}"
         )
     pooled = np.vstack([current.points, historical.points, treatment.points])
-    matrix, bandwidth = _pool_gram(spec, pooled)
+    matrix, bandwidth = _pool_gram(spec, pooled, after_median)
     return GramCache(
         kernel=spec,
         matrix=matrix,

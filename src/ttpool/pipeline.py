@@ -7,19 +7,29 @@ from typing import Optional
 
 import numpy as np
 
+from .blas import helper_thread, one_blas_thread, submit
 from .causality import (
     CausalityConfig,
     CausalityOutcome,
     DiagnosticsReport,
     Method,
     consistency_diagnostics,
+    partial_bootstrap_plan,
     pooled_permutation_test,
     run_causality,
     standard_permutation_test,
 )
-from .errors import ConfigError
-from .fusion import FusionConfig, FusionMode, FusionOutcome, classic_fusion, equivalence_fusion
-from .kernels import GramCache, KernelSpec, Sample, build_gram
+from .errors import ConfigError, DegenerateSample
+from .estimators import SharedSeed, defer_weights
+from .fusion import (
+    FusionConfig,
+    FusionMode,
+    FusionOutcome,
+    bootstrap_plan,
+    classic_fusion,
+    equivalence_fusion,
+)
+from .kernels import GramCache, KernelSpec, Sample, build_gram, pool_bandwidth
 
 
 @dataclass(frozen=True)
@@ -120,28 +130,29 @@ def run_ttp(
       seeded by the first seed.  ``merged_method`` and ``compare_methods``
       do not choose this test.
 
-    When one test runs, every method slot carries its outcome.
+    When one test runs, every method slot carries its outcome.  The
+    products run inside ``blas.one_blas_thread``.
     """
     methods = (cfg.merged_method, *compare_methods)
     if len(causality_seeds) != len(methods):
         raise ConfigError(f"need {len(methods)} causality seeds, got {len(causality_seeds)}")
     equivalence = cfg.fusion.mode is FusionMode.EQUIVALENCE
     fuse = equivalence_fusion if equivalence else classic_fusion
-    fusion = fuse(gram, replace(cfg.fusion, seed=fusion_seed))
-
-    if fusion.merged and equivalence:
-        outcomes = tuple(
-            run_causality(gram, replace(cfg.causality, method=method, seed=seed))
-            for method, seed in zip(methods, causality_seeds)
+    with one_blas_thread():
+        fusion = fuse(gram, replace(cfg.fusion, seed=fusion_seed))
+        if fusion.merged and equivalence:
+            outcomes = tuple(
+                run_causality(gram, replace(cfg.causality, method=method, seed=seed))
+                for method, seed in zip(methods, causality_seeds)
+            )
+            return fusion, outcomes
+        test = pooled_permutation_test if fusion.merged else standard_permutation_test
+        outcome = test(
+            gram,
+            replace(
+                cfg.causality, method=Method.STANDARD_PERMUTATION, seed=causality_seeds[0]
+            ),
         )
-        return fusion, outcomes
-    test = pooled_permutation_test if fusion.merged else standard_permutation_test
-    outcome = test(
-        gram,
-        replace(
-            cfg.causality, method=Method.STANDARD_PERMUTATION, seed=causality_seeds[0]
-        ),
-    )
     return fusion, (outcome,) * len(methods)
 
 
@@ -166,17 +177,57 @@ def run_report(
     * Classic mode, merged: naive pooling, a permutation test of the fused
       control (current || historical) vs treatment on the three-arm
       bandwidth; ``cfg.merged_method`` is not used.
+
+    The analysis runs inside ``blas.one_blas_thread``, as a campaign
+    replicate does, and on two threads: this one and a helper that
+    ``blas.helper_thread`` opens for the call and stops before it
+    returns.  In equivalence mode the helper first draws the fusion's
+    counts, and the partial bootstrap's when that is the merged method,
+    into a ``SharedSeed`` store while this thread computes the pairwise
+    distances.  Once the three-arm median is resolved it resolves the
+    two-arm median; then both threads apply the kernel, the helper makes
+    the diagnostics, and both share the row blocks of the resampling
+    products.
+    Draws, blocks and bandwidths have the bits they have on one thread,
+    so the outcomes equal a campaign replicate's on the same arms and
+    seeds.
     """
-    gram = build_gram(cfg.kernel, current, historical, treatment)
     fusion_seed, causality_seed = _stage_seeds(cfg, master_seed)
-    fusion, (causality,) = run_ttp(gram, cfg, fusion_seed, (causality_seed,))
-    return TTPReport(
-        fusion=fusion,
-        causality=causality,
-        diagnostics=consistency_diagnostics(gram),
-        config=cfg,
-        bandwidth_pooled3=gram.bandwidth_pooled3,
-        bandwidth_pooled2=gram.bandwidth_pooled2,
-        bandwidth_used="pooled3" if fusion.merged else "pooled2",
-        seeds=_seed_record(master_seed, fusion_seed, causality_seed),
+    store = {}
+    fusion_draws, causality_draws = (
+        SharedSeed(seed, store) if isinstance(seed, np.random.SeedSequence) else seed
+        for seed in (fusion_seed, causality_seed)
     )
+    m, l, n = current.size, historical.size, treatment.size
+    two_arm = []
+
+    def after_median() -> None:
+        pooled2 = np.concatenate([current.points, treatment.points])
+        two_arm.append(submit(pool_bandwidth, cfg.kernel, pooled2))
+
+    with one_blas_thread(), helper_thread():
+        if cfg.fusion.mode is FusionMode.EQUIVALENCE:
+            if isinstance(fusion_draws, SharedSeed):
+                defer_weights(fusion_draws, cfg.fusion.num_bootstrap, *bootstrap_plan(m, l))
+            if cfg.merged_method is Method.PARTIAL_BOOTSTRAP and isinstance(
+                causality_draws, SharedSeed
+            ):
+                plan = partial_bootstrap_plan(m, l, n)
+                defer_weights(causality_draws, cfg.causality.num_resamples, *plan)
+        gram = build_gram(cfg.kernel, current, historical, treatment, after_median)
+        diagnostics = submit(consistency_diagnostics, gram)
+        try:
+            gram.keep_bandwidth_pooled2(two_arm[0].result())
+        except DegenerateSample:
+            pass  # raised again where the branch first reads the two-arm side
+        fusion, (causality,) = run_ttp(gram, cfg, fusion_draws, (causality_draws,))
+        return TTPReport(
+            fusion=fusion,
+            causality=causality,
+            diagnostics=diagnostics.result(),
+            config=cfg,
+            bandwidth_pooled3=gram.bandwidth_pooled3,
+            bandwidth_pooled2=gram.bandwidth_pooled2,
+            bandwidth_used="pooled3" if fusion.merged else "pooled2",
+            seeds=_seed_record(master_seed, fusion_seed, causality_seed),
+        )

@@ -16,15 +16,14 @@ import ctypes
 import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from functools import cache, partial
-from pathlib import Path
+from functools import partial
 from typing import Optional, Union
 
 import numpy as np
 
 from . import causality
+from .blas import one_blas_thread
 from .causality import Method
 from .errors import ConfigError, TTPoolError
 from .estimators import SharedSeed
@@ -177,36 +176,15 @@ def _run_replicate(scn: Scenario, rep: int, store: dict) -> tuple:
         ) from exc
 
 
-@cache
-def _numpy_openblas() -> Optional[ctypes.CDLL]:
-    """NumPy's bundled ``scipy_openblas64_`` library, or ``None`` where it is not found.
-
-    Loading the file NumPy already loaded returns the same library, so its
-    thread setter acts on NumPy's own BLAS calls.
-    """
-    numpy_dir = Path(np.__file__).parent
-    for lib_dir in (numpy_dir.parent / "numpy.libs", numpy_dir / ".dylibs"):
-        for path in sorted(lib_dir.glob("*scipy_openblas64_*")):
-            try:
-                lib = ctypes.CDLL(str(path))
-                lib.scipy_openblas_get_num_threads64_.argtypes = []
-                lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
-                lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
-                lib.scipy_openblas_set_num_threads64_.restype = None
-            except (OSError, AttributeError):
-                continue
-            return lib
-    return None
-
-
 #: glibc ``mallopt`` parameters (malloc.h), and the bound ``keep_freed_heap``
-#: gives both: 32 MiB, glibc's 64-bit ceiling for its own dynamic mmap threshold.
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+#: gives the first two: 32 MiB, glibc's 64-bit ceiling for its own dynamic
+#: mmap threshold.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8
 _HEAP_BLOCK_LIMIT = 32 << 20
 
 
 def keep_freed_heap() -> bool:
-    """Keep freed heap pages in this process; True if glibc took both settings.
+    """Keep freed heap pages in this process, in one arena; True if glibc took every setting.
 
     By default glibc maps each block above its dynamic threshold (128 KiB
     at start) afresh and unmaps it on free, so every replicate
@@ -219,9 +197,12 @@ def keep_freed_heap() -> bool:
     leaves the other at its 128 KiB default.  Trimming is bounded, not
     off: with it off, the free heap pages of a large-shape command stayed
     resident while its next Gram was mapped, which raised peak RSS.
-    The setting is process-wide, so pool threads share it.  Where
-    ``mallopt`` is missing, nothing changes.  The CLI calls this; library
-    functions leave the allocator to their caller.
+    Every thread allocates from one malloc arena, so helper and pool
+    threads reuse the pages the calling thread freed: ten large-shape
+    ``ttpool test`` commands in one process peaked at 127.0 MB with a
+    second arena for the helper thread, against 122.1 MB with one.  The
+    settings are process-wide, so pool threads share them.  Where ``mallopt`` is missing, nothing changes.  The CLI
+    calls this; library functions leave the allocator to their caller.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -230,33 +211,12 @@ def keep_freed_heap() -> bool:
         return False
     mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
     mallopt.restype = ctypes.c_int
-    params = (_M_MMAP_THRESHOLD, _M_TRIM_THRESHOLD)
-    return all([mallopt(param, _HEAP_BLOCK_LIMIT) for param in params])
-
-
-@contextmanager
-def _one_blas_thread():
-    """Run the block with NumPy's OpenBLAS on one thread; restore the saved count after.
-
-    The count is process-wide: while it is 1, each thread that calls into
-    OpenBLAS runs its product on itself, with no helper threads.  NumPy's
-    OpenBLAS rounds a product on 1 and on 2 threads apart once its inner
-    dimension reaches about 400, so a fixed count is what makes a
-    campaign's bytes independent of its worker count.
-    """
-    lib = _numpy_openblas()
-    if lib is None:
-        _log.debug("no NumPy OpenBLAS found; replicates keep the default BLAS threading")
-        yield
-        return
-    saved = lib.scipy_openblas_get_num_threads64_()
-    _log.debug("pinning OpenBLAS %s to 1 thread for the replicates (saved count %d)",
-               lib._name, saved)
-    lib.scipy_openblas_set_num_threads64_(1)
-    try:
-        yield
-    finally:
-        lib.scipy_openblas_set_num_threads64_(saved)
+    settings = (
+        (_M_MMAP_THRESHOLD, _HEAP_BLOCK_LIMIT),
+        (_M_TRIM_THRESHOLD, _HEAP_BLOCK_LIMIT),
+        (_M_ARENA_MAX, 1),
+    )
+    return all([mallopt(param, value) for param, value in settings])
 
 
 def check_workers(workers: int) -> None:
@@ -268,7 +228,7 @@ def check_workers(workers: int) -> None:
 def _map_replicates(run, replicates: int, workers: int) -> list:
     """``[run(rep) for rep in range(replicates)]``, on ``workers`` threads if > 1.
 
-    Every worker count runs inside ``_one_blas_thread``, so each OpenBLAS
+    Every worker count runs inside ``blas.one_blas_thread``, so each OpenBLAS
     call runs on its calling thread alone: products round the same way on
     any worker count, and pool threads do not compete with OpenBLAS
     helper threads for the cores.  The saved count is restored once the
@@ -284,7 +244,7 @@ def _map_replicates(run, replicates: int, workers: int) -> list:
     """
     check_workers(workers)
     reps = range(replicates)
-    with _one_blas_thread():
+    with one_blas_thread():
         if workers == 1:
             return [run(rep) for rep in reps]
         with ThreadPoolExecutor(min(workers, replicates)) as pool:

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ttpool import cli, simulate
+from ttpool import blas, cli, simulate
 from ttpool.causality import CausalityOutcome, DiagnosticsReport
 from ttpool.cli import (
     _KEYS,
@@ -242,6 +242,18 @@ class TestDatasetIngestion:
         path = tmp_path / "d.csv"
         path.write_text("current,1.0\nhistorical,2.0\n")
         with pytest.raises(DataError, match="treatment"):
+            load_dataset(path)
+
+    def test_labels_are_stripped_and_case_blind_and_blank_rows_skipped(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text(" Current ,1.5\n\n , \nHISTORICAL,-2.0\n,,\ntreatment,3e-3\n")
+        arms = load_dataset(path)
+        assert [arms[arm].points.tolist() for arm in Arm] == [[[1.5]], [[-2.0]], [[0.003]]]
+        path.write_text("current,1.0\n\nplacebo ,2.0\n")
+        with pytest.raises(DataError, match="row 3: unknown arm label 'placebo '"):
+            load_dataset(path)
+        path.write_text("current,1.0\ntreatment,-inf\n")
+        with pytest.raises(DataError, match="row 2, column 2: non-finite value '-inf'"):
             load_dataset(path)
 
 
@@ -477,6 +489,39 @@ class TestExitCodes:
         assert rc == EXIT_STATISTICAL
         assert "median pairwise distance overflows the float range" in capsys.readouterr().err
         assert not (tmp_path / "r.txt.json").exists()
+
+    @pytest.mark.parametrize(
+        "case,hint", [("overflow", False), ("constant", True), ("tiny-arm", True)]
+    )
+    def test_hint_only_for_constant_or_tiny_arms(self, tmp_path, capsys, case, hint):
+        # The hint names constant arms and arm sizes; an overflowing median
+        # distance has neither cause.
+        rng = np.random.default_rng(4)
+        arms = {
+            "overflow": [1e200 * rng.normal(size=size) for size in (30, 40, 30)],
+            "constant": [[1.0, 1.0]] * 3,
+            "tiny-arm": [[0.3], rng.normal(size=6), rng.normal(size=6)],
+        }[case]
+        path = tmp_path / "arms.csv"
+        write_csv(path, *arms)
+        rc = main(["test", "--out", str(tmp_path / "r.txt"), "--set", f"data={path}", *FAST])
+        err = capsys.readouterr().err
+        assert rc == EXIT_STATISTICAL
+        assert err.startswith("statistical precondition failure: ")
+        assert ("hint: check for constant-valued arms" in err) is hint
+
+    def test_test_command_leaves_no_thread_and_the_blas_count_as_it_was(self, tmp_path, dataset):
+        # The command opens its helper thread and pins OpenBLAS for itself;
+        # both are undone before it returns.
+        lib = blas.numpy_openblas()
+        count = lib.scipy_openblas_get_num_threads64_() if lib is not None else None
+        threads = threading.enumerate()
+        for merge in ("0", "inf"):
+            args = ["--set", f"data={dataset}", "--set", f"fusion.theta={merge}", *FAST]
+            assert main(["test", "--out", str(tmp_path / "r.txt"), *args]) == EXIT_OK
+            assert threading.enumerate() == threads
+            if lib is not None:
+                assert lib.scipy_openblas_get_num_threads64_() == count
 
     @pytest.mark.parametrize("theta", ["0", "inf"], ids=["no-merge", "merge"])
     def test_constant_two_arm_pool_exit_4(self, tmp_path, capsys, theta):
@@ -892,7 +937,7 @@ def test_sweep_tsv_bitwise_identical_for_workers_1_2_3(tmp_path, command, sweep)
 
 
 @pytest.mark.skipif(
-    simulate._numpy_openblas() is None,
+    blas.numpy_openblas() is None,
     reason="NumPy's bundled OpenBLAS (scipy_openblas64_) was not found",
 )
 def test_null_study_tsv_bitwise_identical_above_inner_dimension_400(tmp_path):

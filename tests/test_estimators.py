@@ -6,8 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import oracle_mmd2_u, oracle_mmd2_v, population_mmd2_gaussian_rbf, random_spec
+from ttpool import estimators
+from ttpool.blas import helper_thread, one_blas_thread
 from ttpool.errors import IndexOutOfRange, SampleTooSmall
 from ttpool.estimators import (
+    PRODUCT_ROWS,
     Estimator,
     batched_quad,
     bootstrap_counts,
@@ -15,6 +18,7 @@ from ttpool.estimators import (
     mmd2_slices,
     mmd2_v,
     permutation_masks,
+    product_row_dots,
 )
 from ttpool.kernels import KernelFamily, KernelSpec, kernel_matrix
 
@@ -316,6 +320,49 @@ class TestResamplingHelpers:
         masks = permutation_masks(TiedUniforms(), total=12, size_a=4, batch=25)
         assert np.array_equal(masks.sum(axis=1), np.full(25, 4.0))
         assert set(np.unique(masks)) <= {0.0, 1.0}
+
+    @staticmethod
+    def _one_flat_bincount(rng, draws, size, batch):
+        """The counts as one int64 ``integers`` call and one flat ``bincount`` make them."""
+        picks = rng.integers(0, size, (batch, draws))
+        picks += size * np.arange(batch)[:, None]
+        return np.bincount(picks.ravel(), minlength=batch * size).reshape(batch, size)
+
+    @pytest.mark.parametrize(
+        "draws,size,batch",
+        [(50, 50, 1000), (100, 50, 1000), (100, 100, 1000), (1000, 1000, 1000), (1000, 500, 600)],
+        ids=["paper-m", "paper-n", "paper-l", "1000x1000", "large-n"],
+    )
+    def test_bootstrap_counts_equal_one_flat_bincount(self, draws, size, batch):
+        # Row blocks of picks give the counts of one draw of every pick.
+        for seed in range(3):
+            want = self._one_flat_bincount(np.random.default_rng(seed), draws, size, batch)
+            for dtype in (float, np.uint16):
+                got = bootstrap_counts(np.random.default_rng(seed), draws, size, batch, dtype)
+                assert got.dtype == dtype
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("block", [60, 21 * 7], ids=["3-rows", "7-rows"])
+    def test_bootstrap_counts_in_many_blocks(self, monkeypatch, block):
+        # Blocks of 3 or 7 rows, the last one short and some of an odd
+        # number of picks, continue one stream.
+        want = self._one_flat_bincount(np.random.default_rng(9), 41, 20, 100)
+        monkeypatch.setattr(estimators, "_COUNT_BLOCK", block)
+        assert np.array_equal(bootstrap_counts(np.random.default_rng(9), 41, 20, 100), want)
+
+    @pytest.mark.parametrize("batch", [1, PRODUCT_ROWS, 2 * PRODUCT_ROWS + 76])
+    def test_product_row_dots_equal_one_product_on_either_schedule(self, rng, batch):
+        left = rng.integers(0, 4, (batch, 60)).astype(float)
+        right = rng.normal(size=(60, 70))
+        other = rng.normal(size=(batch, 70))
+        with one_blas_thread():
+            product = left @ right
+            want = [np.einsum("bq,bq->b", product, other), product.sum(axis=1)]
+            serial = product_row_dots(left, right, other, totals=True)
+            with helper_thread():
+                shared = product_row_dots(left, right, other, totals=True)
+        for got in (serial, shared):
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
     def test_bootstrap_counts_multinomial_moments(self):
         # multinomial(draws; 1/s, ...): mean draws/s, variance

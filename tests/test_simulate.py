@@ -1,5 +1,6 @@
 """Simulation harness: generators, seeding, aggregation, worker invariance."""
 
+import contextlib
 import dataclasses
 import logging
 import sys
@@ -21,7 +22,8 @@ from ttpool.errors import ConfigError, SampleTooSmall
 from ttpool.estimators import Counts, Estimator, Masks, SharedSeed, resample_weights
 from ttpool.fusion import FusionConfig, FusionMode
 from ttpool.kernels import build_gram
-from ttpool import causality, cli, estimators, fusion, kernels, simulate
+from ttpool import blas, causality, cli, estimators, fusion, kernels, simulate
+from ttpool.blas import numpy_openblas, one_blas_thread
 from ttpool.pipeline import TTPConfig, run_report
 from ttpool.simulate import (
     CampaignResult,
@@ -31,8 +33,6 @@ from ttpool.simulate import (
     _ks_distance,
     _map_replicates,
     _null_replicate,
-    _numpy_openblas,
-    _one_blas_thread,
     _run_replicate,
     draw_arms,
     null_distribution_study,
@@ -111,7 +111,7 @@ class TestScenarioValidation:
 
 
 def _blas_threads(_rep):
-    return _numpy_openblas().scipy_openblas_get_num_threads64_()
+    return numpy_openblas().scipy_openblas_get_num_threads64_()
 
 
 def _double(rep):
@@ -167,7 +167,7 @@ class TestWorkerPool:
         assert dataclasses.replace(pooled, seconds=0.0) == dataclasses.replace(serial, seconds=0.0)
 
     @pytest.mark.skipif(
-        _numpy_openblas() is None,
+        numpy_openblas() is None,
         reason="NumPy's bundled OpenBLAS (scipy_openblas64_) was not found",
     )
     @pytest.mark.parametrize("workers", [1, 2])
@@ -177,7 +177,7 @@ class TestWorkerPool:
         assert _blas_threads(None) == before
 
     @pytest.mark.skipif(
-        _numpy_openblas() is None,
+        numpy_openblas() is None,
         reason="NumPy's bundled OpenBLAS (scipy_openblas64_) was not found",
     )
     def test_failing_replicate_restores_the_blas_thread_count(self):
@@ -195,12 +195,12 @@ class TestWorkerPool:
         assert _blas_threads(None) == before
 
     def test_pool_logs_the_pinned_library(self, caplog, monkeypatch):
-        found = _numpy_openblas() is not None
-        with caplog.at_level(logging.DEBUG, logger="ttpool.simulate"):
-            with _one_blas_thread():
+        found = numpy_openblas() is not None
+        with caplog.at_level(logging.DEBUG, logger="ttpool.blas"):
+            with one_blas_thread():
                 pass
-            monkeypatch.setattr(simulate, "_numpy_openblas", lambda: None)
-            with _one_blas_thread():
+            monkeypatch.setattr(blas, "numpy_openblas", lambda: None)
+            with one_blas_thread():
                 pass
         messages = [r.getMessage() for r in caplog.records]
         if found:
@@ -322,17 +322,32 @@ class TestSharedDraws:
         def seed():
             return np.random.SeedSequence([3, 1, 2]).spawn(2)[1]
 
-        plan = (Counts(7, 5), Masks(9, 4), Counts(300, 5))
+        # 300 picks among 5 positions fit bytes; among 1 position they do not.
+        plan = (Counts(7, 5), Masks(9, 4), Counts(300, 5), Counts(300, 1))
         fresh = resample_weights(seed(), 11, *plan)
         store = {}
         first = resample_weights(SharedSeed(seed(), store), 11, *plan)
         again = resample_weights(SharedSeed(seed(), store), 11, *plan)
         assert len(store) == 1
+        (stored,) = store.values()
+        assert [w.dtype for w in stored] == [np.uint8, np.bool_, np.uint8, np.uint16]
         for want, *got in zip(fresh, first, again):
             assert want.dtype == float
             for weights in got:
                 assert weights.dtype == float and weights.tobytes() == want.tobytes()
         assert again[0] is not first[0]
+
+    @pytest.mark.parametrize("helper", [False, True], ids=["here", "on-the-helper"])
+    def test_a_deferred_draw_is_the_fresh_bytes_for_one_reader(self, helper):
+        seed = np.random.SeedSequence([3, 1, 2])
+        plan = (Counts(40, 30), Counts(60, 30))
+        fresh = resample_weights(seed, 700, *plan)
+        store = {}
+        with blas.helper_thread() if helper else contextlib.nullcontext():
+            estimators.defer_weights(SharedSeed(seed, store), 700, *plan)
+            got = resample_weights(SharedSeed(seed, store), 700, *plan)
+        assert store == {}
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, fresh))
 
     def test_sweep_results_equal_campaigns(self):
         scns = [tiny_scenario(reps=4, seed=9, generator=MeanShift(c, 0.2)) for c in (0.0, 0.5)]
@@ -383,6 +398,42 @@ class TestReplicateMatchesPipeline:
                 assert outcomes[1] == report.causality, rep
             branches.add(fusion_outcome.merged)
         assert branches == {True, False}
+
+    @pytest.mark.parametrize(
+        "n,m,l", [(400, 200, 400), (1000, 500, 1000)], ids=["400-200-400", "1000-500-1000"]
+    )
+    @pytest.mark.parametrize("shift_h,seed", [(0.0, 0), (1.0, 5)], ids=["merged", "unmerged"])
+    def test_report_equals_replicate_above_inner_dimension_400(self, n, m, l, shift_h, seed):
+        # OpenBLAS rounds these products on one and on two threads apart, and
+        # 600 resamples span two row blocks of every resampling product; the
+        # report's two threads must give the pinned serial replicate's bits.
+        # At these seeds a report with the default BLAS threading gave other
+        # fusion and causality critical values.
+        scn = Scenario(
+            generator=MeanShift(0.2, shift_h),
+            n=n,
+            m=m,
+            l=l,
+            ttp=TTPConfig(
+                fusion=FusionConfig(num_bootstrap=600),
+                causality=CausalityConfig(num_resamples=600),
+            ),
+            replicates=1,
+            master_seed=seed,
+        )
+        with one_blas_thread():  # as a campaign runs its replicates
+            fusion_outcome, (outcome,) = _run_replicate(scn, 0, {})
+        cfg = dataclasses.replace(
+            scn.ttp,
+            fusion=dataclasses.replace(scn.ttp.fusion, seed=np.random.SeedSequence([seed, 0, 1])),
+            causality=dataclasses.replace(
+                scn.ttp.causality, seed=np.random.SeedSequence([seed, 0, 2]).spawn(1)[0]
+            ),
+        )
+        report = run_report(*draw_arms(scn, 0), cfg)
+        assert fusion_outcome.merged is (shift_h == 0.0)
+        assert report.fusion == fusion_outcome
+        assert report.causality == outcome
 
 
 class TestKSDistance:
@@ -496,21 +547,21 @@ class TestTwoArmBuiltOnFirstRead:
 
     @pytest.fixture
     def two_arm_builds(self, monkeypatch):
-        """Two-arm builds: matrices by ``_pool_gram``, lone bandwidths by ``resolve_bandwidth``."""
-        builds = {"matrix": 0, "bandwidth": 0}
+        """Two-arm builds: matrices by ``_pool_gram``, medians by ``_median_bandwidth``."""
+        builds = {"matrix": 0, "median": 0}
+        pairs = self.TWO_ARM_ROWS * (self.TWO_ARM_ROWS - 1) // 2
+        pool_gram, median_bandwidth = kernels._pool_gram, kernels._median_bandwidth
 
-        def counting(name, fn):
-            def wrapper(spec, pooled):
-                if pooled.shape[0] == self.TWO_ARM_ROWS:
-                    builds[name] += 1
-                return fn(spec, pooled)
+        def matrix(spec, pooled, *args, **kwargs):
+            builds["matrix"] += pooled.shape[0] == self.TWO_ARM_ROWS
+            return pool_gram(spec, pooled, *args, **kwargs)
 
-            return wrapper
+        def median(spec, pair_sq):
+            builds["median"] += pair_sq.size == pairs
+            return median_bandwidth(spec, pair_sq)
 
-        monkeypatch.setattr(kernels, "_pool_gram", counting("matrix", kernels._pool_gram))
-        monkeypatch.setattr(
-            kernels, "resolve_bandwidth", counting("bandwidth", kernels.resolve_bandwidth)
-        )
+        monkeypatch.setattr(kernels, "_pool_gram", matrix)
+        monkeypatch.setattr(kernels, "_median_bandwidth", median)
         return builds
 
     @staticmethod
@@ -525,28 +576,28 @@ class TestTwoArmBuiltOnFirstRead:
         # theta = inf always merges.
         scn = self._scenario(np.inf, (Method.PARTIAL_PERMUTATION, Method.NORMAL_APPROX))
         assert _run_replicate(scn, 0, {})[0].merged
-        assert two_arm_builds == {"matrix": 0, "bandwidth": 0}
+        assert two_arm_builds == {"matrix": 0, "median": 0}
 
     def test_null_study_replicate_builds_no_two_arm_side(self, two_arm_builds):
         methods = (Method.PARTIAL_BOOTSTRAP, Method.PARTIAL_PERMUTATION, Method.NORMAL_APPROX)
         _null_replicate(self._scenario(0.4), MeanShift(1.0, 0.0), 5, methods, 0, {})
-        assert two_arm_builds == {"matrix": 0, "bandwidth": 0}
+        assert two_arm_builds == {"matrix": 0, "median": 0}
 
     def test_merged_report_builds_the_two_arm_bandwidth_only(self, two_arm_builds):
         scn = self._scenario(np.inf)
         report = run_report(*draw_arms(scn, 0), scn.ttp, master_seed=0)
         assert report.fusion.merged
         assert report.bandwidth_pooled2 > 0
-        assert two_arm_builds == {"matrix": 0, "bandwidth": 1}
+        assert two_arm_builds == {"matrix": 0, "median": 1}
 
     def test_unmerged_replicate_builds_the_two_arm_side_once(self, two_arm_builds):
         # theta = 0 never merges; the standard permutation reads the two-arm matrix.
         scn = self._scenario(0.0)
         assert not _run_replicate(scn, 0, {})[0].merged
-        assert two_arm_builds == {"matrix": 1, "bandwidth": 0}
+        assert two_arm_builds == {"matrix": 1, "median": 1}
 
     def test_unmerged_report_resolves_the_two_arm_median_once(self, two_arm_builds):
         scn = self._scenario(0.0)
         report = run_report(*draw_arms(scn, 0), scn.ttp, master_seed=0)
         assert not report.fusion.merged
-        assert two_arm_builds == {"matrix": 1, "bandwidth": 0}
+        assert two_arm_builds == {"matrix": 1, "median": 1}
