@@ -282,14 +282,13 @@ class SharedSeed:
 
     def draw(self, batch: int, plan: tuple) -> list[np.ndarray]:
         rng = np.random.default_rng(self.seed)
-        return [_draw(rng, batch, spec, compact=True) for spec in plan]
+        return [_draw(rng, batch, spec) for spec in plan]
 
 
-def _draw(rng: np.random.Generator, batch: int, spec, compact: bool) -> np.ndarray:
+def _draw(rng: np.random.Generator, batch: int, spec) -> np.ndarray:
+    """One plan entry's rows: masks as ``bool``, counts as the smallest unsigned integers."""
     if not isinstance(spec, Counts):
-        return permutation_masks(rng, spec.total, spec.size_a, batch, bool if compact else float)
-    if not compact:
-        return bootstrap_counts(rng, spec.draws, spec.size, batch)
+        return permutation_masks(rng, spec.total, spec.size_a, batch, bool)
     dtype = np.min_scalar_type(spec.draws)
     counts = bootstrap_counts(rng, spec.draws, spec.size, batch, dtype)
     # A position is rarely picked 256 times, so wider counts mostly fit bytes.
@@ -319,7 +318,7 @@ def resample_weights(seed, batch: int, *plan) -> list[np.ndarray]:
     """
     if not isinstance(seed, SharedSeed):
         rng = np.random.default_rng(seed)
-        return [_draw(rng, batch, spec, compact=False) for spec in plan]
+        return [_draw(rng, batch, spec).astype(float) for spec in plan]
     key = seed.key(batch, plan)
     stored = seed.store.get(key)
     if stored is None:

@@ -16,12 +16,13 @@ which works in row blocks of about 512 KiB.  Each entry sums
 (x_k - y_k)**2 over the dimensions in order, as SciPy's ``sqeuclidean``
 does, so every distance, median and kernel value has the bits that
 ``pdist``/``cdist`` gave.  A pool's Gram is made by one helper: its
-blocks cover the upper triangle, written straight into the N×N matrix,
-and their strict upper triangle is collected for the median, which is
-partitioned in place.  The kernel is then applied block by block, and
-the columns left of each diagonal block are copied from the rows above,
-so the matrix is exactly symmetric with a zero-distance diagonal.  Only
-the ``x @ x.T`` term of the linear kernels is mirrored on its own.
+blocks cover the upper triangle, written straight into the N×N matrix.
+Under the median heuristic their strict upper triangle is collected and
+partitioned in place; a fixed bandwidth collects nothing.  The kernel
+is then applied block by block, and the columns left of each diagonal
+block are copied from the rows above, so the matrix is exactly
+symmetric with a zero-distance diagonal.  Only the ``x @ x.T`` term of
+the linear kernels is mirrored on its own.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -143,17 +144,10 @@ def resolve_bandwidth(spec: KernelSpec, pooled: np.ndarray) -> float:
     pooled = _check_dim(_as_points(pooled))
     if pooled.shape[0] < 2:
         raise DegenerateSample("median heuristic needs at least two points")
-    return _median_bandwidth(spec, _pair_distances(pooled))
+    return _median_bandwidth(_pair_distances(pooled))
 
 
-def pool_bandwidth(spec: KernelSpec, pooled: np.ndarray) -> Optional[float]:
-    """The bandwidth a Gram matrix over ``pooled`` uses: none for the linear kernel."""
-    if spec.family is KernelFamily.LINEAR:
-        return None
-    return resolve_bandwidth(spec, pooled)
-
-
-def _median_bandwidth(spec: KernelSpec, pair_sq: np.ndarray) -> float:
+def _median_bandwidth(pair_sq: np.ndarray) -> float:
     """The bandwidth from the squared distances of all distinct pairs.
 
     ``pair_sq`` holds one value per unordered pair, in any order, and
@@ -163,8 +157,6 @@ def _median_bandwidth(spec: KernelSpec, pair_sq: np.ndarray) -> float:
     averages them.  ``np.median`` partitions at two or three positions,
     which NumPy does several times slower than at one.
     """
-    if spec.bandwidth is not None:
-        return float(spec.bandwidth)
     half = pair_sq.size // 2
     pair_sq.partition(half)
     upper = pair_sq[half]
@@ -352,42 +344,35 @@ def _mirrored_product(x: np.ndarray) -> np.ndarray:
 
 
 def _pool_gram(
-    spec: KernelSpec,
-    pooled: np.ndarray,
-    after_median: Optional[Callable[[], None]] = None,
-    bandwidth: Optional[float] = None,
+    spec: KernelSpec, pooled: np.ndarray, bandwidth: Optional[float] = None
 ) -> tuple[np.ndarray, Optional[float]]:
     """The kernel matrix of one pool and the bandwidth resolved on it.
 
-    Distance-based kernels take one pass of ``_pair_distances``: it
+    Distance-based kernels take one pass of ``_distance_blocks``, which
     writes the upper row blocks of the squared-distance matrix that the
-    kernel overwrites, and its pairs, partitioned in place after that,
-    give the median bandwidth.  The kernel is then applied to those
-    blocks, and then the columns left of each diagonal block are copied
-    from the rows above; ``blas.share`` runs both passes, so a helper
-    thread takes blocks too.  The linear kernel has no bandwidth.
-    ``after_median`` is called once the pair vector is freed (for the
-    linear kernel, first).  A ``bandwidth`` already resolved on this pool
-    is used as it is: the distance blocks are written, and no pair is
-    collected.
+    kernel overwrites.  For the median heuristic ``_pair_distances``
+    makes that pass and collects the pairs, which are partitioned in
+    place after it.  A fixed ``spec.bandwidth``, or a ``bandwidth``
+    already resolved on this pool, is used as it is, and no pair is
+    collected.  The kernel is then applied to those blocks, and then the
+    columns left of each diagonal block are copied from the rows above;
+    ``blas.share`` runs both passes, so a helper thread takes blocks too.
+    The linear kernel has no bandwidth.
 
     Raises:
         DegenerateSample: if the median bandwidth is zero.
     """
     if spec.family is KernelFamily.LINEAR:
-        if after_median is not None:
-            after_median()
         return _mirrored_product(pooled), None
     n = pooled.shape[0]
     gram = np.empty((n, n))
-    if bandwidth is None:
-        bandwidth = _median_bandwidth(spec, _pair_distances(pooled, gram))
+    if bandwidth is None and spec.bandwidth is None:
+        bandwidth = _median_bandwidth(_pair_distances(pooled, gram))
     else:
+        bandwidth = float(spec.bandwidth if bandwidth is None else bandwidth)
         with np.errstate(over="ignore"):  # as in _pair_distances
             for _ in _distance_blocks(pooled, pooled, gram, upper=True):
                 pass
-    if after_median is not None:
-        after_median()
     linear = _mirrored_product(pooled) if spec.family is KernelFamily.LINEAR_PLUS_RBF else None
     step = _rows_per_block(n)
     blocks = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
@@ -419,7 +404,8 @@ class GramCache:
     first read and kept on the instance.  Reading ``bandwidth_pooled2``
     alone resolves the bandwidth without building the matrix; reading
     ``matrix_nomerge`` builds both at once, or the matrix alone once the
-    bandwidth is known (``keep_bandwidth_pooled2``).  A degenerate two-arm pool
+    bandwidth is known, as it is in ``pipeline.run_report``, which reads
+    the bandwidth right after the build.  A degenerate two-arm pool
     therefore raises ``DegenerateSample`` at that first read, not in
     ``build_gram``.  ``dataclasses.replace`` makes a new instance, which
     builds its own two-arm side.  Every matrix is read-only and safe to
@@ -444,7 +430,9 @@ class GramCache:
 
     @cached_property
     def bandwidth_pooled2(self) -> Optional[float]:
-        return pool_bandwidth(self.kernel, self._pooled2)
+        if self.kernel.family is KernelFamily.LINEAR:
+            return None
+        return resolve_bandwidth(self.kernel, self._pooled2)
 
     @cached_property
     def matrix_nomerge(self) -> np.ndarray:
@@ -456,14 +444,6 @@ class GramCache:
         matrix.setflags(write=False)
         self.__dict__.setdefault("bandwidth_pooled2", bandwidth)
         return matrix
-
-    def keep_bandwidth_pooled2(self, bandwidth: Optional[float]) -> None:
-        """Keep a two-arm bandwidth resolved apart, by ``pool_bandwidth`` on ``_pooled2``.
-
-        Later reads of ``bandwidth_pooled2``, and the build of
-        ``matrix_nomerge``, take it instead of resolving the median.
-        """
-        self.__dict__.setdefault("bandwidth_pooled2", bandwidth)
 
     @property
     def size(self) -> int:
@@ -518,14 +498,11 @@ def build_gram(
     current: Sample,
     historical: Sample,
     treatment: Sample,
-    after_median: Optional[Callable[[], None]] = None,
 ) -> GramCache:
     """Build the Gram cache for three dimension-consistent samples.
 
     Only the three-arm matrix and bandwidth are built here; the two-arm
-    side is built on first read (see ``GramCache``).  ``after_median``,
-    if given, is called once the three-arm bandwidth is resolved and its
-    pair vector freed, before the kernel is applied.
+    side is built on first read (see ``GramCache``).
 
     Raises:
         DegenerateSample: if the three-arm median bandwidth is zero.
@@ -535,7 +512,7 @@ def build_gram(
             f"arm dimensions differ: {current.dim}, {historical.dim}, {treatment.dim}"
         )
     pooled = np.vstack([current.points, historical.points, treatment.points])
-    matrix, bandwidth = _pool_gram(spec, pooled, after_median)
+    matrix, bandwidth = _pool_gram(spec, pooled)
     return GramCache(
         kernel=spec,
         matrix=matrix,

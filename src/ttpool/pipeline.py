@@ -19,7 +19,7 @@ from .causality import (
     run_causality,
     standard_permutation_test,
 )
-from .errors import ConfigError, DegenerateSample
+from .errors import ConfigError
 from .estimators import SharedSeed, defer_weights
 from .fusion import (
     FusionConfig,
@@ -29,7 +29,7 @@ from .fusion import (
     classic_fusion,
     equivalence_fusion,
 )
-from .kernels import GramCache, KernelSpec, Sample, build_gram, pool_bandwidth
+from .kernels import GramCache, KernelSpec, Sample, build_gram
 
 
 @dataclass(frozen=True)
@@ -184,13 +184,12 @@ def run_report(
     returns.  In equivalence mode the helper first draws the fusion's
     counts, and the partial bootstrap's when that is the merged method,
     into a ``SharedSeed`` store while this thread computes the pairwise
-    distances.  Once the three-arm median is resolved it resolves the
-    two-arm median; then both threads apply the kernel, the helper makes
-    the diagnostics, and both share the row blocks of the resampling
-    products.
-    Draws, blocks and bandwidths have the bits they have on one thread,
-    so the outcomes equal a campaign replicate's on the same arms and
-    seeds.
+    distances and the three-arm median; the helper takes kernel blocks
+    once it is free.  Then this thread resolves the two-arm median while
+    the helper finishes its draws and makes the diagnostics, and both
+    share the row blocks of the resampling products.  Draws, blocks and
+    bandwidths have the bits they have on one thread, so the outcomes
+    equal a campaign replicate's on the same arms and seeds.
     """
     fusion_seed, causality_seed = _stage_seeds(cfg, master_seed)
     store = {}
@@ -199,12 +198,6 @@ def run_report(
         for seed in (fusion_seed, causality_seed)
     )
     m, l, n = current.size, historical.size, treatment.size
-    two_arm = []
-
-    def after_median() -> None:
-        pooled2 = np.concatenate([current.points, treatment.points])
-        two_arm.append(submit(pool_bandwidth, cfg.kernel, pooled2))
-
     with one_blas_thread(), helper_thread():
         if cfg.fusion.mode is FusionMode.EQUIVALENCE:
             if isinstance(fusion_draws, SharedSeed):
@@ -214,12 +207,9 @@ def run_report(
             ):
                 plan = partial_bootstrap_plan(m, l, n)
                 defer_weights(causality_draws, cfg.causality.num_resamples, *plan)
-        gram = build_gram(cfg.kernel, current, historical, treatment, after_median)
+        gram = build_gram(cfg.kernel, current, historical, treatment)
         diagnostics = submit(consistency_diagnostics, gram)
-        try:
-            gram.keep_bandwidth_pooled2(two_arm[0].result())
-        except DegenerateSample:
-            pass  # raised again where the branch first reads the two-arm side
+        bandwidth_pooled2 = gram.bandwidth_pooled2
         fusion, (causality,) = run_ttp(gram, cfg, fusion_draws, (causality_draws,))
         return TTPReport(
             fusion=fusion,
@@ -227,7 +217,7 @@ def run_report(
             diagnostics=diagnostics.result(),
             config=cfg,
             bandwidth_pooled3=gram.bandwidth_pooled3,
-            bandwidth_pooled2=gram.bandwidth_pooled2,
+            bandwidth_pooled2=bandwidth_pooled2,
             bandwidth_used="pooled3" if fusion.merged else "pooled2",
             seeds=_seed_record(master_seed, fusion_seed, causality_seed),
         )

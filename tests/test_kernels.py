@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -391,6 +392,32 @@ class TestSinglePassGram:
             assert gram.bandwidth_pooled3 == bw3
             assert gram.bandwidth_pooled2 == bw2
 
+    @pytest.mark.parametrize(
+        "family", [KernelFamily.RBF, KernelFamily.IMQ, KernelFamily.LINEAR_PLUS_RBF]
+    )
+    def test_median_as_fixed_bandwidth_gives_the_median_build(self, family, rng):
+        eps = 0.3 if family is KernelFamily.LINEAR_PLUS_RBF else 0.0
+        arms = [Sample(rng.normal(size=(size, 3)), arm) for size, arm in zip((300, 40, 500), Arm)]
+        median = build_gram(KernelSpec(family=family, epsilon=eps), *arms)
+        fixed_spec = KernelSpec(family=family, bandwidth=median.bandwidth_pooled3, epsilon=eps)
+        fixed = build_gram(fixed_spec, *arms)
+        assert fixed.bandwidth_pooled3 == median.bandwidth_pooled3
+        assert fixed.matrix.tobytes() == median.matrix.tobytes()
+
+    def test_fixed_bandwidth_build_collects_no_pair(self, rng):
+        # No median is resolved, so the build holds the kept 1200×1200
+        # matrix and a distance block or two, not also the n(n-1)/2 pair
+        # distances (half the matrix again).
+        arms = [Sample(rng.normal(size=(400, 2)), arm) for arm in Arm]
+        tracemalloc.start()
+        try:
+            gram = build_gram(KernelSpec(bandwidth=1), *arms)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * gram.matrix.nbytes
+        assert type(gram.bandwidth_pooled3) is float and gram.bandwidth_pooled3 == 1.0
+
     def test_constant_two_arm_pool_is_degenerate(self, rng):
         # The three-arm median is positive, but every current || treatment
         # pair coincides, so the two-arm median is zero.  The two-arm side
@@ -448,7 +475,7 @@ class TestSciPyOracle:
 
     def test_median_and_bandwidths(self, points):
         want = float(np.median(pdist(points, metric="sqeuclidean")))
-        assert kernels._median_bandwidth(KernelSpec(), kernels._pair_distances(points)) == want
+        assert kernels._median_bandwidth(kernels._pair_distances(points)) == want
         assert resolve_bandwidth(KernelSpec(), points) == want
         assert kernels._pool_gram(KernelSpec(), points)[1] == want
 

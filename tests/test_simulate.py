@@ -556,9 +556,9 @@ class TestTwoArmBuiltOnFirstRead:
             builds["matrix"] += pooled.shape[0] == self.TWO_ARM_ROWS
             return pool_gram(spec, pooled, *args, **kwargs)
 
-        def median(spec, pair_sq):
+        def median(pair_sq):
             builds["median"] += pair_sq.size == pairs
-            return median_bandwidth(spec, pair_sq)
+            return median_bandwidth(pair_sq)
 
         monkeypatch.setattr(kernels, "_pool_gram", matrix)
         monkeypatch.setattr(kernels, "_median_bandwidth", median)
