@@ -28,7 +28,9 @@ and the fused control current || historical, is a contiguous range of
 it, so no block is copied.  All resampling operates on weight vectors
 over Gram positions; no kernel is re-evaluated inside the B-loop.
 Each test takes its weights from ``estimators.resample_weights``, given
-its seed and its draw plan.
+its seed and its draw plan, and decides through ``quantile.monte_carlo``
+(the observed statistic joins the draws of the permutation tests only)
+or ``quantile.normal_decision``, which give its p-value too.
 The fused control's within-sample sum cancels in Delta, so Delta and its
 bootstrap draws never compute it, nor read the historical-historical block.
 """
@@ -53,7 +55,7 @@ from .estimators import (
     resample_weights,
 )
 from .kernels import GramCache
-from .quantile import inf_quantile, ndtri
+from .quantile import monte_carlo, normal_decision
 
 
 class Method(str, Enum):
@@ -82,6 +84,7 @@ class CausalityConfig:
 class CausalityOutcome:
     statistic: float
     critical_value: float
+    p_value: float
     reject: bool
     method: Method
     merged_analysis: bool
@@ -94,24 +97,6 @@ class DiagnosticsReport:
     gamma: float
     lam: float
     sufficient_consistency: bool
-
-
-def decide(statistic: float, critical_value: float) -> bool:
-    """Shared decision rule: reject iff the statistic exceeds the critical value."""
-    return bool(statistic > critical_value)
-
-
-def _outcome(
-    statistic: float, critical: float, method: Method, merged_analysis: bool = True
-) -> CausalityOutcome:
-    """A test's outcome, its reject flag set by the shared rule ``decide``."""
-    return CausalityOutcome(
-        statistic=float(statistic),
-        critical_value=critical,
-        reject=decide(statistic, critical),
-        method=method,
-        merged_analysis=merged_analysis,
-    )
 
 
 def _check_sizes(estimator: Estimator, name: str, *sizes: int) -> None:
@@ -193,28 +178,28 @@ def two_sample_permutation(
     num_resamples: int,
     seed,
     estimator: Estimator = Estimator.VSTAT,
-) -> tuple[float, float]:
+) -> tuple[float, float, float, bool]:
     """Permutation test over a pooled matrix whose first ``size_a`` rows are group a.
 
-    The masks come from ``seed``.  The observed statistic is included in
-    the reference set (B+1 convention).  Returns (statistic, critical_value).
+    The masks come from ``seed``, and the observed statistic joins the
+    reference set (B+1 convention).  Returns the statistic, then the
+    critical value, p-value and decision of ``quantile.monte_carlo``.
     """
     a, b = slice(0, size_a), slice(size_a, size_a + size_b)
     statistic = mmd2_slices(k_pooled, a, b, estimator).squared
     (masks,) = resample_weights(seed, num_resamples, Masks(size_a + size_b, size_a))
     perm = permutation_two_sample_stats(k_pooled, masks, size_a, size_b, estimator)
-    reference = np.concatenate([[statistic], perm])
-    return float(statistic), inf_quantile(reference, 1.0 - alpha)
+    return (statistic, *monte_carlo(statistic, perm, alpha, observed_joins=True))
 
 
 def _two_sample_test(
     k_pooled: np.ndarray, size_a: int, size_b: int, cfg: CausalityConfig, merged_analysis: bool
 ) -> CausalityOutcome:
     _check_sizes(cfg.estimator, "a two-sample permutation test", size_a, size_b)
-    statistic, critical = two_sample_permutation(
+    statistic, *decision = two_sample_permutation(
         k_pooled, size_a, size_b, cfg.alpha, cfg.num_resamples, cfg.seed, cfg.estimator
     )
-    return _outcome(statistic, critical, Method.STANDARD_PERMUTATION, merged_analysis)
+    return CausalityOutcome(statistic, *decision, Method.STANDARD_PERMUTATION, merged_analysis)
 
 
 def standard_permutation_test(gram: GramCache, cfg: CausalityConfig) -> CausalityOutcome:
@@ -280,10 +265,7 @@ def partial_bootstrap_draws(
 
 
 def partial_bootstrap_test(gram: GramCache, cfg: CausalityConfig) -> CausalityOutcome:
-    statistic = delta_statistic(gram, cfg.estimator)
-    draws = partial_bootstrap_draws(gram, cfg.num_resamples, cfg.seed, cfg.estimator)
-    critical = inf_quantile(draws, 1.0 - cfg.alpha)
-    return _outcome(statistic, critical, Method.PARTIAL_BOOTSTRAP)
+    return _merged_test(gram, cfg, Method.PARTIAL_BOOTSTRAP)
 
 
 # ---------------------------------------------------------------------------
@@ -323,11 +305,7 @@ def partial_permutation_draws(
 
 
 def partial_permutation_test(gram: GramCache, cfg: CausalityConfig) -> CausalityOutcome:
-    statistic = t_statistic(gram, cfg.estimator)
-    perm = partial_permutation_draws(gram, cfg.num_resamples, cfg.seed, cfg.estimator)
-    reference = np.concatenate([[statistic], perm])
-    critical = inf_quantile(reference, 1.0 - cfg.alpha)
-    return _outcome(statistic, critical, Method.PARTIAL_PERMUTATION)
+    return _merged_test(gram, cfg, Method.PARTIAL_PERMUTATION)
 
 
 # ---------------------------------------------------------------------------
@@ -362,30 +340,31 @@ def normal_scale(gram: GramCache) -> float:
 
 def normal_approx_test(gram: GramCache, cfg: CausalityConfig) -> CausalityOutcome:
     """Delta against the (1 - alpha)-quantile of N(0, 4(1 + 1/c1) sigma_c^2)."""
-    statistic = delta_statistic(gram, cfg.estimator)
-    # ndtri is a pure-Python port of the Cephes quantile behind SciPy's
-    # norm.ppf, so the critical value has its bits without importing SciPy.
-    critical = float(ndtri(1.0 - cfg.alpha) * normal_scale(gram))
-    return _outcome(statistic, critical, Method.NORMAL_APPROX)
+    return _merged_test(gram, cfg, Method.NORMAL_APPROX)
 
 
-_MERGED_TESTS = {
-    Method.PARTIAL_BOOTSTRAP: partial_bootstrap_test,
-    Method.PARTIAL_PERMUTATION: partial_permutation_test,
-    Method.NORMAL_APPROX: normal_approx_test,
-}
+def _merged_test(gram: GramCache, cfg: CausalityConfig, method: Method) -> CausalityOutcome:
+    """``statistic_for(method)`` against ``reference_draws``, or the normal law it draws from."""
+    statistic = statistic_for(method)(gram, cfg.estimator)
+    if method is Method.NORMAL_APPROX:
+        decision = normal_decision(statistic, normal_scale(gram), cfg.alpha)
+    else:
+        draws = reference_draws(gram, method, cfg.num_resamples, cfg.seed, cfg.estimator)
+        joins = method is Method.PARTIAL_PERMUTATION
+        decision = monte_carlo(statistic, draws, cfg.alpha, observed_joins=joins)
+    return CausalityOutcome(float(statistic), *decision, method, merged_analysis=True)
 
 
 def run_causality(gram: GramCache, cfg: CausalityConfig) -> CausalityOutcome:
     """Dispatch on cfg.method."""
     if cfg.method is Method.STANDARD_PERMUTATION:
         return standard_permutation_test(gram, cfg)
-    return _MERGED_TESTS[cfg.method](gram, cfg)
+    return _merged_test(gram, cfg, cfg.method)
 
 
-# Each merged-branch method's statistic and reference law, for the null study.
-# Both look up this module's functions at call time, so a wrapper bound over one
-# of them after import still sees the call.
+# Each merged-branch method's statistic and reference law, for its test and the
+# null study.  Both look up this module's functions at call time, so a wrapper
+# bound over one of them after import still sees the call.
 
 
 def statistic_for(method: Method):
@@ -394,7 +373,7 @@ def statistic_for(method: Method):
 
 
 def reference_draws(gram: GramCache, method: Method, num_resamples: int, rng, estimator):
-    """``num_resamples`` draws from the law ``method`` compares its statistic with."""
+    """``num_resamples`` draws, from a seed or ``Generator`` ``rng``, of ``method``'s law."""
     if method is Method.PARTIAL_BOOTSTRAP:
         return partial_bootstrap_draws(gram, num_resamples, rng, estimator)
     if method is Method.PARTIAL_PERMUTATION:

@@ -419,10 +419,12 @@ def _report_lines(report: TTPReport, cfg: dict) -> list[str]:
         f"fusion mode         : {report.fusion.mode.value}",
         f"fusion statistic    : {report.fusion.statistic:.6g}",
         f"fusion critical     : {report.fusion.critical_value:.6g}",
+        f"fusion p-value      : {report.fusion.p_value:.6g}",
         f"merged              : {report.fusion.merged}",
         f"causality method    : {report.causality.method.value}",
         f"causality statistic : {report.causality.statistic:.6g}",
         f"causality critical  : {report.causality.critical_value:.6g}",
+        f"causality p-value   : {report.causality.p_value:.6g}",
         f"reject H0 (Qc = Qt) : {report.causality.reject}",
         f"D_hat(Qc, Qh)       : {d.d_hat_ch:.6g}",
         f"D_hat(Qc, Qt)       : {d.d_hat_ct:.6g}",

@@ -199,7 +199,7 @@ def bootstrap_counts(
     time.  The rows are a function of ``rng``'s state alone, so a seeded
     generator gives the same counts on every run.
     """
-    rows = min(batch, max(1, _COUNT_BLOCK // size))
+    rows = max(1, min(batch, _COUNT_BLOCK // size))
     offsets = size * np.arange(rows)[:, None]
     counts = np.empty((batch, size), dtype)
     for lo in range(0, batch, rows):

@@ -3,12 +3,12 @@
 Two variants:
 
 * ``equivalence_fusion``: equivalence test of H0: D(Qc, Qh) >= theta.
-  Rejecting H0 (statistic theta - D above the bootstrap quantile) is
-  evidence the arms are within theta of each other, so rejection means
-  *merge*.  The reference distribution is the Efron bootstrap of
-  D(Qc^m, Qc) + D(Qh^l, Qh) via centered multinomial weights.
+  Rejecting H0 (p <= alpha_f, p the share of bootstrap draws at or above
+  theta - D) is evidence the arms are within theta of each other, so
+  rejection means *merge*.  The reference distribution is the Efron
+  bootstrap of D(Qc^m, Qc) + D(Qh^l, Qh) via centered multinomial weights.
 * ``classic_fusion``: point-null permutation two-sample test of
-  H0: Qc = Qh.  Here *failure* to reject means merge.
+  H0: Qc = Qh.  Here *failure* to reject (p > alpha_f) means merge.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .causality import two_sample_permutation
 from .errors import ConfigError, SampleTooSmall
 from .estimators import Counts, batched_quad, mmd2_slices, resample_weights
 from .kernels import GramCache
-from .quantile import inf_quantile
+from .quantile import monte_carlo
 
 
 class FusionMode(str, Enum):
@@ -56,6 +56,7 @@ class FusionConfig:
 class FusionOutcome:
     statistic: float
     critical_value: float
+    p_value: float
     merged: bool
     mode: FusionMode
     resamples_used: int
@@ -75,7 +76,7 @@ def _bootstrap_root_terms(k_block: np.ndarray, weights: np.ndarray) -> np.ndarra
 
 
 def equivalence_fusion(gram: GramCache, cfg: FusionConfig) -> FusionOutcome:
-    """MMD equivalence fusion test; merged iff statistic > critical value.
+    """MMD equivalence fusion test; merged iff statistic > critical value, iff p <= alpha_f.
 
     The statistic uses the V-statistic: it needs the non-squared MMD, and
     the U-statistic's square root is not always defined.
@@ -90,30 +91,18 @@ def equivalence_fusion(gram: GramCache, cfg: FusionConfig) -> FusionOutcome:
     b = cfg.num_bootstrap
     w_c, w_h = resample_weights(cfg.seed, b, *bootstrap_plan(gram.m, gram.l))
     s = _bootstrap_root_terms(gram.k_cc, w_c) + _bootstrap_root_terms(gram.k_hh, w_h)
-    critical = inf_quantile(s, 1.0 - cfg.alpha_f)
-    return FusionOutcome(
-        statistic=float(statistic),
-        critical_value=critical,
-        merged=bool(statistic > critical),
-        mode=cfg.mode,
-        resamples_used=b,
-    )
+    decision = monte_carlo(statistic, s, cfg.alpha_f, observed_joins=False)
+    return FusionOutcome(float(statistic), *decision, cfg.mode, resamples_used=b)
 
 
 def classic_fusion(gram: GramCache, cfg: FusionConfig) -> FusionOutcome:
-    """Permutation two-sample test of Qc = Qh; merged iff it fails to reject."""
+    """Permutation two-sample test of Qc = Qh; merged iff it fails to reject, iff p > alpha_f."""
     if cfg.mode is not FusionMode.CLASSIC_PERMUTATION:
         raise ConfigError("classic_fusion requires mode=classic")
     if gram.m < 1 or gram.l < 1:
         raise SampleTooSmall("classic fusion needs nonempty control arms")
     p = gram.m + gram.l
-    statistic, critical = two_sample_permutation(
+    statistic, critical, p_value, reject = two_sample_permutation(
         gram.matrix[:p, :p], gram.m, gram.l, cfg.alpha_f, cfg.num_bootstrap, cfg.seed
     )
-    return FusionOutcome(
-        statistic=statistic,
-        critical_value=critical,
-        merged=bool(statistic <= critical),
-        mode=cfg.mode,
-        resamples_used=cfg.num_bootstrap,
-    )
+    return FusionOutcome(statistic, critical, p_value, not reject, cfg.mode, cfg.num_bootstrap)

@@ -165,18 +165,10 @@ def run_report(
 ) -> TTPReport:
     """One test-then-pool analysis of a dataset, in the fusion mode ``cfg`` names.
 
-    Builds the Gram cache, runs ``run_ttp`` with the configured stage
-    seeds (a stage without one takes its substream of ``master_seed``)
-    and reports the outcomes, the consistency diagnostics, both
-    bandwidths and the seeds.
-
-    * Not merged (either mode): standard permutation of current vs
-      treatment on the two-arm bandwidth.
-    * Equivalence mode, merged: ``cfg.merged_method`` on the fused control
-      vs treatment with the three-arm bandwidth.
-    * Classic mode, merged: naive pooling, a permutation test of the fused
-      control (current || historical) vs treatment on the three-arm
-      bandwidth; ``cfg.merged_method`` is not used.
+    Builds the Gram cache, runs ``run_ttp``, which picks the branch and
+    its test, with the configured stage seeds (a stage without one takes
+    its substream of ``master_seed``) and reports the outcomes, the
+    consistency diagnostics, both bandwidths and the seeds.
 
     The analysis runs inside ``blas.one_blas_thread``, as a campaign
     replicate does, and on two threads: this one and a helper that

@@ -157,11 +157,8 @@ def _run_replicate(scn: Scenario, rep: int, store: dict) -> tuple:
     """One TTP replicate: ``pipeline.run_ttp``'s ``(fusion, outcomes)``, with replicate seeds.
 
     ``outcomes`` holds one causality outcome per method of ``(merged_method,
-    *compare_methods)``.  The methods only differ after an
-    equivalence-mode merge; otherwise one test runs (standard permutation
-    without a merge, naive pooling after a classic-mode merge) and every
-    method slot carries its outcome.  The resampling draws are kept in
-    ``store`` for the other cells of the replicate.
+    *compare_methods)``, as ``run_ttp`` gives them.  The resampling draws
+    are kept in ``store`` for the other cells of the replicate.
     """
     current, historical, treatment = draw_arms(scn, rep)
     try:

@@ -1,7 +1,9 @@
 """Causality tests: resampling oracles, variance oracle, decision layer."""
 
 import dataclasses
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +14,6 @@ from ttpool.causality import (
     CausalityConfig,
     Method,
     consistency_diagnostics,
-    decide,
     delta_statistic,
     estimate_sigma_c_squared,
     normal_approx_test,
@@ -38,8 +39,10 @@ from ttpool.estimators import (
     permutation_masks,
     resample_weights,
 )
-from ttpool.fusion import FusionConfig, equivalence_fusion
+from ttpool.fusion import FusionConfig, FusionMode, classic_fusion, equivalence_fusion
 from ttpool.kernels import Arm, KernelFamily, KernelSpec, Sample, build_gram
+from ttpool.quantile import monte_carlo
+from ttpool.simulate import MeanShift, Scenario, draw_arms
 
 
 def fused_mmd2(gram, current, historical, other, estimator=Estimator.VSTAT):
@@ -58,9 +61,18 @@ def make_gram(rng, m=12, l=15, n=14, shift_h=0.0, shift_t=0.0, spec=None):
 
 class TestDecisionLayer:
     def test_shared_rule(self):
-        assert decide(1.0, 0.5)
-        assert not decide(0.5, 0.5)
-        assert not decide(0.4, 0.5)
+        # The 0.75-quantile of the draws is 0.5; a tie with it does not reject.
+        draws = np.array([0.6, 0.2, 0.5, 0.4])
+        assert monte_carlo(1.0, draws, 0.25, observed_joins=False) == (0.5, 0.0, True)
+        assert monte_carlo(0.5, draws, 0.25, observed_joins=False) == (0.5, 0.5, False)
+        assert monte_carlo(0.4, draws, 0.25, observed_joins=False) == (0.5, 0.75, False)
+
+    def test_empty_reference_is_a_config_error(self, rng):
+        # The partial bootstrap's reference set is its draws alone.
+        with pytest.raises(ConfigError, match="empty reference set"):
+            partial_bootstrap_test(make_gram(rng), CausalityConfig(num_resamples=0, seed=1))
+        with pytest.raises(ConfigError, match="empty reference set"):
+            monte_carlo(0.0, np.empty(0), 0.05, observed_joins=False)
 
     def test_outcomes_follow_rule(self, rng):
         gram = make_gram(rng, shift_t=1.5)
@@ -69,6 +81,67 @@ class TestDecisionLayer:
             out = run_causality(gram, cfg)
             assert out.reject == (out.statistic > out.critical_value)
             assert out.method is method
+
+
+class TestDecisionIdentity:
+    """reject <=> p <= alpha, on whole numbers.
+
+    With N reference values, c of them at or above the statistic and
+    k = ceil((1 - alpha) N), a test rejects iff c <= N - k.  ``Fraction``
+    makes k exact.
+    """
+
+    ALPHAS = (0.025, 0.05, 0.1)
+
+    def check(self, reject, p_value, size, alpha):
+        count = round(p_value * size)
+        assert p_value == count / size
+        k = math.ceil((1 - Fraction(str(alpha))) * size)
+        assert reject == (count <= size - k)
+        assert reject == (p_value <= alpha)
+
+    @pytest.mark.parametrize("joins", [False, True])
+    def test_monte_carlo_at_every_count(self, joins):
+        for b in (199, 300):
+            draws = np.random.default_rng(b).permutation(b).astype(float)
+            # Every count from 0 to N, each on a tie with a draw and in a gap.
+            for statistic in np.arange(-0.5, b + 0.5, 0.5):
+                for alpha in self.ALPHAS:
+                    _, p_value, reject = monte_carlo(statistic, draws, alpha, joins)
+                    self.check(reject, p_value, b + joins, alpha)
+
+    @pytest.mark.parametrize("b", [199, 300, 1000])
+    def test_campaign_every_method_both_fusions(self, b):
+        permutation = (standard_permutation_test, pooled_permutation_test, partial_permutation_test)
+        seen = {"reject": set(), "equivalence": set(), "classic": set()}
+        for rep, shift in enumerate((0.0, 0.3, 0.6, 1.5)):
+            scn = Scenario(MeanShift(mu_c_minus_mu_t=shift, mu_h_minus_mu_c=shift), 25, 20, 30)
+            gram = build_gram(KernelSpec(), *draw_arms(scn, rep))
+            for alpha in self.ALPHAS:
+                cfg = CausalityConfig(alpha=alpha, num_resamples=b, seed=rep)
+                for test in permutation:
+                    out = test(gram, cfg)
+                    self.check(out.reject, out.p_value, b + 1, alpha)
+                    seen["reject"].add(out.reject)
+                out = partial_bootstrap_test(gram, cfg)
+                self.check(out.reject, out.p_value, b, alpha)
+                # The normal p-value (erfc) and critical value (ndtri) are two
+                # approximations, which may round apart at the critical value.
+                out = normal_approx_test(gram, cfg)
+                if abs(out.statistic - out.critical_value) > 1e-9:
+                    assert out.reject == (out.p_value <= alpha)
+                # At theta = 0.6 these arms merge in some cells and not in others.
+                fusion = FusionConfig(theta=0.6, alpha_f=alpha, num_bootstrap=b, seed=rep)
+                out = equivalence_fusion(gram, fusion)
+                self.check(out.merged, out.p_value, b, alpha)
+                assert out.merged == (out.p_value <= alpha)
+                seen["equivalence"].add(out.merged)
+                classic = dataclasses.replace(fusion, mode=FusionMode.CLASSIC_PERMUTATION)
+                out = classic_fusion(gram, classic)
+                self.check(not out.merged, out.p_value, b + 1, alpha)
+                assert out.merged == (out.p_value > alpha)
+                seen["classic"].add(out.merged)
+        assert all(flags == {False, True} for flags in seen.values())
 
 
 class TestDeltaStatistic:
@@ -137,7 +210,7 @@ class TestPooledPermutation:
         fused = np.concatenate([gram.current, gram.historical])
         want = mmd2(gram.matrix, fused, gram.treatment).squared
         assert out.statistic == pytest.approx(want, abs=1e-15)
-        assert out.reject == decide(out.statistic, out.critical_value)
+        assert out.reject == (out.statistic > out.critical_value) == (out.p_value <= 0.05)
         assert out.merged_analysis
 
 
@@ -208,6 +281,7 @@ class TestPartialPermutationOracle:
         )
         out = partial_permutation_test(gram, cfg)
         assert out.critical_value == out.statistic
+        assert out.p_value == 1.0
         assert not out.reject
 
     def test_statistic_is_fused_mmd(self, rng):

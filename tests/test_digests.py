@@ -21,8 +21,8 @@ from ttpool.cli import EXIT_OK, main
 PAPER_SIZES = ["--set", "sizes.m=50", "--set", "sizes.l=100", "--set", "sizes.n=100"]
 
 DIGESTS = {
-    "test": "2aca76c01062503a1c9f412cc3cd2d7411b4e5de784931614f048878559d880b",
-    "test-merged": "1e9db722d32c01273cf966289f5d8eab56ba6c82ab5f0502259563049b6027a7",
+    "test": "24419cec27b1f3887a0e72dc4adb279b90a43c3b84e9f453454cd888e9140731",
+    "test-merged": "4442b4ab1cad4d70b67b209959d5fa3f2529bbccc16adcf5cfb72b4395852009",
     "simulate": "dbc6b8723d6297bbd2393b6cd33be28dbd0476d861b6eaf7c164716df09e395d",
     "simulate-classic": "7a7fad06c1f992f17802539fffa34d9e5e66790d830a95ef0b95f16059fa48f4",
     "null-study": "c6e20cee2171a8917a38ccc31dd4b97dc8ec2ac56d56e64120f43adbaa35f2fd",

@@ -282,6 +282,9 @@ class TestResamplingHelpers:
             assert np.array_equal(counts, np.round(counts))
             assert np.array_equal(counts.sum(axis=1), np.full(50, float(draws)))
 
+    def test_bootstrap_counts_of_no_row(self, rng):
+        assert bootstrap_counts(rng, 7, 5, batch=0).shape == (0, 5)
+
     def test_permutation_masks_row_sums(self, rng):
         masks = permutation_masks(rng, total=9, size_a=4, batch=40)
         assert masks.shape == (40, 9)

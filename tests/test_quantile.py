@@ -8,7 +8,7 @@ from scipy import special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ttpool.quantile import inf_quantile, ndtri
+from ttpool.quantile import inf_quantile, ndtri, normal_decision
 
 
 def test_small_hand_cases():
@@ -78,3 +78,23 @@ def test_ndtri_ends_and_outside():
     assert ndtri(0.5) == 0.0
     for p in (-0.1, 1.5, math.nan):
         assert math.isnan(ndtri(p))
+
+
+def test_normal_decision_at_scale_zero():
+    # A point mass at 0: p is 1 up to a statistic of 0 and 0 beyond, as the decision says.
+    for alpha in (0.025, 0.05, 0.1):
+        assert normal_decision(-1.0, 0.0, alpha) == (0.0, 1.0, False)
+        assert normal_decision(0.0, 0.0, alpha) == (0.0, 1.0, False)
+        assert normal_decision(1e-300, 0.0, alpha) == (0.0, 0.0, True)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 0.7, 1.0, 25.0])
+@pytest.mark.parametrize("alpha", [0.01, 0.025, 0.05, 0.1, 0.2])
+def test_normal_decision_p_value_at_the_critical_value(alpha, scale):
+    critical, p_value, reject = normal_decision(ndtri(1.0 - alpha) * scale, scale, alpha)
+    assert critical == ndtri(1.0 - alpha) * scale
+    assert abs(p_value - alpha) <= 1e-12
+    assert not reject
+    for factor, rejects in ((0.9, False), (1.1, True)):
+        _, p_value, reject = normal_decision(factor * critical, scale, alpha)
+        assert reject is rejects and (p_value <= alpha) is rejects

@@ -41,3 +41,55 @@ def test_unused_imports_finds_what_is_never_read():
 )
 def test_module_imports_only_what_it_reads(module):
     assert unused_imports(module.read_text()) == []
+
+
+def _private_definitions(tree: ast.Module) -> set[str]:
+    """The ``_name``s (not dunders) that a module's top level defines or assigns."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                names.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def unread_private_names(sources: dict) -> list[str]:
+    """``module.name`` for each module-level ``_name`` that no module of ``sources`` reads."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for name in _private_definitions(tree) - read
+    )
+
+
+def test_unread_private_names_finds_what_is_never_read():
+    sources = {
+        "a": (
+            "_LIMIT, _SPARE = 3, 4\n"
+            "_table: dict = {}\n"
+            "def _helper():\n"
+            "    return _LIMIT\n"
+            "def _dead():\n"
+            "    _table['x'] = 1\n"
+            "class _Unused:\n"
+            "    pass\n"
+        ),
+        "b": "from .a import _helper\nvalue = _helper()\n",
+    }
+    assert unread_private_names(sources) == ["a._SPARE", "a._Unused", "a._dead"]
+
+
+def test_every_private_module_name_is_read():
+    sources = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
+    assert unread_private_names(sources) == []
