@@ -5,9 +5,9 @@ three-arm matrix is used) or a raw square kernel matrix.  ``mmd2_slices``
 compares two contiguous ranges by summing views, with no copy; each arm
 of the Gram cache, and the fused control current || historical, is such
 a range.  ``mmd2`` gathers the blocks of two index arrays.  Duplicate
-indices contribute with multiplicity, as a bootstrap draw with
-replacement needs, and a fused index set is a concatenation, whose
-empirical measure is the sample-size-weighted mixture.
+indices contribute with multiplicity, and a fused index set is a
+concatenation, whose empirical measure is the sample-size-weighted
+mixture.
 """
 
 from __future__ import annotations

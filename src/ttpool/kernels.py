@@ -402,14 +402,13 @@ class GramCache:
 
     First-read rule: the two-arm side is built from ``points`` when it is
     first read and kept on the instance.  Reading ``bandwidth_pooled2``
-    alone resolves the bandwidth without building the matrix; reading
-    ``matrix_nomerge`` builds both at once, or the matrix alone once the
-    bandwidth is known, as it is in ``pipeline.run_report``, which reads
-    the bandwidth right after the build.  A degenerate two-arm pool
-    therefore raises ``DegenerateSample`` at that first read, not in
-    ``build_gram``.  ``dataclasses.replace`` makes a new instance, which
-    builds its own two-arm side.  Every matrix is read-only and safe to
-    share across resampling workers.
+    resolves the bandwidth without building the matrix; reading
+    ``matrix_nomerge`` resolves the bandwidth first if it is not yet
+    known.  A degenerate two-arm pool therefore raises
+    ``DegenerateSample`` at that first read, not in ``build_gram``.
+    ``dataclasses.replace`` makes a new instance, which builds its own
+    two-arm side.  Every matrix is read-only and safe to share across
+    resampling workers.
     """
 
     kernel: KernelSpec
@@ -436,13 +435,8 @@ class GramCache:
 
     @cached_property
     def matrix_nomerge(self) -> np.ndarray:
-        # cached_property keeps its value in the instance dict.  A bandwidth
-        # kept there is used, and one resolved here is kept, so the two-arm
-        # median is resolved once.
-        known = self.__dict__.get("bandwidth_pooled2")
-        matrix, bandwidth = _pool_gram(self.kernel, self._pooled2, bandwidth=known)
+        matrix, _ = _pool_gram(self.kernel, self._pooled2, bandwidth=self.bandwidth_pooled2)
         matrix.setflags(write=False)
-        self.__dict__.setdefault("bandwidth_pooled2", bandwidth)
         return matrix
 
     @property

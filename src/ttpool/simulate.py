@@ -48,6 +48,9 @@ class MeanShift:
             value = getattr(self, name)
             if not np.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
+        mu_h = self.mu_h_minus_mu_c + self.mu_c_minus_mu_t
+        if not np.isfinite(mu_h):
+            raise ConfigError(f"mu_h_minus_mu_c + mu_c_minus_mu_t must be finite, got {mu_h}")
 
     def draw(self, rng: np.random.Generator, n: int, m: int, l: int):
         mu_c = self.mu_c_minus_mu_t
@@ -70,6 +73,11 @@ class VarShift:
             value = getattr(self, name)
             if not 0 < value < np.inf:
                 raise ConfigError(f"{name} must be finite and > 0, got {value}")
+        var_h = self.var_h_over_var_c * self.var_c_over_var_t
+        if not 0 < var_h < np.inf:
+            raise ConfigError(
+                f"var_h_over_var_c * var_c_over_var_t must be finite and > 0, got {var_h}"
+            )
 
     def draw(self, rng: np.random.Generator, n: int, m: int, l: int):
         var_c = self.var_c_over_var_t

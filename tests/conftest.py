@@ -108,6 +108,11 @@ def population_mmd2_gaussian_rbf(shift: float, bandwidth: float) -> float:
     return 2.0 * math.sqrt(h / (h + 2.0)) * (1.0 - math.exp(-(shift**2) / (2.0 * (h + 2.0))))
 
 
+def ulps(got, want):
+    """Distance of ``got`` from ``want`` in units in the last place of ``want``."""
+    return np.abs(np.subtract(got, want)) / np.spacing(np.abs(want))
+
+
 ALL_FAMILIES = (
     KernelFamily.RBF,
     KernelFamily.LINEAR,

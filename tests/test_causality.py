@@ -4,12 +4,13 @@ import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 from scipy.stats import norm
 
-from conftest import ALL_FAMILIES, oracle_kernel
+from conftest import ALL_FAMILIES, oracle_kernel, ulps
 from ttpool.causality import (
     CausalityConfig,
     Method,
@@ -125,7 +126,7 @@ class TestDecisionIdentity:
                     seen["reject"].add(out.reject)
                 out = partial_bootstrap_test(gram, cfg)
                 self.check(out.reject, out.p_value, b, alpha)
-                # The normal p-value (erfc) and critical value (ndtri) are two
+                # The normal p-value (erfc) and critical value (inv_cdf) are two
                 # approximations, which may round apart at the critical value.
                 out = normal_approx_test(gram, cfg)
                 if abs(out.statistic - out.critical_value) > 1e-9:
@@ -671,9 +672,10 @@ class TestNormalApprox:
         sigma2 = estimate_sigma_c_squared(gram)
         scale = normal_scale(gram)
         assert scale == pytest.approx(np.sqrt(4.0 * (1.0 + gram.n / gram.m) * sigma2), abs=1e-12)
-        # normal_approx_test takes its quantile from scipy.special.ndtri, not
-        # scipy.stats: the critical value must be the very bits norm.ppf gives.
-        assert out.critical_value == float(norm.ppf(1.0 - alpha) * scale)
+        # normal_approx_test takes its quantile from the standard library's
+        # NormalDist, a few ulps from the norm.ppf of SciPy.
+        assert out.critical_value == -NormalDist().inv_cdf(alpha) * scale
+        assert ulps(out.critical_value, norm.ppf(1.0 - alpha) * scale) <= 8
 
 
 class TestDiagnostics:

@@ -341,6 +341,15 @@ class TestExitCodes:
                 "var_h_over_var_c must be finite and > 0, got inf",
             ),
             (
+                ["scenario.mu_h_minus_mu_c=1e308", "scenario.mu_c_minus_mu_t=1e308"],
+                "mu_h_minus_mu_c + mu_c_minus_mu_t must be finite, got inf",
+            ),
+            (
+                ["scenario.generator=var_shift", "scenario.var_h_over_var_c=1e300",
+                 "scenario.var_c_over_var_t=1e10"],
+                "var_h_over_var_c * var_c_over_var_t must be finite and > 0, got inf",
+            ),
+            (
                 ["scenario.var_h_over_var_c=4"],
                 "scenario.var_h_over_var_c needs scenario.generator=var_shift; "
                 "mean_shift ignores it",
@@ -353,12 +362,14 @@ class TestExitCodes:
         ],
         ids=[
             "mean-shift-nan", "historical-shift-inf", "variance-ratio-negative",
-            "variance-ratio-inf", "mean-shift-ignores-variance", "var-shift-ignores-mean",
+            "variance-ratio-inf", "historical-mean-overflows", "historical-variance-overflows",
+            "mean-shift-ignores-variance", "var-shift-ignores-mean",
         ],
     )
     def test_bad_scenario_setting_exit_2(self, tmp_path, capsys, monkeypatch, settings, message):
         # Before the check the first four ran replicate 0 and exited 4 on NaN
-        # distances; the last two exited 0 and wrote a key no arm was drawn with.
+        # distances, the next two exited 3 on a non-finite historical point, and
+        # the last two exited 0 and wrote a key no arm was drawn with.
         def refuse(*args, **kwargs):
             raise AssertionError("a replicate ran")
 

@@ -1,4 +1,4 @@
-"""Output digests of six small fixed-seed runs.
+"""Output digests of seven small fixed-seed runs.
 
 A change that claims to leave every output bitwise equal (a speed-up that
 reorders no floating-point operation and moves no random stream) must
@@ -27,6 +27,7 @@ DIGESTS = {
     "simulate-classic": "7a7fad06c1f992f17802539fffa34d9e5e66790d830a95ef0b95f16059fa48f4",
     "null-study": "c6e20cee2171a8917a38ccc31dd4b97dc8ec2ac56d56e64120f43adbaa35f2fd",
     "null-study-sweep": "eaab10c109f00e3ba5e8dff60938dfd1f004d24e163f4d558563dbfc651ff2b3",
+    "test-normal": "c75b5f69780131b6b94c99da82440b12d299db835ee2d6a4d14fab1b58794800",
 }
 
 
@@ -63,6 +64,17 @@ def test_output_digest(tmp_path, monkeypatch, capsys, command):
         _run(tmp_path, monkeypatch, capsys, ["test", "--out", "r.txt", "--set", "data=arms.csv"])
         output = tmp_path / "r.txt.json"
         assert json.loads(output.read_text())["fusion"]["merged"]
+    elif command == "test-normal":
+        # The only digest that holds a normal-approximation critical value.
+        _write_arms(tmp_path / "arms.csv", historical_shift=0.0)
+        _run(
+            tmp_path, monkeypatch, capsys,
+            ["test", "--out", "r.txt", "--set", "data=arms.csv",
+             "--set", "merged_method=normal_approx"],
+        )
+        output = tmp_path / "r.txt.json"
+        report = json.loads(output.read_text())
+        assert report["fusion"]["merged"] and report["causality"]["method"] == "normal_approx"
     elif command == "simulate":
         _run(
             tmp_path, monkeypatch, capsys,

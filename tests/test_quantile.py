@@ -1,14 +1,17 @@
-"""Inf-convention empirical quantile contract, and the standard-normal quantile."""
+"""Inf-convention empirical quantile contract, and the normal approximation's decision."""
 
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 from scipy import special
+from scipy.stats import norm
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ttpool.quantile import inf_quantile, ndtri, normal_decision
+from conftest import ulps
+from ttpool.quantile import inf_quantile, normal_decision
 
 
 def test_small_hand_cases():
@@ -66,18 +69,29 @@ def _ndtri_cases():
     ])
 
 
-def test_ndtri_matches_scipy_bit_for_bit():
+def test_normal_critical_value_within_ulps_of_scipy():
+    # The quantile is the standard library's, not SciPy's: the bits may
+    # differ, by at most 6 ulps over these cases, so allow 8.
     p = _ndtri_cases()
+    p = p[(p > 0.0) & (p < 1.0)]
     assert p.size >= 100_000 and (p < math.exp(-32.0)).sum() > 10_000
-    got = np.array([ndtri(float(v)) for v in p])
-    assert np.array_equal(got, special.ndtri(p))
+    got = np.array([normal_decision(0.0, 1.0, float(a))[0] for a in p])
+    assert np.all(np.isfinite(got))
+    assert ulps(got, -special.ndtri(p)).max() <= 8
 
 
-def test_ndtri_ends_and_outside():
-    assert ndtri(0.0) == -math.inf and ndtri(1.0) == math.inf
-    assert ndtri(0.5) == 0.0
-    for p in (-0.1, 1.5, math.nan):
-        assert math.isnan(ndtri(p))
+def test_normal_decision_at_a_tiny_alpha():
+    # 1 - 1e-20 rounds to 1; the quantile is taken at alpha, so the critical
+    # value stays finite and p <= alpha rejects.
+    assert normal_decision(1.0, 0.0, 1e-20) == (0.0, 0.0, True)
+    critical, p_value, reject = normal_decision(9.3, 1.0, 1e-20)
+    assert critical == pytest.approx(9.26234, abs=1e-5)
+    assert p_value == pytest.approx(7.0222e-21, rel=1e-4) and reject
+
+
+def test_normal_decision_at_alpha_one_half_writes_positive_zero():
+    critical = normal_decision(0.0, 1.0, 0.5)[0]
+    assert critical == 0.0 and math.copysign(1.0, critical) == 1.0
 
 
 def test_normal_decision_at_scale_zero():
@@ -91,8 +105,10 @@ def test_normal_decision_at_scale_zero():
 @pytest.mark.parametrize("scale", [1e-3, 0.7, 1.0, 25.0])
 @pytest.mark.parametrize("alpha", [0.01, 0.025, 0.05, 0.1, 0.2])
 def test_normal_decision_p_value_at_the_critical_value(alpha, scale):
-    critical, p_value, reject = normal_decision(ndtri(1.0 - alpha) * scale, scale, alpha)
-    assert critical == ndtri(1.0 - alpha) * scale
+    want = -NormalDist().inv_cdf(alpha) * scale
+    critical, p_value, reject = normal_decision(want, scale, alpha)
+    assert critical == want
+    assert ulps(critical, norm.ppf(1.0 - alpha) * scale) <= 8
     assert abs(p_value - alpha) <= 1e-12
     assert not reject
     for factor, rejects in ((0.9, False), (1.1, True)):

@@ -5,11 +5,13 @@ import dataclasses
 import logging
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp, norm
 
+from conftest import ulps
 from ttpool.causality import (
     CausalityConfig,
     Method,
@@ -521,7 +523,8 @@ class TestNullStudy:
         cfg = dataclasses.replace(scn.ttp.causality, method=Method.NORMAL_APPROX)
         scale = normal_scale(gram)
         critical = run_causality(gram, cfg).critical_value
-        assert critical == float(norm.ppf(1.0 - cfg.alpha) * scale)
+        assert critical == -NormalDist().inv_cdf(cfg.alpha) * scale
+        assert ulps(critical, norm.ppf(1.0 - cfg.alpha) * scale) <= 8
         rng = np.random.default_rng(np.random.SeedSequence([scn.master_seed, 0, 3]))
         want_pb = partial_bootstrap_draws(gram, 9, rng, estimator)
         want_pp = partial_permutation_draws(gram, 9, rng, estimator)

@@ -1,6 +1,7 @@
 """Checks on the source of the ``ttpool`` package."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -93,3 +94,34 @@ def test_unread_private_names_finds_what_is_never_read():
 def test_every_private_module_name_is_read():
     sources = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
     assert unread_private_names(sources) == []
+
+
+def foreign_imports(source: str) -> list[str]:
+    """Modules ``source`` imports that are not relative, ``__future__``, NumPy or stdlib."""
+    allowed = set(sys.stdlib_module_names) | {"__future__", "numpy"}
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.extend(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+    return sorted(name for name in names if name.split(".")[0] not in allowed)
+
+
+def test_foreign_imports_finds_a_third_party_module():
+    source = (
+        "from __future__ import annotations\n"
+        "import math, numpy as np\n"
+        "import scipy.special\n"
+        "from statistics import NormalDist\n"
+        "from .errors import ConfigError\n"
+        "def f():\n"
+        "    from pandas import DataFrame\n"
+    )
+    assert foreign_imports(source) == ["pandas", "scipy.special"]
+
+
+# pyproject.toml promises NumPy alone at run time.
+@pytest.mark.parametrize("module", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_imports_only_numpy_and_the_standard_library(module):
+    assert foreign_imports(module.read_text()) == []
