@@ -141,9 +141,11 @@ def load_config(command: str, config_path, overrides, seed=None) -> dict:
     settings = []
     if config_path is not None:
         try:
-            raw = json.loads(Path(config_path).read_text())
+            raw = json.loads(Path(config_path).read_text(encoding="utf-8-sig"))
         except OSError as exc:
             raise ConfigError(f"cannot read config file {config_path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {config_path} is not UTF-8 text: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {config_path} is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
@@ -305,11 +307,17 @@ _ARM_LABELS = {arm.value: arm for arm in Arm}
 
 
 def load_dataset(path) -> dict:
-    """Parse the arm-labelled CSV into one (size, d) array per arm."""
+    """Parse the arm-labelled CSV into one (size, d) array per arm.
+
+    The file is UTF-8 text, with or without the byte-order mark that
+    spreadsheet programs write.
+    """
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot read dataset {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"dataset {path} is not UTF-8 text: {exc}") from exc
     rows = list(csv.reader(text.splitlines()))
     if not rows:
         raise DataError(f"dataset {path} is empty")

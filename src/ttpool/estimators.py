@@ -126,10 +126,15 @@ def mmd2_slices(
     ``a`` and ``b`` are slices with explicit start and stop; they may
     overlap.  No block is copied.  Equals ``mmd2`` on the same ranges up
     to the order of the floating-point sums.
+
+    Raises:
+        IndexOutOfRange: for an empty, open, stepped or out-of-bounds range.
     """
     k = _as_matrix(gram)
     for rows in (a, b):
-        if not 0 <= rows.start < rows.stop <= k.shape[0] or rows.step not in (None, 1):
+        explicit = rows.start is not None and rows.stop is not None
+        in_range = explicit and 0 <= rows.start < rows.stop <= k.shape[0]
+        if not in_range or rows.step not in (None, 1):
             raise IndexOutOfRange(f"need a nonempty range in [0, {k.shape[0]}), got {rows}")
     return _mmd2_blocks(k[a, a], k[b, b], k[a, b], estimator)
 
@@ -267,7 +272,11 @@ class SharedSeed:
     the bytes a fresh draw would give.  Counts are stored as the smallest
     unsigned integers that hold them and masks as ``bool``, so the store
     stays small.  A campaign sweep gives each replicate one store, which
-    its cells share, because they have the same stage seeds.
+    its cells share, because they have the same stage seeds;
+    ``pipeline.run_ttp`` keeps the no-borrowing test's outcome there too,
+    under a key that starts with the seed's ``key`` of its mask draw.
+    The store holds keys, draws and outcomes, never a ``SharedSeed``, so
+    it is freed with the replicate.
     ``defer_weights`` stores a draw that is still being made, for one
     reader: the first ``resample_weights`` of it takes it out of the store.
     """

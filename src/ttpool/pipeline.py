@@ -20,7 +20,7 @@ from .causality import (
     standard_permutation_test,
 )
 from .errors import ConfigError
-from .estimators import SharedSeed, defer_weights
+from .estimators import Masks, SharedSeed, defer_weights
 from .fusion import (
     FusionConfig,
     FusionMode,
@@ -109,6 +109,35 @@ def _seed_record(master_seed, fusion_seed, causality_seed) -> dict:
     }
 
 
+def _no_borrowing_test(gram: GramCache, cfg: CausalityConfig) -> CausalityOutcome:
+    """``standard_permutation_test``, kept in the store of a ``SharedSeed`` ``cfg.seed``.
+
+    The outcome depends only on its key: the seed's mask stream, α, B,
+    the estimator, the kernel and the current and treatment points.  So
+    the cells of a campaign replicate, which share those, run it once,
+    whatever their historical arm or fusion settings; the later cells
+    neither build the two-arm Gram nor draw the masks.  Any other seed
+    runs the test.
+    """
+    seed = cfg.seed
+    if not isinstance(seed, SharedSeed):
+        return standard_permutation_test(gram, cfg)
+    m, n = gram.m, gram.n
+    arms = (gram.points[:m], gram.points[m + gram.l :])
+    key = (
+        Method.STANDARD_PERMUTATION,
+        seed.key(cfg.num_resamples, (Masks(m + n, m),)),
+        cfg.alpha,
+        cfg.estimator,
+        gram.kernel,
+        *((arm.dtype.str, arm.shape, arm.tobytes()) for arm in arms),
+    )
+    outcome = seed.store.get(key)
+    if outcome is None:
+        outcome = seed.store[key] = standard_permutation_test(gram, cfg)
+    return outcome
+
+
 def run_ttp(
     gram: GramCache,
     cfg: TTPConfig,
@@ -123,7 +152,10 @@ def run_ttp(
     one seed per method.
 
     * Not merged (either mode): standard permutation of current vs
-      treatment on the two-arm bandwidth, seeded by the first seed.
+      treatment on the two-arm bandwidth, seeded by the first seed.  With
+      a ``SharedSeed`` the outcome is kept in its store, and a later cell
+      of the replicate with the same current and treatment arms and test
+      settings takes it from there (``_no_borrowing_test``).
     * Equivalence mode, merged: each method on the fused control vs
       treatment with the three-arm bandwidth, each with its own seed.
     * Classic mode, merged: naive pooling (``pooled_permutation_test``),
@@ -146,7 +178,7 @@ def run_ttp(
                 for method, seed in zip(methods, causality_seeds)
             )
             return fusion, outcomes
-        test = pooled_permutation_test if fusion.merged else standard_permutation_test
+        test = pooled_permutation_test if fusion.merged else _no_borrowing_test
         outcome = test(
             gram,
             replace(

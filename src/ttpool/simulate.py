@@ -125,7 +125,10 @@ class CampaignResult:
     ``seconds`` is the wall time this cell's replicates took, summed over
     replicates; on a pool thread that includes its waits for the
     interpreter lock.  In a sweep, the first cell of a replicate to need a
-    draw makes it; the later cells copy it.
+    draw makes it; the later cells copy it.  Likewise the first cell of a
+    replicate that does not merge runs the standard permutation test, and
+    the later unmerged cells with its arms and test settings take its
+    outcome, so their seconds leave that test out.
     """
 
     scenario: Scenario
@@ -263,7 +266,11 @@ def _sweep_item(runs: tuple, rep: int) -> list[tuple[object, float]]:
     draws of one plan are the same bytes.  The cells share one store for
     the item: each (seed, plan) is drawn once and copied to the later
     cells.  A single cell stores its draws too; that measured no slower
-    than drawing without a store.
+    than drawing without a store.  The store also keeps the outcome of
+    the no-borrowing test (``pipeline.run_ttp``): cells that differ only
+    in the historical arm or the fusion settings have the same current
+    and treatment arms, so the first of them to need it runs it.  The
+    store lives as long as the item, on the thread that runs it.
     """
     store = {}
     out = []
@@ -314,9 +321,10 @@ def run_sweep(scenarios, workers: int = 1) -> list[CampaignResult]:
     """Run every cell of a sweep and aggregate each cell's merge / rejection rates.
 
     ``_sweep`` of each cell's ``_run_replicate``, on ``workers`` threads.
-    The cells of a replicate share its resampling draws; they were the
-    same draws before, so each result equals ``run_campaign`` of its cell
-    alone.
+    The cells of a replicate share its resampling draws, and the outcome
+    of the no-borrowing test among cells with its arms and settings; they
+    were the same bytes before, so each result equals ``run_campaign`` of
+    its cell alone.
     """
     scenarios = tuple(scenarios)
     runs = [partial(_run_replicate, scn) for scn in scenarios]

@@ -256,6 +256,17 @@ class TestDatasetIngestion:
         with pytest.raises(DataError, match="row 2, column 2: non-finite value '-inf'"):
             load_dataset(path)
 
+    def test_byte_order_mark_is_read_as_utf8(self, tmp_path):
+        # Spreadsheet programs save "UTF-8 CSV" with a byte-order mark.
+        path = tmp_path / "d.csv"
+        write_csv(path, [0.1, 0.2], [0.3, 0.4], [0.5, 0.6], header=True)
+        plain = load_dataset(path)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        arms = load_dataset(path)
+        assert [arms[arm].points.tolist() for arm in Arm] == [
+            plain[arm].points.tolist() for arm in Arm
+        ]
+
 
 class TestExitCodes:
     def test_config_error_exit_2(self, tmp_path, dataset):
@@ -481,6 +492,25 @@ class TestExitCodes:
             ["test", "--out", str(tmp_path / "r.txt"), "--set", f"data={bad}"]
         )
         assert rc == EXIT_DATA
+
+    def test_non_utf8_csv_exit_3(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"arm,y\ncurrent,1.0\xff\n")
+        rc = main(["test", "--out", str(tmp_path / "r.txt"), "--set", f"data={bad}"])
+        assert rc == EXIT_DATA
+        assert f"data error: dataset {bad} is not UTF-8 text" in capsys.readouterr().err
+
+    def test_non_utf8_config_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_bytes(b'{"fusion.mode": "classic\xe9"}')
+        rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "s.txt")])
+        assert rc == EXIT_CONFIG
+        assert f"config error: config file {cfg} is not UTF-8 text" in capsys.readouterr().err
+
+    def test_config_with_byte_order_mark_is_read(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_bytes(b"\xef\xbb\xbf" + json.dumps({"fusion.theta": 0.3}).encode())
+        assert load_config("simulate", cfg, [])["fusion.theta"] == 0.3
 
     def test_degenerate_data_exit_4(self, tmp_path):
         const = tmp_path / "const.csv"

@@ -1,4 +1,4 @@
-"""Output digests of seven small fixed-seed runs.
+"""Output digests of eight small fixed-seed runs.
 
 A change that claims to leave every output bitwise equal (a speed-up that
 reorders no floating-point operation and moves no random stream) must
@@ -28,6 +28,7 @@ DIGESTS = {
     "null-study": "c6e20cee2171a8917a38ccc31dd4b97dc8ec2ac56d56e64120f43adbaa35f2fd",
     "null-study-sweep": "eaab10c109f00e3ba5e8dff60938dfd1f004d24e163f4d558563dbfc651ff2b3",
     "test-normal": "c75b5f69780131b6b94c99da82440b12d299db835ee2d6a4d14fab1b58794800",
+    "simulate-modes": "bab2e459f511393ab9572da90ec4735cb3fafcc27f1943581fea2fe96a5145d5",
 }
 
 
@@ -90,6 +91,18 @@ def test_output_digest(tmp_path, monkeypatch, capsys, command):
             ["simulate", "--out", "s.txt", *PAPER_SIZES, "--seed", "5", "--workers", "2",
              "--set", "replicates=6", "--set", "fusion.mode=classic",
              "--set", "scenario.mu_c_minus_mu_t=0.4", "--set", "scenario.mu_h_minus_mu_c=0.4",
+             "--set", "fusion.num_bootstrap=300", "--set", "causality.num_resamples=300"],
+        )
+        output = tmp_path / "s.txt.tsv"
+    elif command == "simulate-modes":
+        # Both fusion modes over two historical shifts: every cell of a
+        # replicate has the same current and treatment arms, so the
+        # unmerged cells of both modes run the same no-borrowing test.
+        _run(
+            tmp_path, monkeypatch, capsys,
+            ["simulate", "--out", "s.txt", *PAPER_SIZES, "--seed", "3",
+             "--set", "replicates=8", "--set", "fusion.mode=equivalence,classic",
+             "--set", "scenario.mu_c_minus_mu_t=0.3", "--set", "scenario.mu_h_minus_mu_c=0,0.6",
              "--set", "fusion.num_bootstrap=300", "--set", "causality.num_resamples=300"],
         )
         output = tmp_path / "s.txt.tsv"

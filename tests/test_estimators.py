@@ -200,6 +200,16 @@ class TestSlices:
             with pytest.raises(IndexOutOfRange):
                 mmd2_slices(k, bad, slice(0, 2))
 
+    @pytest.mark.parametrize("bad", [slice(None, 2), slice(2, None), slice(None)])
+    def test_open_ranges_rejected(self, rng, bad):
+        # Each side needs an explicit start and stop; an open end once
+        # escaped as a TypeError from the range comparison.
+        k = _full_matrix(KernelSpec(bandwidth=1.0), rng.normal(size=(6, 1)))
+        with pytest.raises(IndexOutOfRange, match="nonempty range"):
+            mmd2_slices(k, bad, slice(2, 4))
+        with pytest.raises(IndexOutOfRange, match="nonempty range"):
+            mmd2_slices(k, slice(2, 4), bad)
+
     def test_ustat_needs_two_points(self, rng):
         k = _full_matrix(KernelSpec(bandwidth=1.0), rng.normal(size=(4, 1)))
         with pytest.raises(SampleTooSmall):

@@ -5,6 +5,7 @@ import dataclasses
 import logging
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from statistics import NormalDist
 
 import numpy as np
@@ -23,8 +24,8 @@ from ttpool.causality import (
 from ttpool.errors import ConfigError, SampleTooSmall
 from ttpool.estimators import Counts, Estimator, Masks, SharedSeed, resample_weights
 from ttpool.fusion import FusionConfig, FusionMode
-from ttpool.kernels import build_gram
-from ttpool import blas, causality, cli, estimators, fusion, kernels, simulate
+from ttpool.kernels import KernelSpec, build_gram
+from ttpool import blas, causality, cli, estimators, fusion, kernels, pipeline, simulate
 from ttpool.blas import numpy_openblas, one_blas_thread
 from ttpool.pipeline import TTPConfig, run_report
 from ttpool.simulate import (
@@ -362,6 +363,80 @@ class TestSharedDraws:
     def test_cells_need_one_replicate_count(self, no_process):
         with pytest.raises(ConfigError, match="one replicate count"):
             simulate.run_sweep([tiny_scenario(reps=2), tiny_scenario(reps=3)])
+
+
+class TestSharedNoBorrowingTest:
+    """The cells of a replicate share its no-borrowing test, and only where it reads the same."""
+
+    @staticmethod
+    def _cells():
+        base = TTPConfig(
+            fusion=FusionConfig(num_bootstrap=60), causality=CausalityConfig(num_resamples=60)
+        )
+        read = base.causality
+        # One cell per setting the standard permutation test reads, then a
+        # classic-fusion cell and a cell with a nearer historical arm, which
+        # share the base cell's outcome.
+        ttps = [
+            base,
+            dataclasses.replace(base, causality=dataclasses.replace(read, alpha=0.5)),
+            dataclasses.replace(base, causality=dataclasses.replace(read, num_resamples=30)),
+            dataclasses.replace(
+                base, causality=dataclasses.replace(read, estimator=Estimator.USTAT)
+            ),
+            dataclasses.replace(base, kernel=KernelSpec(bandwidth=0.3)),
+            dataclasses.replace(base, kernel=KernelSpec(bandwidth=4.0)),
+            dataclasses.replace(
+                base, fusion=dataclasses.replace(base.fusion, mode=FusionMode.CLASSIC_PERMUTATION)
+            ),
+        ]
+        far = MeanShift(0.5, 3.0)
+        cells = [tiny_scenario(reps=4, seed=4, generator=far, ttp=ttp) for ttp in ttps]
+        return cells + [tiny_scenario(reps=4, seed=4, generator=MeanShift(0.5, 0.2))]
+
+    def test_each_cell_gets_the_outcome_it_gets_alone(self):
+        scns = self._cells()
+        per_cell = simulate._sweep([partial(_run_replicate, scn) for scn in scns], scns, 1)
+        for scn, rows in zip(scns, per_cell):
+            assert not all(fusion_outcome.merged for (fusion_outcome, _), _ in rows)
+            for rep, (got, _) in enumerate(rows):
+                assert got == _run_replicate(scn, rep, {})
+        for scn, result in zip(scns, simulate.run_sweep(scns)):
+            alone = run_campaign(scn)
+            assert dataclasses.replace(result, seconds=0) == dataclasses.replace(alone, seconds=0)
+
+    def test_one_test_per_replicate_and_current_treatment_arms(self, monkeypatch):
+        calls = []
+        original = pipeline.standard_permutation_test
+
+        def counted(gram, cfg):
+            calls.append(1)
+            return original(gram, cfg)
+
+        monkeypatch.setattr(pipeline, "standard_permutation_test", counted)
+        ttp = TTPConfig(
+            fusion=FusionConfig(theta=0.6, num_bootstrap=60),
+            causality=CausalityConfig(num_resamples=60),
+        )
+        scns = [
+            tiny_scenario(
+                reps=4,
+                seed=6,
+                generator=MeanShift(mu_c, mu_h),
+                ttp=dataclasses.replace(ttp, fusion=dataclasses.replace(ttp.fusion, mode=mode)),
+            )
+            for mu_c in (0.0, 0.5)
+            for mode in FusionMode
+            for mu_h in (0.0, 0.4, 1.5)
+        ]
+        per_cell = simulate._sweep([partial(_run_replicate, scn) for scn in scns], scns, 1)
+        unmerged = [
+            (rep, scn.generator.mu_c_minus_mu_t)
+            for scn, rows in zip(scns, per_cell)
+            for rep, ((fusion_outcome, _), _) in enumerate(rows)
+            if not fusion_outcome.merged
+        ]
+        assert len(calls) == len(set(unmerged)) < len(unmerged)
 
 
 class TestReplicateMatchesPipeline:
