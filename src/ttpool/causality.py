@@ -146,7 +146,8 @@ def _mask_sums(k: np.ndarray, masks: np.ndarray, estimator: Estimator) -> tuple[
     U-statistic reads; for the V-statistic they are not computed and are
     passed as zero.  The cross sum is each row total of ``masks @ k``
     minus its within-a part, so no complement mask array is built.
-    ``product_row_dots`` makes the product in row blocks.
+    ``product_row_dots`` makes the product in row blocks.  ``masks`` may
+    be ``bool``; the diagonal totals convert them where they read them.
     """
     s_aa, total = product_row_dots(masks, k, masks, totals=True)
     s_ab = total - s_aa
@@ -154,7 +155,7 @@ def _mask_sums(k: np.ndarray, masks: np.ndarray, estimator: Estimator) -> tuple[
     if estimator is not Estimator.USTAT:
         return s_aa, s_ab, s_bb, 0.0, 0.0
     diag = np.diag(k)
-    d_a = masks @ diag
+    d_a = masks.astype(float) @ diag
     return s_aa, s_ab, s_bb, d_a, diag.sum() - d_a
 
 
@@ -258,7 +259,7 @@ def partial_bootstrap_draws(
     diag_t = diag_c = 0.0  # the V-statistic does not read the diagonal totals
     if estimator is Estimator.USTAT:
         d_cc = np.diag(k_cc)
-        diag_t, diag_c = v @ d_cc, u @ d_cc
+        diag_t, diag_c = v.astype(float) @ d_cc, u.astype(float) @ d_cc
     return _delta_from_sums(
         cc_vv, cc_uv + ch_vw, cc_uu, cc_uu + ch_uw, diag_t, diag_c, gram, estimator
     )
@@ -296,7 +297,7 @@ def partial_permutation_draws(
 
     (masks,) = resample_weights(seed, num_resamples, Masks(m + n, m))  # 1 = permuted-current
     cc, ct, tt, d_c, d_t = _mask_sums(k_ct, masks, estimator)
-    ch = masks @ hrow
+    ch = masks.astype(float) @ hrow
     th = hrow.sum() - ch
 
     within_f = cc + 2.0 * ch + gram.k_hh.sum()

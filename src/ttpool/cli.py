@@ -360,16 +360,35 @@ def load_dataset(path) -> dict:
 
 
 def report_to_dict(report: TTPReport, effective_config: dict) -> dict:
-    return {
-        "fusion": dataclasses.asdict(report.fusion),
-        "causality": dataclasses.asdict(report.causality),
-        "diagnostics": dataclasses.asdict(report.diagnostics),
-        "bandwidth_pooled3": report.bandwidth_pooled3,
-        "bandwidth_pooled2": report.bandwidth_pooled2,
-        "bandwidth_used": report.bandwidth_used,
-        "seeds": report.seeds,
-        "config": effective_config,
-    }
+    """The ``ttpool test`` JSON companion, which strict JSON parsers read.
+
+    A non-finite float, such as the statistic and theta of
+    ``fusion.theta=inf``, is written as the text ``"inf"``, ``"-inf"`` or
+    ``"nan"``, which the config loader parses back.
+    """
+    return _finite_json(
+        {
+            "fusion": dataclasses.asdict(report.fusion),
+            "causality": dataclasses.asdict(report.causality),
+            "diagnostics": dataclasses.asdict(report.diagnostics),
+            "bandwidth_pooled3": report.bandwidth_pooled3,
+            "bandwidth_pooled2": report.bandwidth_pooled2,
+            "bandwidth_used": report.bandwidth_used,
+            "seeds": report.seeds,
+            "config": effective_config,
+        }
+    )
+
+
+def _finite_json(value):
+    """``value`` with every non-finite float in it replaced by its text."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(float(value))
+    if isinstance(value, dict):
+        return {key: _finite_json(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_json(item) for item in value]
+    return value
 
 
 def format_table(cfg: dict, header: list[str], rows: list[list]) -> str:
@@ -415,7 +434,7 @@ def cmd_test(args) -> int:
         ttp,
         master_seed=cfg["seed"],
     )
-    payload = json.dumps(report_to_dict(report, cfg), indent=2) + "\n"
+    payload = json.dumps(report_to_dict(report, cfg), indent=2, allow_nan=False) + "\n"
     return _write_outputs(args.out, _report_lines(report, cfg), ".json", payload)
 
 

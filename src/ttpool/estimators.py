@@ -161,16 +161,23 @@ def product_row_dots(
     The total comes last and only with ``totals``.  Every B-row
     resampling product is made here, in blocks of ``PRODUCT_ROWS`` rows
     that ``blas.share`` runs; each block's product is freed once its
-    rows are reduced.  A row's dots and total do not depend on the block
-    it is in, and a block's product does not depend on the thread.
+    rows are reduced.  ``left`` and ``others`` may hold whole numbers in
+    any dtype, such as stored counts or masks: a block converts its rows
+    of ``left`` to float64 once, reuses them for an operand that is
+    ``left`` itself, and converts its rows of any other operand, so no
+    B-row float copy is made.  The conversion is exact.  A row's dots
+    and total do not depend on the block it is in, and a block's product
+    does not depend on the thread.
     """
     rows = left.shape[0]
     outs = [np.empty(rows) for _ in range(len(others) + totals)]
 
     def block(s: slice) -> None:
-        product = left[s] @ right
+        part = left[s].astype(float, copy=False)
+        product = part @ right
         for out, other in zip(outs, others):
-            out[s] = np.einsum("bq,bq->b", product, other[s])
+            mine = part if other is left else other[s].astype(float, copy=False)
+            out[s] = np.einsum("bq,bq->b", product, mine)
         if totals:
             outs[-1][s] = product.sum(axis=1)
 
@@ -184,8 +191,8 @@ def batched_quad(k_block: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarra
     return quad
 
 
-#: Count entries of one row block of ``bootstrap_counts``: 512 KiB of 64-bit
-#: counts, so that each ``bincount`` runs in cache.
+#: Entries of one row block of ``bootstrap_counts`` and ``permutation_masks``:
+#: 512 KiB of 64-bit counts or uniforms, so that each block runs in cache.
 _COUNT_BLOCK = 1 << 16
 
 
@@ -226,10 +233,23 @@ def permutation_masks(
     finds it and a comparison marks the subset.  The masks are the same
     as ranking the uniforms with a full sort, for the same ``rng``.  A
     row whose boundary value is tied keeps exactly ``size_a`` ones.
+    The rows are drawn in blocks of about ``_COUNT_BLOCK`` uniforms, and
+    only one block of uniforms is held at a time.  Successive
+    ``rng.random`` calls continue one stream, so the masks are those of
+    a single draw for all rows, and ``size_a = 0`` still takes
+    ``batch * total`` uniforms from ``rng``.
     """
-    r = rng.random((batch, total))
-    if size_a == 0:
-        return np.zeros((batch, total), dtype)
+    rows = max(1, min(batch, _COUNT_BLOCK // max(total, 1)))
+    masks = np.zeros((batch, total), dtype)
+    for lo in range(0, batch, rows):
+        r = rng.random((min(rows, batch - lo), total))
+        if size_a:
+            masks[lo : lo + rows] = _smallest(r, size_a)
+    return masks
+
+
+def _smallest(r: np.ndarray, size_a: int) -> np.ndarray:
+    """Per row of uniforms ``r``, a ``bool`` mask of its ``size_a`` smallest values."""
     kth = np.partition(r, size_a - 1, axis=1)[:, size_a - 1 : size_a]
     chosen = r <= kth
     tied = np.flatnonzero(np.count_nonzero(chosen, axis=1) != size_a)
@@ -237,7 +257,7 @@ def permutation_masks(
         rows = np.argpartition(r[tied], size_a - 1, axis=1)[:, :size_a]
         chosen[tied] = False
         chosen[tied[:, None], rows] = True
-    return chosen.astype(dtype, copy=False)
+    return chosen
 
 
 # ---------------------------------------------------------------------------
@@ -268,11 +288,12 @@ class SharedSeed:
     """A ``SeedSequence`` whose draws ``resample_weights`` keeps in ``store``.
 
     Each (seed, batch, plan) is drawn once; a later call with an equal
-    seed, batch and plan gets a float copy of the stored draws, which are
+    seed, batch and plan gets the stored arrays themselves, which are
     the bytes a fresh draw would give.  Counts are stored as the smallest
     unsigned integers that hold them and masks as ``bool``, so the store
-    stays small.  A campaign sweep gives each replicate one store, which
-    its cells share, because they have the same stage seeds;
+    stays small, and the arrays are read-only, so no reader can change
+    another's draws.  A campaign sweep gives each replicate one store,
+    which its cells share, because they have the same stage seeds;
     ``pipeline.run_ttp`` keeps the no-borrowing test's outcome there too,
     under a key that starts with the seed's ``key`` of its mask draw.
     The store holds keys, draws and outcomes, never a ``SharedSeed``, so
@@ -295,23 +316,29 @@ class SharedSeed:
 
 
 def _draw(rng: np.random.Generator, batch: int, spec) -> np.ndarray:
-    """One plan entry's rows: masks as ``bool``, counts as the smallest unsigned integers."""
-    if not isinstance(spec, Counts):
-        return permutation_masks(rng, spec.total, spec.size_a, batch, bool)
-    dtype = np.min_scalar_type(spec.draws)
-    counts = bootstrap_counts(rng, spec.draws, spec.size, batch, dtype)
-    # A position is rarely picked 256 times, so wider counts mostly fit bytes.
-    if dtype != np.uint8 and counts.max(initial=0) <= 255:
-        counts = counts.astype(np.uint8)
-    return counts
+    """One plan entry's rows, read-only.
+
+    Masks come as ``bool`` and counts as the smallest unsigned integers
+    that hold them.
+    """
+    if isinstance(spec, Counts):
+        dtype = np.min_scalar_type(spec.draws)
+        weights = bootstrap_counts(rng, spec.draws, spec.size, batch, dtype)
+        # A position is rarely picked 256 times, so wider counts mostly fit bytes.
+        if dtype != np.uint8 and weights.max(initial=0) <= 255:
+            weights = weights.astype(np.uint8)
+    else:
+        weights = permutation_masks(rng, spec.total, spec.size_a, batch, bool)
+    weights.flags.writeable = False
+    return weights
 
 
 def defer_weights(seed: SharedSeed, batch: int, *plan) -> None:
     """Draw ``resample_weights(seed, batch, *plan)`` on the helper thread (``blas.submit``).
 
     The first later ``resample_weights`` of the same draw waits for it and
-    takes it out of the store, so its counts are freed once converted.  A
-    draw already stored is not drawn again.
+    takes it out of the store, so its counts are freed with that reader's
+    products.  A draw already stored is not drawn again.
     """
     key = seed.key(batch, plan)
     if key not in seed.store:
@@ -319,19 +346,22 @@ def defer_weights(seed: SharedSeed, batch: int, *plan) -> None:
 
 
 def resample_weights(seed, batch: int, *plan) -> list[np.ndarray]:
-    """Float weight rows, ``batch`` per entry of ``plan``, drawn in order from ``seed``.
+    """Weight rows, ``batch`` per entry of ``plan``, drawn in order from ``seed``.
 
     ``seed`` is a ``SharedSeed`` or anything ``np.random.default_rng``
     takes; a ``Generator`` is used as it is, so its state moves on.  Each
-    entry of ``plan`` is a ``Counts`` or ``Masks``.
+    entry of ``plan`` is a ``Counts`` or ``Masks``.  The rows come as
+    drawn and read-only: counts as the smallest unsigned integers that
+    hold them, masks as ``bool``.  A reader converts them to float64 in
+    the blocks it reads (``product_row_dots``), which is exact.
     """
     if not isinstance(seed, SharedSeed):
         rng = np.random.default_rng(seed)
-        return [_draw(rng, batch, spec).astype(float) for spec in plan]
+        return [_draw(rng, batch, spec) for spec in plan]
     key = seed.key(batch, plan)
     stored = seed.store.get(key)
     if stored is None:
         stored = seed.store[key] = seed.draw(batch, plan)
     elif not isinstance(stored, list):  # a deferred draw
         stored = seed.store.pop(key).result()
-    return [weights.astype(float) for weights in stored]
+    return list(stored)

@@ -68,9 +68,13 @@ def bootstrap_plan(m: int, l: int) -> tuple:
 
 
 def _bootstrap_root_terms(k_block: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sqrt(max(D^2_W, 0)) with D^2_W = (1/s^2) (W-1)' K (W-1) per weight row."""
+    """sqrt(max(D^2_W, 0)) with D^2_W = (1/s^2) (W-1)' K (W-1) per weight row.
+
+    ``weights`` are the stored counts; centring them makes the one float
+    array of the bootstrap.
+    """
     s = k_block.shape[0]
-    centered = weights - 1.0
+    centered = np.subtract(weights, 1.0, dtype=float)
     d2 = batched_quad(k_block, centered, centered) / s**2
     return np.sqrt(np.clip(d2, 0.0, None))
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import ctypes
 import logging
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -244,9 +245,11 @@ def _map_replicates(run, replicates: int, workers: int) -> list:
     a one-thread pool would move its scratch into a second malloc arena,
     which raised a serial benchmark sweep's peak RSS from 47.9 to 51.1 MB.
     More open a pool of ``min(workers, replicates)`` threads of this
-    process for this call and close it after; the rows come back in
-    replicate order either way.  NumPy releases the interpreter lock in
-    the products, the random fills and large ufuncs, which is where a
+    process for this call and close it after, and never more threads
+    than ``_cpus()``: each thread holds a replicate's scratch at once,
+    and the rows do not depend on the thread count.  The rows come back
+    in replicate order either way.  NumPy releases the interpreter lock
+    in the products, the random fills and large ufuncs, which is where a
     replicate spends its time, so the threads run side by side there.  An
     exception in ``run`` reaches the caller after every thread has stopped.
     """
@@ -255,8 +258,15 @@ def _map_replicates(run, replicates: int, workers: int) -> list:
     with one_blas_thread():
         if workers == 1:
             return [run(rep) for rep in reps]
-        with ThreadPoolExecutor(min(workers, replicates)) as pool:
+        with ThreadPoolExecutor(min(workers, replicates, _cpus())) as pool:
             return list(pool.map(run, reps))
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on, or the machine's count where that is unknown."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _sweep_item(runs: tuple, rep: int) -> list[tuple[object, float]]:
@@ -264,7 +274,7 @@ def _sweep_item(runs: tuple, rep: int) -> list[tuple[object, float]]:
 
     Cells with the same master seed have the same stage seeds, so their
     draws of one plan are the same bytes.  The cells share one store for
-    the item: each (seed, plan) is drawn once and copied to the later
+    the item: each (seed, plan) is drawn once and read by the later
     cells.  A single cell stores its draws too; that measured no slower
     than drawing without a store.  The store also keeps the outcome of
     the no-borrowing test (``pipeline.run_ttp``): cells that differ only

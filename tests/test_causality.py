@@ -27,9 +27,11 @@ from ttpool.causality import (
     pooled_permutation_test,
     run_causality,
     standard_permutation_test,
+    two_sample_permutation,
 )
 from ttpool.errors import ConfigError, SampleTooSmall
 from ttpool.estimators import (
+    PRODUCT_ROWS,
     Counts,
     Estimator,
     Masks,
@@ -41,7 +43,7 @@ from ttpool.estimators import (
     resample_weights,
 )
 from ttpool.fusion import FusionConfig, FusionMode, classic_fusion, equivalence_fusion
-from ttpool.kernels import Arm, KernelFamily, KernelSpec, Sample, build_gram
+from ttpool.kernels import Arm, KernelFamily, KernelSpec, Sample, build_gram, kernel_matrix
 from ttpool.quantile import monte_carlo
 from ttpool.simulate import MeanShift, Scenario, draw_arms
 
@@ -202,6 +204,26 @@ class TestStandardPermutation:
             cfg = CausalityConfig(num_resamples=200, seed=rep)
             rejects += standard_permutation_test(gram, cfg).reject
         assert rejects / reps >= 0.5
+
+
+class TestResamplingScratch:
+    """A permutation test's scratch is a few product blocks, not B x N float copies."""
+
+    def test_two_sample_permutation_scratch_is_bounded(self):
+        size_a, size_b, batch = 400, 600, 1000
+        total = size_a + size_b
+        pts = np.random.default_rng(7).normal(size=(total, 1))
+        k = kernel_matrix(KernelSpec(), 1.0, pts, pts)
+        # Two float64 product blocks (a block of mask rows and its product),
+        # the bool masks, and 1 MiB for the mask blocks' uniforms and the rest.
+        bound = 2 * PRODUCT_ROWS * total * 8 + batch * total + (1 << 20)
+        tracemalloc.start()
+        try:
+            two_sample_permutation(k, size_a, size_b, 0.05, batch, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, f"peak {peak / 2**20:.2f} MiB > {bound / 2**20:.2f} MiB"
 
 
 class TestPooledPermutation:

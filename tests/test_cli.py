@@ -692,6 +692,28 @@ class TestCmdTest:
             outs.append((tmp_path / f"{name}.txt.json").read_text())
         assert outs[0] == outs[1]
 
+    def test_always_merge_json_is_strict_and_reruns(self, tmp_path, dataset):
+        # theta = inf makes the fusion statistic and a config value infinite.
+        def strict(text):
+            raise ValueError(f"non-standard JSON constant {text}")
+
+        first = tmp_path / "a.txt"
+        rc = main(
+            ["test", "--out", str(first), "--set", f"data={dataset}",
+             "--set", "fusion.theta=inf", *FAST]
+        )
+        assert rc == EXIT_OK
+        text = (tmp_path / "a.txt.json").read_text()
+        payload = json.loads(text, parse_constant=strict)
+        assert payload["fusion"]["statistic"] == "inf"
+        assert payload["config"]["fusion.theta"] == "inf"
+        assert payload["fusion"]["merged"]
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(payload["config"]))
+        rc = main(["test", "--out", str(tmp_path / "b.txt"), "--config", str(cfg)])
+        assert rc == EXIT_OK
+        assert (tmp_path / "b.txt.json").read_text() == text
+
     def test_enrollment_shaped_smoke(self, tmp_path):
         # Arm sizes and outcome range shaped like a school-enrollment
         # application: 200 treatment, 50 current, 50 historical in [0, 1].

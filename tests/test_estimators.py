@@ -334,6 +334,29 @@ class TestResamplingHelpers:
         assert np.array_equal(masks.sum(axis=1), np.full(25, 4.0))
         assert set(np.unique(masks)) <= {0.0, 1.0}
 
+    @pytest.mark.parametrize("blocks", [1, 3])
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_permutation_masks_across_row_blocks(self, blocks, extra):
+        # 250 slots give blocks of 262 rows; the batch ends one row short
+        # of, on, or one row past a block boundary.
+        total = 250
+        rows = estimators._COUNT_BLOCK // total
+        batch = blocks * rows + extra
+
+        def one_shot(rng, size_a):
+            r = rng.random((batch, total))
+            if size_a == 0:
+                return np.zeros((batch, total), bool)
+            return r <= np.partition(r, size_a - 1, axis=1)[:, size_a - 1 : size_a]
+
+        for size_a in (0, 1, total - 1, total):
+            got_rng, want_rng = np.random.default_rng(size_a), np.random.default_rng(size_a)
+            got = permutation_masks(got_rng, total, size_a, batch, bool)
+            assert got.dtype == bool
+            assert np.array_equal(got, one_shot(want_rng, size_a))
+            # Every call takes batch * total uniforms, size_a = 0 too.
+            assert got_rng.random() == want_rng.random()
+
     @staticmethod
     def _one_flat_bincount(rng, draws, size, batch):
         """The counts as one int64 ``integers`` call and one flat ``bincount`` make them."""

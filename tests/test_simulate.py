@@ -22,7 +22,15 @@ from ttpool.causality import (
     run_causality,
 )
 from ttpool.errors import ConfigError, SampleTooSmall
-from ttpool.estimators import Counts, Estimator, Masks, SharedSeed, resample_weights
+from ttpool.estimators import (
+    Counts,
+    Estimator,
+    Masks,
+    SharedSeed,
+    bootstrap_counts,
+    permutation_masks,
+    resample_weights,
+)
 from ttpool.fusion import FusionConfig, FusionMode
 from ttpool.kernels import KernelSpec, build_gram
 from ttpool import blas, causality, cli, estimators, fusion, kernels, pipeline, simulate
@@ -154,6 +162,36 @@ class TestWorkerPool:
         assert _map_replicates(_double, 2, 4) == [0, 2]
         assert _map_replicates(_double, 3, 2) == [0, 2, 4]
         assert sizes == [2, 2]
+
+    @pytest.mark.parametrize("affinity", [True, False], ids=["affinity", "cpu_count"])
+    def test_pool_opens_no_more_threads_than_cpus(self, monkeypatch, affinity):
+        sizes = []
+
+        class Inline:
+            """Records the pool size and runs the map on the calling thread."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(simulate, "ThreadPoolExecutor", Inline)
+        if affinity:
+            monkeypatch.setattr(
+                simulate.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False
+            )
+        else:
+            monkeypatch.delattr(simulate.os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(simulate.os, "cpu_count", lambda: 3)
+        assert _map_replicates(_double, 1000, 1000) == [2 * rep for rep in range(1000)]
+        assert _map_replicates(_double, 2, 1000) == [0, 2]
+        assert sizes == [3, 2]
 
     def test_more_threads_than_cores_under_fast_switching(self):
         # The pool threads share the process; with the interpreter switching
@@ -327,18 +365,35 @@ class TestSharedDraws:
 
         # 300 picks among 5 positions fit bytes; among 1 position they do not.
         plan = (Counts(7, 5), Masks(9, 4), Counts(300, 5), Counts(300, 1))
-        fresh = resample_weights(seed(), 11, *plan)
+        rng = np.random.default_rng(seed())
+        fresh = [
+            bootstrap_counts(rng, 7, 5, 11),
+            permutation_masks(rng, 9, 4, 11),
+            bootstrap_counts(rng, 300, 5, 11),
+            bootstrap_counts(rng, 300, 1, 11),
+        ]
+        alone = resample_weights(seed(), 11, *plan)
         store = {}
         first = resample_weights(SharedSeed(seed(), store), 11, *plan)
         again = resample_weights(SharedSeed(seed(), store), 11, *plan)
         assert len(store) == 1
         (stored,) = store.values()
-        assert [w.dtype for w in stored] == [np.uint8, np.bool_, np.uint8, np.uint16]
-        for want, *got in zip(fresh, first, again):
+        dtypes = [np.uint8, np.bool_, np.uint8, np.uint16]
+        for want, dtype, *got in zip(fresh, dtypes, alone, first, again):
             assert want.dtype == float
             for weights in got:
-                assert weights.dtype == float and weights.tobytes() == want.tobytes()
-        assert again[0] is not first[0]
+                assert weights.dtype == dtype and not weights.flags.writeable
+                assert weights.astype(float).tobytes() == want.tobytes()
+        assert all(a is f is s for a, f, s in zip(again, first, stored))
+
+    @pytest.mark.parametrize("shared", [False, True], ids=["fresh", "shared"])
+    def test_a_returned_draw_cannot_be_written(self, shared):
+        seed = np.random.SeedSequence(4)
+        if shared:
+            seed = SharedSeed(seed, {})
+        for weights in resample_weights(seed, 6, Counts(5, 5), Masks(6, 2)):
+            with pytest.raises(ValueError, match="read-only"):
+                weights[0, 0] = 3
 
     @pytest.mark.parametrize("helper", [False, True], ids=["here", "on-the-helper"])
     def test_a_deferred_draw_is_the_fresh_bytes_for_one_reader(self, helper):
