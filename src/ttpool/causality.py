@@ -29,16 +29,17 @@ it, so no block is copied.  All resampling operates on weight vectors
 over Gram positions; no kernel is re-evaluated inside the B-loop.
 Each test takes its weights from ``estimators.resample_weights``, given
 its seed and its draw plan, and decides through ``quantile.monte_carlo``
-(the observed statistic joins the draws of the permutation tests only)
-or ``quantile.normal_decision``, which give its p-value too.
+or ``quantile.normal_decision``, which give its p-value too.  All that
+tells the last three, the merged-branch methods, apart is ``merged_record``.
 The fused control's within-sample sum cancels in Delta, so Delta and its
 bootstrap draws never compute it, nor read the historical-historical block.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -266,7 +267,7 @@ def partial_bootstrap_draws(
 
 
 def partial_bootstrap_test(gram: GramCache, cfg: CausalityConfig) -> CausalityOutcome:
-    return _merged_test(gram, cfg, Method.PARTIAL_BOOTSTRAP)
+    return run_causality(gram, replace(cfg, method=Method.PARTIAL_BOOTSTRAP))
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +307,7 @@ def partial_permutation_draws(
 
 
 def partial_permutation_test(gram: GramCache, cfg: CausalityConfig) -> CausalityOutcome:
-    return _merged_test(gram, cfg, Method.PARTIAL_PERMUTATION)
+    return run_causality(gram, replace(cfg, method=Method.PARTIAL_PERMUTATION))
 
 
 # ---------------------------------------------------------------------------
@@ -341,45 +342,52 @@ def normal_scale(gram: GramCache) -> float:
 
 def normal_approx_test(gram: GramCache, cfg: CausalityConfig) -> CausalityOutcome:
     """Delta against the (1 - alpha)-quantile of N(0, 4(1 + 1/c1) sigma_c^2)."""
-    return _merged_test(gram, cfg, Method.NORMAL_APPROX)
+    return run_causality(gram, replace(cfg, method=Method.NORMAL_APPROX))
 
 
-def _merged_test(gram: GramCache, cfg: CausalityConfig, method: Method) -> CausalityOutcome:
-    """``statistic_for(method)`` against ``reference_draws``, or the normal law it draws from."""
-    statistic = statistic_for(method)(gram, cfg.estimator)
+def normal_draws(gram: GramCache, num_resamples: int, seed, estimator=None) -> np.ndarray:
+    """Draws of Delta's limiting normal law from ``seed``, which the null study reads."""
+    return normal_scale(gram) * np.random.default_rng(seed).standard_normal(num_resamples)
+
+
+class MergedMethod(NamedTuple):
+    statistic: Callable  # (gram, estimator) -> Delta or T
+    draws: Callable  # (gram, num_resamples, seed, estimator) -> reference draws
+    observed_joins: Optional[bool]  # None: the test decides against the normal law
+    plan: Optional[Callable]  # (m, l, n) -> the count plan the draws read, if any
+
+
+def merged_record(method: Method) -> Optional[MergedMethod]:
+    """``method``'s record, or ``None`` if it has none (the standard permutation).
+
+    All that tells the merged-branch methods apart.  It is built from this
+    module's functions at each call, so a wrapper bound over one of them
+    after import still sees the call.
+    """
+    if method is Method.PARTIAL_BOOTSTRAP:
+        return MergedMethod(delta_statistic, partial_bootstrap_draws, False, partial_bootstrap_plan)
+    if method is Method.PARTIAL_PERMUTATION:
+        return MergedMethod(t_statistic, partial_permutation_draws, True, None)
     if method is Method.NORMAL_APPROX:
-        decision = normal_decision(statistic, normal_scale(gram), cfg.alpha)
-    else:
-        draws = reference_draws(gram, method, cfg.num_resamples, cfg.seed, cfg.estimator)
-        joins = method is Method.PARTIAL_PERMUTATION
-        decision = monte_carlo(statistic, draws, cfg.alpha, observed_joins=joins)
-    return CausalityOutcome(float(statistic), *decision, method, merged_analysis=True)
+        return MergedMethod(delta_statistic, normal_draws, None, None)
+    return None
+
+
+MERGED_METHODS = tuple(method for method in Method if merged_record(method))
 
 
 def run_causality(gram: GramCache, cfg: CausalityConfig) -> CausalityOutcome:
-    """Dispatch on cfg.method."""
-    if cfg.method is Method.STANDARD_PERMUTATION:
+    """``cfg.method``'s test: its statistic against its reference draws or normal law."""
+    record = merged_record(cfg.method)
+    if record is None:
         return standard_permutation_test(gram, cfg)
-    return _merged_test(gram, cfg, cfg.method)
-
-
-# Each merged-branch method's statistic and reference law, for its test and the
-# null study.  Both look up this module's functions at call time, so a wrapper
-# bound over one of them after import still sees the call.
-
-
-def statistic_for(method: Method):
-    """The observed statistic ``method`` tests: T for partial permutation, else Delta."""
-    return t_statistic if method is Method.PARTIAL_PERMUTATION else delta_statistic
-
-
-def reference_draws(gram: GramCache, method: Method, num_resamples: int, rng, estimator):
-    """``num_resamples`` draws, from a seed or ``Generator`` ``rng``, of ``method``'s law."""
-    if method is Method.PARTIAL_BOOTSTRAP:
-        return partial_bootstrap_draws(gram, num_resamples, rng, estimator)
-    if method is Method.PARTIAL_PERMUTATION:
-        return partial_permutation_draws(gram, num_resamples, rng, estimator)
-    return normal_scale(gram) * rng.standard_normal(num_resamples)
+    statistic = record.statistic(gram, cfg.estimator)
+    if record.observed_joins is None:
+        decision = normal_decision(statistic, normal_scale(gram), cfg.alpha)
+    else:
+        draws = record.draws(gram, cfg.num_resamples, cfg.seed, cfg.estimator)
+        decision = monte_carlo(statistic, draws, cfg.alpha, observed_joins=record.observed_joins)
+    return CausalityOutcome(float(statistic), *decision, cfg.method, merged_analysis=True)
 
 
 def consistency_diagnostics(gram: GramCache) -> DiagnosticsReport:

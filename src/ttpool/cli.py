@@ -392,7 +392,8 @@ def _finite_json(value):
 
 
 def format_table(cfg: dict, header: list[str], rows: list[list]) -> str:
-    lines = [f"# {key}={json.dumps(cfg[key])}" for key in sorted(cfg)]
+    strict = _finite_json(cfg)
+    lines = [f"# {key}={json.dumps(strict[key], allow_nan=False)}" for key in sorted(cfg)]
     lines.append("\t".join(header))
     for row in rows:
         lines.append("\t".join(_format_cell(c) for c in row))
@@ -463,7 +464,8 @@ def _report_lines(report: TTPReport, cfg: dict) -> list[str]:
         f"seeds               : {json.dumps(report.seeds)}",
         "effective config    :",
     ]
-    return lines + [f"  {k} = {json.dumps(cfg[k])}" for k in sorted(cfg)]
+    strict = _finite_json(cfg)
+    return lines + [f"  {k} = {json.dumps(strict[k], allow_nan=False)}" for k in sorted(cfg)]
 
 
 def cmd_simulate(args) -> int:

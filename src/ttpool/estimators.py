@@ -148,8 +148,8 @@ def mmd2_slices(
 # ---------------------------------------------------------------------------
 
 
-#: Rows of one block of a resampling product.  The blocks are fixed, so a
-#: product has the same bits whichever thread makes each block.
+#: Rows of one block of a resampling product.  Its bits are a function of B and
+#: this fixed partition, never of the thread; a new value may move output bits.
 PRODUCT_ROWS = 512
 
 
@@ -166,8 +166,8 @@ def product_row_dots(
     of ``left`` to float64 once, reuses them for an operand that is
     ``left`` itself, and converts its rows of any other operand, so no
     B-row float copy is made.  The conversion is exact.  A row's dots
-    and total do not depend on the block it is in, and a block's product
-    does not depend on the thread.
+    and total may depend on the block the fixed partition puts it in
+    (OpenBLAS does not promise otherwise), never on the thread.
     """
     rows = left.shape[0]
     outs = [np.empty(rows) for _ in range(len(others) + totals)]

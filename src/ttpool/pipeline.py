@@ -14,7 +14,7 @@ from .causality import (
     DiagnosticsReport,
     Method,
     consistency_diagnostics,
-    partial_bootstrap_plan,
+    merged_record,
     pooled_permutation_test,
     run_causality,
     standard_permutation_test,
@@ -48,22 +48,23 @@ class TTPConfig:
     merged_method: Method = Method.PARTIAL_BOOTSTRAP
 
     def __post_init__(self) -> None:
-        if self.merged_method is Method.STANDARD_PERMUTATION:
+        if merged_record(self.merged_method) is None:
             raise ConfigError("merged_method must be a merged-branch method")
         self.check_resamples((self.merged_method,))
 
     def check_resamples(self, methods) -> None:
-        """Refuse a partial bootstrap among ``methods`` that a merge would run with no draw.
+        """Refuse a method among ``methods`` whose reference set, with no draw, is empty.
 
-        Its reference set is its draws alone.  The permutation tests' sets
-        also hold the observed statistic, so they accept zero resamples.
+        Only a merge in equivalence mode runs it.  The permutation tests'
+        sets also hold the observed statistic; the normal approximation has
+        a law, not a set.
         """
-        if (
-            self.fusion.mode is FusionMode.EQUIVALENCE
-            and Method.PARTIAL_BOOTSTRAP in methods
-            and self.causality.num_resamples < 1
-        ):
-            raise ConfigError("the partial bootstrap needs at least one resample")
+        if self.fusion.mode is FusionMode.EQUIVALENCE and self.causality.num_resamples < 1:
+            for method in methods:
+                record = merged_record(method)
+                if record and record.observed_joins is False:
+                    name = method.value.replace("_", " ")
+                    raise ConfigError(f"the {name} needs at least one resample")
 
 
 @dataclass(frozen=True)
@@ -179,12 +180,7 @@ def run_ttp(
             )
             return fusion, outcomes
         test = pooled_permutation_test if fusion.merged else _no_borrowing_test
-        outcome = test(
-            gram,
-            replace(
-                cfg.causality, method=Method.STANDARD_PERMUTATION, seed=causality_seeds[0]
-            ),
-        )
+        outcome = test(gram, replace(cfg.causality, seed=causality_seeds[0]))
     return fusion, (outcome,) * len(methods)
 
 
@@ -206,7 +202,7 @@ def run_report(
     replicate does, and on two threads: this one and a helper that
     ``blas.helper_thread`` opens for the call and stops before it
     returns.  In equivalence mode the helper first draws the fusion's
-    counts, and the partial bootstrap's when that is the merged method,
+    counts, and the merged method's when its record has a count plan,
     into a ``SharedSeed`` store while this thread computes the pairwise
     distances and the three-arm median; the helper takes kernel blocks
     once it is free.  Then this thread resolves the two-arm median while
@@ -226,11 +222,9 @@ def run_report(
         if cfg.fusion.mode is FusionMode.EQUIVALENCE:
             if isinstance(fusion_draws, SharedSeed):
                 defer_weights(fusion_draws, cfg.fusion.num_bootstrap, *bootstrap_plan(m, l))
-            if cfg.merged_method is Method.PARTIAL_BOOTSTRAP and isinstance(
-                causality_draws, SharedSeed
-            ):
-                plan = partial_bootstrap_plan(m, l, n)
-                defer_weights(causality_draws, cfg.causality.num_resamples, *plan)
+            plan = merged_record(cfg.merged_method).plan
+            if plan is not None and isinstance(causality_draws, SharedSeed):
+                defer_weights(causality_draws, cfg.causality.num_resamples, *plan(m, l, n))
         gram = build_gram(cfg.kernel, current, historical, treatment)
         diagnostics = submit(consistency_diagnostics, gram)
         bandwidth_pooled2 = gram.bandwidth_pooled2

@@ -25,7 +25,6 @@ import numpy as np
 
 from . import causality
 from .blas import one_blas_thread
-from .causality import Method
 from .errors import ConfigError, TTPoolError
 from .estimators import SharedSeed
 from .kernels import Arm, Sample, build_gram
@@ -399,11 +398,10 @@ def _null_replicate(
     rng = np.random.default_rng(np.random.SeedSequence([int(scn.master_seed), rep, 3]))
     truths, out = {}, {}
     for method in methods:
-        statistic = causality.statistic_for(method)
+        statistic, draws, *_ = causality.merged_record(method)
         if statistic not in truths:
             truths[statistic] = statistic(gram, estimator)
-        draws = causality.reference_draws(probe_gram, method, ref_draws, rng, estimator)
-        out[method] = (truths[statistic], draws)
+        out[method] = (truths[statistic], draws(probe_gram, ref_draws, rng, estimator))
     return out
 
 
@@ -427,11 +425,8 @@ def _null_rows(per_rep: list, probe_levels, methods) -> list[NullStudyRow]:
     return rows
 
 
-_NULL_METHODS = (Method.PARTIAL_BOOTSTRAP, Method.PARTIAL_PERMUTATION, Method.NORMAL_APPROX)
-
-
 def null_study_sweep(
-    cells, probe_levels, ref_draws: int, methods=_NULL_METHODS, workers: int = 1
+    cells, probe_levels, ref_draws: int, methods=causality.MERGED_METHODS, workers: int = 1
 ) -> list[list[NullStudyRow]]:
     """``null_distribution_study`` of each ``(scenario, probe_generator)`` cell, in one ``_sweep``.
 
@@ -448,7 +443,7 @@ def null_study_sweep(
         raise ConfigError(f"ref_draws must be >= 1, got {ref_draws}")
     if not all(0.0 < level < 1.0 for level in probe_levels):
         raise ConfigError(f"probe levels must lie in (0, 1), got {list(probe_levels)}")
-    if Method.STANDARD_PERMUTATION in methods:
+    if any(causality.merged_record(method) is None for method in methods):
         raise ConfigError("the null study compares merged-branch methods only")
     runs = [partial(_null_replicate, scn, probe, ref_draws, methods) for scn, probe in cells]
     per_cell = _sweep(runs, [scn for scn, _ in cells], workers)
@@ -460,7 +455,7 @@ def null_distribution_study(
     probe_levels=(0.9, 0.95),
     probe_generator: Optional[Generator] = None,
     ref_draws: int = 20,
-    methods=_NULL_METHODS,
+    methods=causality.MERGED_METHODS,
     workers: int = 1,
 ) -> list[NullStudyRow]:
     """Compare per-method reference distributions against true-null Monte Carlo.

@@ -45,7 +45,8 @@ from ttpool.estimators import (
 from ttpool.fusion import FusionConfig, FusionMode, classic_fusion, equivalence_fusion
 from ttpool.kernels import Arm, KernelFamily, KernelSpec, Sample, build_gram, kernel_matrix
 from ttpool.quantile import monte_carlo
-from ttpool.simulate import MeanShift, Scenario, draw_arms
+from ttpool import causality
+from ttpool.simulate import MeanShift, Scenario, draw_arms, null_study_sweep
 
 
 def fused_mmd2(gram, current, historical, other, estimator=Estimator.VSTAT):
@@ -736,3 +737,44 @@ class TestConfigValidation:
     def test_negative_resamples(self):
         with pytest.raises(ConfigError):
             CausalityConfig(num_resamples=-1)
+
+
+LOOKED_UP = (
+    "delta_statistic",
+    "t_statistic",
+    "partial_bootstrap_draws",
+    "partial_permutation_draws",
+    "estimate_sigma_c_squared",
+)
+
+
+def _counting(monkeypatch) -> dict:
+    """Bind a counting wrapper over each of ``LOOKED_UP`` in ``causality``; its call counts."""
+    calls = dict.fromkeys(LOOKED_UP, 0)
+
+    def wrap(name, original):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    for name in LOOKED_UP:
+        monkeypatch.setattr(causality, name, wrap(name, getattr(causality, name)))
+    return calls
+
+
+def test_run_causality_looks_its_functions_up_at_call_time(monkeypatch, rng):
+    # A wrapper bound after import, as a tracer binds its spans, sees every call.
+    gram = make_gram(rng)
+    calls = _counting(monkeypatch)
+    for method in (Method.PARTIAL_BOOTSTRAP, Method.PARTIAL_PERMUTATION, Method.NORMAL_APPROX):
+        run_causality(gram, CausalityConfig(num_resamples=20, method=method, seed=1))
+    assert all(calls[name] > 0 for name in LOOKED_UP), calls
+
+
+def test_null_study_looks_its_functions_up_at_call_time(monkeypatch):
+    scn = Scenario(generator=MeanShift(0.0, 0.0), n=14, m=12, l=15, replicates=1)
+    calls = _counting(monkeypatch)
+    null_study_sweep([(scn, None)], probe_levels=(0.9,), ref_draws=5)
+    assert all(calls[name] > 0 for name in LOOKED_UP), calls

@@ -963,6 +963,7 @@ def test_two_cell_sweep_opens_one_pool(tmp_path, monkeypatch, command):
         return ThreadPoolExecutor(max_workers, **kwargs)
 
     monkeypatch.setattr(simulate, "ThreadPoolExecutor", recording)
+    monkeypatch.setattr(simulate, "_cpus", lambda: 4)  # the pool size holds on any CPU count
     draws = ["--set", "nullstudy.ref_draws=5"] if command == "null-study" else []
     rc = main(
         [
@@ -1190,3 +1191,37 @@ def test_cli_runs_load_no_scipy(tmp_path):
     assert sorted(name for name in loaded if name.split(".")[0] == "scipy") == []
     assert sorted(name for name in loaded if name.split(".")[0] == "multiprocessing") == []
     assert "concurrent.futures.process" not in loaded
+
+
+def test_non_finite_config_writes_strict_json_headers(tmp_path):
+    def refuse(text):
+        raise ValueError(f"non-standard JSON constant {text}")
+
+    out = tmp_path / "inf.txt"
+    args = ["simulate", "--out", str(out), *SMALL_CAMPAIGN, "--set", "fusion.theta=inf", *FAST]
+    assert main(args) == EXIT_OK
+    header = [ln[2:] for ln in Path(f"{out}.tsv").read_text().splitlines() if ln.startswith("# ")]
+    values = {}
+    for line in header:
+        key, _, text = line.partition("=")
+        values[key] = json.loads(text, parse_constant=refuse)
+    assert values["fusion.theta"] == "inf"
+    config = tmp_path / "back.json"
+    config.write_text(json.dumps({"fusion.theta": values["fusion.theta"]}))
+    assert cli.load_config("simulate", config, [])["fusion.theta"] == float("inf")
+
+
+def test_non_finite_config_writes_strict_json_report_lines(tmp_path, dataset):
+    def refuse(text):
+        raise ValueError(f"non-standard JSON constant {text}")
+
+    out = tmp_path / "report.txt"
+    args = ["test", "--out", str(out), "--set", f"data={dataset}", "--set", "fusion.theta=inf", *FAST]
+    assert main(args) == EXIT_OK
+    lines = out.read_text().splitlines()
+    config = lines[lines.index("effective config    :") + 1 :]
+    values = {}
+    for line in config:
+        key, _, text = line.strip().partition(" = ")
+        values[key] = json.loads(text, parse_constant=refuse)
+    assert values["fusion.theta"] == "inf"

@@ -400,6 +400,20 @@ class TestResamplingHelpers:
         for got in (serial, shared):
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
+    @pytest.mark.parametrize("columns", [250, 1000])
+    def test_product_row_dots_same_bytes_on_either_schedule(self, columns):
+        # Rows of one block may round differently in a GEMM of another row
+        # count, so only the fixed partition, not the schedule, sets the bits.
+        rng = np.random.default_rng(columns)
+        x = rng.standard_normal((columns, 1))
+        k = np.exp(-((x - x.T) ** 2) / 2)
+        u = rng.integers(0, 3, (1000, columns)).astype(np.uint8)
+        with one_blas_thread():
+            serial = product_row_dots(u, k, u, totals=True)
+            with helper_thread():
+                shared = product_row_dots(u, k, u, totals=True)
+        assert all(s.tobytes() == h.tobytes() for s, h in zip(serial, shared))
+
     def test_bootstrap_counts_multinomial_moments(self):
         # multinomial(draws; 1/s, ...): mean draws/s, variance
         # draws(1/s)(1-1/s), covariance -draws/s^2.  Here these are 5,

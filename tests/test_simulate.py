@@ -159,6 +159,7 @@ class TestWorkerPool:
             return ThreadPoolExecutor(max_workers, **kwargs)
 
         monkeypatch.setattr(simulate, "ThreadPoolExecutor", recording)
+        monkeypatch.setattr(simulate, "_cpus", lambda: 4)  # the pool size holds on any CPU count
         assert _map_replicates(_double, 2, 4) == [0, 2]
         assert _map_replicates(_double, 3, 2) == [0, 2, 4]
         assert sizes == [2, 2]
@@ -193,10 +194,19 @@ class TestWorkerPool:
         assert _map_replicates(_double, 2, 1000) == [0, 2]
         assert sizes == [3, 2]
 
-    def test_more_threads_than_cores_under_fast_switching(self):
+    def test_more_threads_than_cores_under_fast_switching(self, monkeypatch):
         # The pool threads share the process; with the interpreter switching
         # threads every microsecond, a sweep on more threads than cores
-        # still gives the serial rates.
+        # still gives the serial rates.  ``_cpus`` is pinned so that four
+        # threads start on any CPU count.
+        sizes = []
+
+        def recording(max_workers, **kwargs):
+            sizes.append(max_workers)
+            return ThreadPoolExecutor(max_workers, **kwargs)
+
+        monkeypatch.setattr(simulate, "ThreadPoolExecutor", recording)
+        monkeypatch.setattr(simulate, "_cpus", lambda: 4)
         scn = tiny_scenario(reps=8, seed=3)
         serial = run_campaign(scn, workers=1)
         interval = sys.getswitchinterval()
@@ -205,6 +215,7 @@ class TestWorkerPool:
             pooled = run_campaign(scn, workers=4)
         finally:
             sys.setswitchinterval(interval)
+        assert sizes == [4]
         assert dataclasses.replace(pooled, seconds=0.0) == dataclasses.replace(serial, seconds=0.0)
 
     @pytest.mark.skipif(
