@@ -35,7 +35,6 @@ from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
     SampleTooSmall,
-    TTPoolError,
     ZeroBandwidth,
 )
 from .estimators import Estimator
@@ -592,13 +591,6 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
         return EXIT_STATISTICAL
-    except TTPoolError as exc:
-        cause = exc.__cause__
-        if isinstance(cause, _STATISTICAL_ERRORS):
-            print(f"statistical precondition failure: {exc}", file=sys.stderr)
-            return EXIT_STATISTICAL
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -9,16 +9,19 @@ Two variants:
   bootstrap of D(Qc^m, Qc) + D(Qh^l, Qh) via centered multinomial weights.
 * ``classic_fusion``: point-null permutation two-sample test of
   H0: Qc = Qh.  Here *failure* to reject (p > alpha_f) means merge.
+
+All that tells the modes apart is ``fusion_record``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .causality import two_sample_permutation
+from .causality import pooled_permutation_test, two_sample_permutation
 from .errors import ConfigError, SampleTooSmall
 from .estimators import Counts, batched_quad, mmd2_slices, resample_weights
 from .kernels import GramCache
@@ -110,3 +113,22 @@ def classic_fusion(gram: GramCache, cfg: FusionConfig) -> FusionOutcome:
         gram.matrix[:p, :p], gram.m, gram.l, cfg.alpha_f, cfg.num_bootstrap, cfg.seed
     )
     return FusionOutcome(statistic, critical, p_value, not reject, cfg.mode, cfg.num_bootstrap)
+
+
+class FusionRecord(NamedTuple):
+    test: Callable  # (gram, FusionConfig) -> FusionOutcome
+    plan: Optional[Callable]  # (m, l, n) -> the count plan the test draws, if any
+    merged_test: Optional[Callable]  # (gram, CausalityConfig) -> the one test a merge runs
+
+
+def fusion_record(mode: FusionMode) -> FusionRecord:
+    """``mode``'s record; a ``merged_test`` of ``None`` means a merge runs the merged-branch methods.
+
+    An equivalence merge runs them on the fused control; a classic merge
+    pools naively (``pooled_permutation_test``).  The record is built from
+    this module's functions at each call, so a wrapper bound over one of
+    them after import still sees the call.
+    """
+    if mode is FusionMode.EQUIVALENCE:
+        return FusionRecord(equivalence_fusion, lambda m, l, n: bootstrap_plan(m, l), None)
+    return FusionRecord(classic_fusion, None, pooled_permutation_test)

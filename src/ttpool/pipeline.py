@@ -15,20 +15,12 @@ from .causality import (
     Method,
     consistency_diagnostics,
     merged_record,
-    pooled_permutation_test,
     run_causality,
     standard_permutation_test,
 )
 from .errors import ConfigError
 from .estimators import Masks, SharedSeed, defer_weights
-from .fusion import (
-    FusionConfig,
-    FusionMode,
-    FusionOutcome,
-    bootstrap_plan,
-    classic_fusion,
-    equivalence_fusion,
-)
+from .fusion import FusionConfig, FusionOutcome, fusion_record
 from .kernels import GramCache, KernelSpec, Sample, build_gram
 
 
@@ -37,9 +29,9 @@ class TTPConfig:
     """Settings of one test-then-pool run.
 
     ``merged_method`` is the causality test run on the fused control
-    after an equivalence-mode merge.  A classic-mode merge always runs
-    the naive-pooling permutation test (``pooled_permutation_test``)
-    instead, whatever ``merged_method`` says.
+    after a merge whose fusion record (``fusion.fusion_record``) runs the
+    merged-branch methods; a merge whose record names its own test runs
+    that test, whatever ``merged_method`` says.
     """
 
     kernel: KernelSpec = field(default_factory=KernelSpec)
@@ -55,11 +47,12 @@ class TTPConfig:
     def check_resamples(self, methods) -> None:
         """Refuse a method among ``methods`` whose reference set, with no draw, is empty.
 
-        Only a merge in equivalence mode runs it.  The permutation tests'
-        sets also hold the observed statistic; the normal approximation has
-        a law, not a set.
+        Only a merge whose fusion record runs the merged-branch methods
+        runs it.  The permutation tests' sets also hold the observed
+        statistic; the normal approximation has a law, not a set.
         """
-        if self.fusion.mode is FusionMode.EQUIVALENCE and self.causality.num_resamples < 1:
+        runs_methods = fusion_record(self.fusion.mode).merged_test is None
+        if runs_methods and self.causality.num_resamples < 1:
             for method in methods:
                 record = merged_record(method)
                 if record and record.observed_joins is False:
@@ -146,22 +139,22 @@ def run_ttp(
     causality_seeds,
     compare_methods=(),
 ) -> tuple[FusionOutcome, tuple[CausalityOutcome, ...]]:
-    """Fusion -> branch -> causality on a built Gram cache, for both fusion modes.
+    """Fusion -> branch -> causality on a built Gram cache, as the fusion mode's record says.
 
     Returns the fusion outcome and one causality outcome per method of
     ``(cfg.merged_method, *compare_methods)``; ``causality_seeds`` holds
-    one seed per method.
+    one seed per method.  The fusion test is the record's ``test``.
 
-    * Not merged (either mode): standard permutation of current vs
-      treatment on the two-arm bandwidth, seeded by the first seed.  With
-      a ``SharedSeed`` the outcome is kept in its store, and a later cell
-      of the replicate with the same current and treatment arms and test
-      settings takes it from there (``_no_borrowing_test``).
-    * Equivalence mode, merged: each method on the fused control vs
-      treatment with the three-arm bandwidth, each with its own seed.
-    * Classic mode, merged: naive pooling (``pooled_permutation_test``),
-      seeded by the first seed.  ``merged_method`` and ``compare_methods``
-      do not choose this test.
+    * Not merged: standard permutation of current vs treatment on the
+      two-arm bandwidth, seeded by the first seed.  With a ``SharedSeed``
+      the outcome is kept in its store, and a later cell of the replicate
+      with the same current and treatment arms and test settings takes it
+      from there (``_no_borrowing_test``).
+    * Merged, and the record has no ``merged_test``: each method on the
+      fused control vs treatment with the three-arm bandwidth, each with
+      its own seed.
+    * Merged otherwise: the record's ``merged_test``, seeded by the first
+      seed.  ``merged_method`` and ``compare_methods`` do not choose it.
 
     When one test runs, every method slot carries its outcome.  The
     products run inside ``blas.one_blas_thread``.
@@ -169,17 +162,16 @@ def run_ttp(
     methods = (cfg.merged_method, *compare_methods)
     if len(causality_seeds) != len(methods):
         raise ConfigError(f"need {len(methods)} causality seeds, got {len(causality_seeds)}")
-    equivalence = cfg.fusion.mode is FusionMode.EQUIVALENCE
-    fuse = equivalence_fusion if equivalence else classic_fusion
+    record = fusion_record(cfg.fusion.mode)
     with one_blas_thread():
-        fusion = fuse(gram, replace(cfg.fusion, seed=fusion_seed))
-        if fusion.merged and equivalence:
+        fusion = record.test(gram, replace(cfg.fusion, seed=fusion_seed))
+        if fusion.merged and record.merged_test is None:
             outcomes = tuple(
                 run_causality(gram, replace(cfg.causality, method=method, seed=seed))
                 for method, seed in zip(methods, causality_seeds)
             )
             return fusion, outcomes
-        test = pooled_permutation_test if fusion.merged else _no_borrowing_test
+        test = record.merged_test if fusion.merged else _no_borrowing_test
         outcome = test(gram, replace(cfg.causality, seed=causality_seeds[0]))
     return fusion, (outcome,) * len(methods)
 
@@ -201,11 +193,11 @@ def run_report(
     The analysis runs inside ``blas.one_blas_thread``, as a campaign
     replicate does, and on two threads: this one and a helper that
     ``blas.helper_thread`` opens for the call and stops before it
-    returns.  In equivalence mode the helper first draws the fusion's
-    counts, and the merged method's when its record has a count plan,
-    into a ``SharedSeed`` store while this thread computes the pairwise
-    distances and the three-arm median; the helper takes kernel blocks
-    once it is free.  Then this thread resolves the two-arm median while
+    returns.  The helper first draws the counts of the fusion record's
+    plan, and of the merged method's when a merge runs the merged-branch
+    methods, into a ``SharedSeed`` store while this thread computes the
+    pairwise distances and the three-arm median; the helper takes kernel
+    blocks once it is free.  Then this thread resolves the two-arm median while
     the helper finishes its draws and makes the diagnostics, and both
     share the row blocks of the resampling products.  Draws, blocks and
     bandwidths have the bits they have on one thread, so the outcomes
@@ -218,13 +210,15 @@ def run_report(
         for seed in (fusion_seed, causality_seed)
     )
     m, l, n = current.size, historical.size, treatment.size
+    record = fusion_record(cfg.fusion.mode)
+    deferred = [(fusion_draws, cfg.fusion.num_bootstrap, record.plan)]
+    if record.merged_test is None:
+        plan = merged_record(cfg.merged_method).plan
+        deferred.append((causality_draws, cfg.causality.num_resamples, plan))
     with one_blas_thread(), helper_thread():
-        if cfg.fusion.mode is FusionMode.EQUIVALENCE:
-            if isinstance(fusion_draws, SharedSeed):
-                defer_weights(fusion_draws, cfg.fusion.num_bootstrap, *bootstrap_plan(m, l))
-            plan = merged_record(cfg.merged_method).plan
-            if plan is not None and isinstance(causality_draws, SharedSeed):
-                defer_weights(causality_draws, cfg.causality.num_resamples, *plan(m, l, n))
+        for draws, batch, plan in deferred:
+            if plan is not None and isinstance(draws, SharedSeed):
+                defer_weights(draws, batch, *plan(m, l, n))
         gram = build_gram(cfg.kernel, current, historical, treatment)
         diagnostics = submit(consistency_diagnostics, gram)
         bandwidth_pooled2 = gram.bandwidth_pooled2

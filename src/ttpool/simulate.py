@@ -17,6 +17,7 @@ import logging
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Optional, Union
@@ -164,6 +165,20 @@ def _replicate_seeds(scn: Scenario, rep: int, n_methods: int, store: dict):
     return SharedSeed(fusion_ss, store), [SharedSeed(ss, store) for ss in causality_seeds]
 
 
+@contextmanager
+def _replicate_arms(scn: Scenario, rep: int):
+    """Replicate ``rep``'s arms; a ``TTPoolError`` in the block names the replicate.
+
+    The error is re-raised as its own type, so the CLI gives it the exit
+    code and hint of that type, with the replicate and the master seed
+    in front of its message.
+    """
+    try:
+        yield draw_arms(scn, rep)
+    except TTPoolError as exc:
+        raise type(exc)(f"replicate {rep} (master_seed={scn.master_seed}) failed: {exc}") from exc
+
+
 def _run_replicate(scn: Scenario, rep: int, store: dict) -> tuple:
     """One TTP replicate: ``pipeline.run_ttp``'s ``(fusion, outcomes)``, with replicate seeds.
 
@@ -171,17 +186,12 @@ def _run_replicate(scn: Scenario, rep: int, store: dict) -> tuple:
     *compare_methods)``, as ``run_ttp`` gives them.  The resampling draws
     are kept in ``store`` for the other cells of the replicate.
     """
-    current, historical, treatment = draw_arms(scn, rep)
-    try:
-        gram = build_gram(scn.ttp.kernel, current, historical, treatment)
+    with _replicate_arms(scn, rep) as arms:
+        gram = build_gram(scn.ttp.kernel, *arms)
         fusion_ss, causality_seeds = _replicate_seeds(
             scn, rep, 1 + len(scn.compare_methods), store
         )
         return run_ttp(gram, scn.ttp, fusion_ss, causality_seeds, scn.compare_methods)
-    except TTPoolError as exc:
-        raise TTPoolError(
-            f"replicate {rep} (master_seed={scn.master_seed}) failed: {exc}"
-        ) from exc
 
 
 #: glibc ``mallopt`` parameters (malloc.h), and the bound ``keep_freed_heap``
@@ -390,18 +400,19 @@ def _null_replicate(
     stage seed that other cells could share.
     """
     estimator = scn.ttp.causality.estimator
-    gram = build_gram(scn.ttp.kernel, *draw_arms(scn, rep))
-    probe_gram = gram
-    if probe_generator is not None:
-        probe_arms = draw_arms(replace(scn, generator=probe_generator), rep)
-        probe_gram = build_gram(scn.ttp.kernel, *probe_arms)
-    rng = np.random.default_rng(np.random.SeedSequence([int(scn.master_seed), rep, 3]))
-    truths, out = {}, {}
-    for method in methods:
-        statistic, draws, *_ = causality.merged_record(method)
-        if statistic not in truths:
-            truths[statistic] = statistic(gram, estimator)
-        out[method] = (truths[statistic], draws(probe_gram, ref_draws, rng, estimator))
+    with _replicate_arms(scn, rep) as arms:
+        gram = build_gram(scn.ttp.kernel, *arms)
+        probe_gram = gram
+        if probe_generator is not None:
+            probe_arms = draw_arms(replace(scn, generator=probe_generator), rep)
+            probe_gram = build_gram(scn.ttp.kernel, *probe_arms)
+        rng = np.random.default_rng(np.random.SeedSequence([int(scn.master_seed), rep, 3]))
+        truths, out = {}, {}
+        for method in methods:
+            statistic, draws, *_ = causality.merged_record(method)
+            if statistic not in truths:
+                truths[statistic] = statistic(gram, estimator)
+            out[method] = (truths[statistic], draws(probe_gram, ref_draws, rng, estimator))
     return out
 
 

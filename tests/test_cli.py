@@ -29,7 +29,7 @@ from ttpool.cli import (
     load_dataset,
     main,
 )
-from ttpool.errors import ConfigError, DataError, DegenerateSample
+from ttpool.errors import ConfigError, DataError, DegenerateSample, ZeroBandwidth
 from ttpool.fusion import FusionOutcome
 from ttpool.kernels import Arm
 from ttpool.pipeline import run_report
@@ -611,6 +611,41 @@ class TestExitCodes:
             errors.append(capsys.readouterr().err)
         assert errors[0] == errors[1]
         assert "replicate 1 (master_seed=7) failed: no spread" in errors[0]
+
+    @pytest.mark.parametrize("command", ["simulate", "null-study"])
+    def test_failing_replicate_keeps_its_error_type(self, tmp_path, capsys, monkeypatch, command):
+        # Replicate 1 of three has a zero bandwidth: both studies name the
+        # replicate and print the hint of that error type.
+        seen = threading.local()
+        draw_arms, build_gram = simulate.draw_arms, simulate.build_gram
+
+        def recording_draw(scn, rep):
+            seen.rep = rep
+            return draw_arms(scn, rep)
+
+        def failing_gram(*args):
+            if seen.rep == 1:
+                raise ZeroBandwidth("median pairwise distance is zero")
+            return build_gram(*args)
+
+        monkeypatch.setattr(simulate, "draw_arms", recording_draw)
+        monkeypatch.setattr(simulate, "build_gram", failing_gram)
+        rc = main(
+            [command, "--out", str(tmp_path / "r.txt"), "--set", "replicates=3", "--seed", "7",
+             "--set", "sizes.n=10", "--set", "sizes.m=10", "--set", "sizes.l=10",
+             "--set", "fusion.num_bootstrap=20", "--set", "causality.num_resamples=20"]
+        )
+        assert rc == EXIT_STATISTICAL
+        err = capsys.readouterr().err
+        assert "replicate 1 (master_seed=7) failed: median pairwise distance is zero" in err
+        assert "hint: check for constant-valued arms" in err
+
+    @pytest.mark.parametrize("command", ["simulate", "null-study"])
+    @pytest.mark.parametrize("setting", ["fusion.theta=-0.1", "fusion.num_bootstrap=0"])
+    def test_equivalence_fusion_keys_exit_2(self, tmp_path, capsys, command, setting):
+        rc = main([command, "--out", str(tmp_path / "r.txt"), *SMALL_CAMPAIGN, "--set", setting])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: ")
 
     def test_statistical_decision_does_not_affect_exit(self, tmp_path, dataset):
         # theta = 0 forces no-merge; exit must still be 0.

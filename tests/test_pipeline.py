@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from ttpool import fusion
 from ttpool.causality import CausalityConfig, Method, standard_permutation_test
 from ttpool.errors import ConfigError, DataError
 from ttpool.fusion import FusionConfig, FusionMode
 from ttpool.kernels import Arm, KernelSpec, Sample, build_gram
 from ttpool.pipeline import TTPConfig, derive_stage_seeds, run_report
+from ttpool.simulate import MeanShift, Scenario, run_sweep
 
 
 def make_arms(seed, m=25, l=30, n=35, shift_h=0.0, shift_t=0.0):
@@ -204,3 +206,27 @@ def test_one_dimensional_arms_are_columns_of_points():
     assert a.fusion == b.fusion
     assert a.causality == b.causality
     assert a.bandwidth_pooled3 == b.bandwidth_pooled3
+
+
+def test_fusion_tests_are_looked_up_at_call_time(monkeypatch):
+    # A wrapper bound over a fusion test after import, as a tracer binds
+    # its spans, sees the report's and a campaign replicate's calls.
+    calls = {"equivalence_fusion": 0, "classic_fusion": 0}
+
+    def wrap(name, original):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(fusion, name, wrap(name, getattr(fusion, name)))
+    run_report(*make_arms(3), small_cfg(), master_seed=3)
+    assert calls == {"equivalence_fusion": 1, "classic_fusion": 0}
+    scn = Scenario(
+        generator=MeanShift(0.0, 0.0), n=14, m=12, l=15, replicates=1,
+        ttp=small_cfg(mode=FusionMode.CLASSIC_PERMUTATION),
+    )
+    run_sweep([scn])
+    assert calls == {"equivalence_fusion": 1, "classic_fusion": 1}

@@ -96,6 +96,41 @@ def test_every_private_module_name_is_read():
     assert unread_private_names(sources) == []
 
 
+def fusion_mode_members(source: str) -> list[str]:
+    """The ``FusionMode.<member>`` attributes that ``source`` names, sorted."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            owner = node.value
+            if (getattr(owner, "id", None) or getattr(owner, "attr", None)) == "FusionMode":
+                names.append(f"FusionMode.{node.attr}")
+    return sorted(names)
+
+
+def test_fusion_mode_members_finds_each_member_named():
+    source = (
+        "from . import fusion\n"
+        "from .fusion import FusionMode\n"
+        "mode = _parse_enum(FusionMode, text)\n"
+        "if mode is FusionMode.EQUIVALENCE or mode is fusion.FusionMode.CLASSIC_PERMUTATION:\n"
+        "    pass\n"
+    )
+    assert fusion_mode_members(source) == [
+        "FusionMode.CLASSIC_PERMUTATION",
+        "FusionMode.EQUIVALENCE",
+    ]
+
+
+# ``fusion.fusion_record`` is all that tells the fusion modes apart.
+@pytest.mark.parametrize(
+    "module",
+    sorted(p for p in PACKAGE.glob("*.py") if p.name != "fusion.py"),
+    ids=lambda p: p.name,
+)
+def test_only_fusion_names_a_fusion_mode(module):
+    assert fusion_mode_members(module.read_text()) == []
+
+
 def foreign_imports(source: str) -> list[str]:
     """Modules ``source`` imports that are not relative, ``__future__``, NumPy or stdlib."""
     allowed = set(sys.stdlib_module_names) | {"__future__", "numpy"}
