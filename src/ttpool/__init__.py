@@ -6,10 +6,8 @@ from .causality import (
     DiagnosticsReport,
     Method,
     consistency_diagnostics,
-    normal_approx_test,
-    partial_bootstrap_test,
-    partial_permutation_test,
     pooled_permutation_test,
+    run_causality,
     standard_permutation_test,
 )
 from .errors import (
@@ -47,9 +45,7 @@ from .simulate import (
     NullStudyRow,
     Scenario,
     VarShift,
-    null_distribution_study,
     null_study_sweep,
-    run_campaign,
     run_sweep,
 )
 

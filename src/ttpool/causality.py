@@ -1,15 +1,17 @@
 """Causality stage: test H0: Qc = Qt, with or without merged historical controls.
 
-Four methods, plus the classic baseline:
+``run_causality`` runs the test that ``CausalityConfig.method`` names,
+one of four ``Method`` members; the classic baseline has its own test:
 
-* ``standard_permutation_test``: classic two-sample permutation test of
-  current vs treatment, ignoring historicals (no-merge branch).
+* ``STANDARD_PERMUTATION`` (``standard_permutation_test``): classic
+  two-sample permutation test of current vs treatment, ignoring
+  historicals (no-merge branch).
 * ``pooled_permutation_test``: the naive-pooling test of classic TTP
   (Viele et al., 2014, Pharm. Stat. 13:41): the same two-sample
   permutation test with the fused control (current || historical) in
   place of the current arm.  It treats the merged historicals as
   concurrent controls, so it does not hold its level when Qh != Qc.
-* ``partial_bootstrap_test``: statistic Delta = sqrt(n)(D^2(Qf, Qt) -
+* ``PARTIAL_BOOTSTRAP``: statistic Delta = sqrt(n)(D^2(Qf, Qt) -
   D^2(Qf, Qc)); reference draws bootstrap both the null-treatment and
   the current-control resamples from the current control arm, and the
   historical resample separately.  It is meant to keep the null
@@ -17,11 +19,11 @@ Four methods, plus the classic baseline:
   level: with every replicate merged at 100/50/100 (bandwidth 1, B =
   500, 3,000 replicates, alpha = 0.05) it rejected 0.035, 0.067, 0.100
   and 0.109 at historical shifts 0, 0.2, 0.35 and 0.5.
-* ``partial_permutation_test``: statistic T = D^2(Qf, Qt); only the
-  pooled current + treatment observations are permuted, historicals stay
+* ``PARTIAL_PERMUTATION``: statistic T = D^2(Qf, Qt); only the pooled
+  current + treatment observations are permuted, historicals stay
   fixed as an ancillary sample.  Finite-sample valid.
-* ``normal_approx_test``: Delta against the plug-in limiting normal
-  N(0, 4(1 + 1/c1) sigma_c^2).
+* ``NORMAL_APPROX``: Delta against the (1 - alpha)-quantile of the
+  plug-in limiting normal N(0, 4(1 + 1/c1) sigma_c^2).
 
 Observed statistics are sums over views of the Gram cache: every arm,
 and the fused control current || historical, is a contiguous range of
@@ -37,7 +39,7 @@ bootstrap draws never compute it, nor read the historical-historical block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple, Optional
 
@@ -266,10 +268,6 @@ def partial_bootstrap_draws(
     )
 
 
-def partial_bootstrap_test(gram: GramCache, cfg: CausalityConfig) -> CausalityOutcome:
-    return run_causality(gram, replace(cfg, method=Method.PARTIAL_BOOTSTRAP))
-
-
 # ---------------------------------------------------------------------------
 # Partial permutation.
 # ---------------------------------------------------------------------------
@@ -306,10 +304,6 @@ def partial_permutation_draws(
     return mmd2_from_sums(within_f, tt, ct + th, diag_f, d_t, big, n, estimator)
 
 
-def partial_permutation_test(gram: GramCache, cfg: CausalityConfig) -> CausalityOutcome:
-    return run_causality(gram, replace(cfg, method=Method.PARTIAL_PERMUTATION))
-
-
 # ---------------------------------------------------------------------------
 # Normal approximation.
 # ---------------------------------------------------------------------------
@@ -338,11 +332,6 @@ def normal_scale(gram: GramCache) -> float:
     The factor 4 comes from the limiting law of Delta; c1 = m/n.
     """
     return np.sqrt(4.0 * (1.0 + gram.n / gram.m) * estimate_sigma_c_squared(gram))
-
-
-def normal_approx_test(gram: GramCache, cfg: CausalityConfig) -> CausalityOutcome:
-    """Delta against the (1 - alpha)-quantile of N(0, 4(1 + 1/c1) sigma_c^2)."""
-    return run_causality(gram, replace(cfg, method=Method.NORMAL_APPROX))
 
 
 def normal_draws(gram: GramCache, num_resamples: int, seed, estimator=None) -> np.ndarray:

@@ -245,9 +245,9 @@ def build_ttp_config(cfg: dict) -> TTPConfig:
         causality=CausalityConfig(
             alpha=cfg["causality.alpha"],
             num_resamples=cfg["causality.num_resamples"],
+            method=_parse_enum(Method, cfg["merged_method"], "merged method"),
             estimator=estimator,
         ),
-        merged_method=_parse_enum(Method, cfg["merged_method"], "merged method"),
     )
 
 

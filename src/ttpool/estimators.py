@@ -49,9 +49,12 @@ def _as_matrix(gram: MatrixLike) -> np.ndarray:
 
 
 def _check_indices(k: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    idx = np.asarray(idx, dtype=np.intp)
+    idx = np.asarray(idx)
     if idx.size == 0:
         raise IndexOutOfRange("index set must be nonempty")
+    if idx.dtype.kind not in "iu":
+        raise IndexOutOfRange(f"indices must have an integer dtype, got {idx.dtype}")
+    idx = idx.astype(np.intp, copy=False)
     if idx.min() < 0 or idx.max() >= k.shape[0]:
         raise IndexOutOfRange(
             f"index out of range [0, {k.shape[0]}): min={idx.min()}, max={idx.max()}"
@@ -105,7 +108,9 @@ def mmd2(gram: MatrixLike, a, b, estimator: Estimator = Estimator.VSTAT) -> MMDV
 
     Duplicate index positions count as distinct observations; the
     U-statistic excludes only pairs of identical positions from the
-    within-sample sums.
+    within-sample sums.  An index set must be a nonempty array of
+    in-range integers; a boolean mask or a float array is an
+    ``IndexOutOfRange``.
     """
     k = _as_matrix(gram)
     a = _check_indices(k, a)

@@ -28,21 +28,26 @@ from .kernels import GramCache, KernelSpec, Sample, build_gram
 class TTPConfig:
     """Settings of one test-then-pool run.
 
-    ``merged_method`` is the causality test run on the fused control
-    after a merge whose fusion record (``fusion.fusion_record``) runs the
-    merged-branch methods; a merge whose record names its own test runs
-    that test, whatever ``merged_method`` says.
+    ``causality.method``, read as ``merged_method``, is the causality
+    test run on the fused control after a merge whose fusion record
+    (``fusion.fusion_record``) runs the merged-branch methods; a merge
+    whose record names its own test runs that test, whatever
+    ``causality.method`` says.
     """
 
     kernel: KernelSpec = field(default_factory=KernelSpec)
     fusion: FusionConfig = field(default_factory=FusionConfig)
     causality: CausalityConfig = field(default_factory=CausalityConfig)
-    merged_method: Method = Method.PARTIAL_BOOTSTRAP
 
     def __post_init__(self) -> None:
         if merged_record(self.merged_method) is None:
             raise ConfigError("merged_method must be a merged-branch method")
         self.check_resamples((self.merged_method,))
+
+    @property
+    def merged_method(self) -> Method:
+        """The merged-branch method a merge runs: ``causality.method``."""
+        return self.causality.method
 
     def check_resamples(self, methods) -> None:
         """Refuse a method among ``methods`` whose reference set, with no draw, is empty.

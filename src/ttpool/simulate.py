@@ -116,6 +116,11 @@ class Scenario:
                 "merged_method and compare_methods must name distinct methods, got "
                 f"{[m.value for m in methods]}"
             )
+        if self.ttp.fusion.seed is not None or self.ttp.causality.seed is not None:
+            raise ConfigError(
+                "a campaign derives its stage seeds from master_seed; "
+                "leave fusion.seed and causality.seed unset"
+            )
         self.ttp.check_resamples(self.compare_methods)
 
 
@@ -342,22 +347,12 @@ def run_sweep(scenarios, workers: int = 1) -> list[CampaignResult]:
     ``_sweep`` of each cell's ``_run_replicate``, on ``workers`` threads.
     The cells of a replicate share its resampling draws, and the outcome
     of the no-borrowing test among cells with its arms and settings; they
-    were the same bytes before, so each result equals ``run_campaign`` of
-    its cell alone.
+    were the same bytes before, so each result equals ``run_sweep`` of
+    its cell alone.  ``workers < 1`` is a ``ConfigError``.
     """
     scenarios = tuple(scenarios)
     runs = [partial(_run_replicate, scn) for scn in scenarios]
     return list(map(_cell_result, scenarios, _sweep(runs, scenarios, workers)))
-
-
-def run_campaign(scn: Scenario, workers: int = 1) -> CampaignResult:
-    """Run all replicates of one cell and aggregate merge / rejection rates.
-
-    ``run_sweep`` of the one cell.  Replicates run on ``workers``
-    threads; ``workers < 1`` is a ``ConfigError``.
-    """
-    (result,) = run_sweep((scn,), workers)
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -439,9 +434,17 @@ def _null_rows(per_rep: list, probe_levels, methods) -> list[NullStudyRow]:
 def null_study_sweep(
     cells, probe_levels, ref_draws: int, methods=causality.MERGED_METHODS, workers: int = 1
 ) -> list[list[NullStudyRow]]:
-    """``null_distribution_study`` of each ``(scenario, probe_generator)`` cell, in one ``_sweep``.
+    """Compare per-method reference distributions against true-null Monte Carlo.
 
-    Each setting but a probe generator is checked (``ConfigError``) before a replicate runs.
+    Per ``(scenario, probe_generator)`` cell, in one ``_sweep`` on
+    ``workers`` threads.  A scenario's generator must fix Qc = Qt; it
+    supplies the true null draws of the test statistics (Delta for
+    bootstrap / normal approximation, T for partial permutation).
+    Reference draws are computed on data from the cell's probe generator
+    (``None``: the null generator itself, whose replicate Gram is then
+    reused), pooling ``ref_draws`` resamples per replicate across
+    replicates.  Each setting but a probe generator is checked
+    (``ConfigError``) before a replicate runs.
     """
     cells = tuple(cells)
     for scn, _ in cells:
@@ -459,26 +462,3 @@ def null_study_sweep(
     runs = [partial(_null_replicate, scn, probe, ref_draws, methods) for scn, probe in cells]
     per_cell = _sweep(runs, [scn for scn, _ in cells], workers)
     return [_null_rows([out for out, _ in rows], probe_levels, methods) for rows in per_cell]
-
-
-def null_distribution_study(
-    scn: Scenario,
-    probe_levels=(0.9, 0.95),
-    probe_generator: Optional[Generator] = None,
-    ref_draws: int = 20,
-    methods=causality.MERGED_METHODS,
-    workers: int = 1,
-) -> list[NullStudyRow]:
-    """Compare per-method reference distributions against true-null Monte Carlo.
-
-    ``scn.generator`` must fix Qc = Qt, else this is a ``ConfigError``; it
-    supplies the true null draws of the test statistics (Delta for
-    bootstrap / normal approximation, T for partial permutation).
-    Reference draws are computed on data from ``probe_generator``
-    (default: the null generator itself, whose replicate Gram is then
-    reused), pooling ``ref_draws`` resamples per replicate across
-    replicates.  ``null_study_sweep`` of the one cell, on ``workers``
-    threads.
-    """
-    (rows,) = null_study_sweep(((scn, probe_generator),), probe_levels, ref_draws, methods, workers)
-    return rows

@@ -14,8 +14,7 @@ from conftest import oracle_mmd2_u, oracle_mmd2_v, random_spec
 from ttpool.causality import (
     CausalityConfig,
     Method,
-    partial_bootstrap_test,
-    partial_permutation_test,
+    run_causality,
     standard_permutation_test,
 )
 from ttpool.cli import main
@@ -23,7 +22,7 @@ from ttpool.estimators import Estimator, mmd2, mmd2_v
 from ttpool.fusion import FusionConfig, FusionMode
 from ttpool.kernels import Arm, KernelFamily, KernelSpec, Sample, build_gram, kernel_matrix
 from ttpool.pipeline import TTPConfig, derive_stage_seeds, run_report
-from ttpool.simulate import MeanShift, Scenario, VarShift, draw_arms, null_distribution_study, run_campaign
+from ttpool.simulate import MeanShift, Scenario, VarShift, draw_arms, null_study_sweep, run_sweep
 
 
 def report(num, checks):
@@ -109,10 +108,11 @@ def validity_rates():
     for rep in range(1000):
         gram = build_gram(KernelSpec(), *draw_arms(scn, rep))
         seeds = np.random.SeedSequence([3, rep, 2]).spawn(2)
-        pb += partial_bootstrap_test(
-            gram, CausalityConfig(num_resamples=500, seed=seeds[0])
+        pb += run_causality(
+            gram,
+            CausalityConfig(num_resamples=500, seed=seeds[0], method=Method.PARTIAL_BOOTSTRAP),
         ).reject
-        pp += partial_permutation_test(
+        pp += run_causality(
             gram,
             CausalityConfig(num_resamples=500, seed=seeds[1], method=Method.PARTIAL_PERMUTATION),
         ).reject
@@ -151,7 +151,7 @@ def _table_campaign(mu_c_minus_mu_t, mode=FusionMode.EQUIVALENCE, seed=7,
     scn = Scenario(generator=MeanShift(mu_c_minus_mu_t, mu_h_minus_mu_c),
                    n=100, m=50, l=100, ttp=ttp, replicates=reps,
                    master_seed=seed, compare_methods=compare)
-    return run_campaign(scn, workers=4)
+    return run_sweep((scn,), workers=4)[0]
 
 
 def test_criterion_05_rate_table_median_heuristic_row():
@@ -246,8 +246,8 @@ def test_criterion_08_null_approximation_orderings():
     start = time.perf_counter()
     scn = Scenario(generator=MeanShift(0.0, 2.0), n=600, m=300, l=300,
                    ttp=TTPConfig(), replicates=300, master_seed=5)
-    rows = null_distribution_study(
-        scn, probe_levels=(0.9, 0.95), probe_generator=MeanShift(1.0, 2.0),
+    (rows,) = null_study_sweep(
+        ((scn, MeanShift(1.0, 2.0)),), probe_levels=(0.9, 0.95), ref_draws=20,
         methods=(Method.PARTIAL_BOOTSTRAP, Method.PARTIAL_PERMUTATION),
     )
     by = {(r.method, r.level): r for r in rows}
@@ -272,8 +272,8 @@ def test_criterion_08_null_approximation_orderings():
     for n in (100, 300, 600):
         scn_n = Scenario(generator=MeanShift(0.0, 2.0), n=n, m=n // 2, l=n,
                          ttp=TTPConfig(), replicates=300, master_seed=5)
-        na_rows = null_distribution_study(
-            scn_n, probe_levels=(0.95,), methods=(Method.NORMAL_APPROX,)
+        (na_rows,) = null_study_sweep(
+            ((scn_n, None),), probe_levels=(0.95,), ref_draws=20, methods=(Method.NORMAL_APPROX,)
         )
         na_ks.append(na_rows[0].ks_distance)
     na_ok = all(na_ks[i + 1] <= na_ks[i] + 0.02 for i in range(2))
@@ -302,7 +302,7 @@ def test_criterion_09_linear_kernel_variance_blindness():
     for var_shift in (1.5,):
         scn = Scenario(generator=VarShift(1.0, var_shift), n=100, m=50, l=100,
                        ttp=ttp, replicates=300, master_seed=7)
-        rates.append((var_shift, run_campaign(scn, workers=4).reject_rate))
+        rates.append((var_shift, run_sweep((scn,), workers=4)[0].reject_rate))
     elapsed = time.perf_counter() - start
     ok = all(0.01 <= r <= 0.09 for _, r in rates)
     report(9, [

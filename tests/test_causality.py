@@ -17,12 +17,9 @@ from ttpool.causality import (
     consistency_diagnostics,
     delta_statistic,
     estimate_sigma_c_squared,
-    normal_approx_test,
     normal_scale,
     partial_bootstrap_draws,
-    partial_bootstrap_test,
     partial_permutation_draws,
-    partial_permutation_test,
     permutation_two_sample_stats,
     pooled_permutation_test,
     run_causality,
@@ -74,7 +71,10 @@ class TestDecisionLayer:
     def test_empty_reference_is_a_config_error(self, rng):
         # The partial bootstrap's reference set is its draws alone.
         with pytest.raises(ConfigError, match="empty reference set"):
-            partial_bootstrap_test(make_gram(rng), CausalityConfig(num_resamples=0, seed=1))
+            run_causality(
+                make_gram(rng),
+                CausalityConfig(method=Method.PARTIAL_BOOTSTRAP, num_resamples=0, seed=1),
+            )
         with pytest.raises(ConfigError, match="empty reference set"):
             monte_carlo(0.0, np.empty(0), 0.05, observed_joins=False)
 
@@ -116,22 +116,26 @@ class TestDecisionIdentity:
 
     @pytest.mark.parametrize("b", [199, 300, 1000])
     def test_campaign_every_method_both_fusions(self, b):
-        permutation = (standard_permutation_test, pooled_permutation_test, partial_permutation_test)
         seen = {"reject": set(), "equivalence": set(), "classic": set()}
         for rep, shift in enumerate((0.0, 0.3, 0.6, 1.5)):
             scn = Scenario(MeanShift(mu_c_minus_mu_t=shift, mu_h_minus_mu_c=shift), 25, 20, 30)
             gram = build_gram(KernelSpec(), *draw_arms(scn, rep))
             for alpha in self.ALPHAS:
                 cfg = CausalityConfig(alpha=alpha, num_resamples=b, seed=rep)
-                for test in permutation:
-                    out = test(gram, cfg)
+                partial_permutation = dataclasses.replace(cfg, method=Method.PARTIAL_PERMUTATION)
+                permutation = (
+                    standard_permutation_test(gram, cfg),
+                    pooled_permutation_test(gram, cfg),
+                    run_causality(gram, partial_permutation),
+                )
+                for out in permutation:
                     self.check(out.reject, out.p_value, b + 1, alpha)
                     seen["reject"].add(out.reject)
-                out = partial_bootstrap_test(gram, cfg)
+                out = run_causality(gram, dataclasses.replace(cfg, method=Method.PARTIAL_BOOTSTRAP))
                 self.check(out.reject, out.p_value, b, alpha)
                 # The normal p-value (erfc) and critical value (inv_cdf) are two
                 # approximations, which may round apart at the critical value.
-                out = normal_approx_test(gram, cfg)
+                out = run_causality(gram, dataclasses.replace(cfg, method=Method.NORMAL_APPROX))
                 if abs(out.statistic - out.critical_value) > 1e-9:
                     assert out.reject == (out.p_value <= alpha)
                 # At theta = 0.6 these arms merge in some cells and not in others.
@@ -267,12 +271,13 @@ class TestPartialBootstrapOracle:
 
     def test_deterministic_given_seed(self, rng):
         gram = make_gram(rng)
-        cfg = CausalityConfig(num_resamples=100, seed=9)
-        assert partial_bootstrap_test(gram, cfg) == partial_bootstrap_test(gram, cfg)
+        cfg = CausalityConfig(method=Method.PARTIAL_BOOTSTRAP, num_resamples=100, seed=9)
+        assert run_causality(gram, cfg) == run_causality(gram, cfg)
 
     def test_merged_analysis_flag(self, rng):
         gram = make_gram(rng)
-        out = partial_bootstrap_test(gram, CausalityConfig(num_resamples=50, seed=0))
+        cfg = CausalityConfig(method=Method.PARTIAL_BOOTSTRAP, num_resamples=50, seed=0)
+        out = run_causality(gram, cfg)
         assert out.merged_analysis
 
 
@@ -303,7 +308,7 @@ class TestPartialPermutationOracle:
         cfg = CausalityConfig(
             method=Method.PARTIAL_PERMUTATION, num_resamples=0, seed=0
         )
-        out = partial_permutation_test(gram, cfg)
+        out = run_causality(gram, cfg)
         assert out.critical_value == out.statistic
         assert out.p_value == 1.0
         assert not out.reject
@@ -311,7 +316,7 @@ class TestPartialPermutationOracle:
     def test_statistic_is_fused_mmd(self, rng):
         gram = make_gram(rng, shift_t=0.5)
         cfg = CausalityConfig(method=Method.PARTIAL_PERMUTATION, num_resamples=20, seed=0)
-        out = partial_permutation_test(gram, cfg)
+        out = run_causality(gram, cfg)
         want = fused_mmd2(gram, gram.current, gram.historical, gram.treatment)
         assert out.statistic == pytest.approx(want, abs=1e-15)
 
@@ -437,7 +442,8 @@ class TestBlockSums:
         )
         assert abs(delta_statistic(gram, estimator) - want_delta) <= np.sqrt(gram.n) * atol
         want_t = _gather_mmd2(k, fused, trt, estimator)
-        assert abs(partial_permutation_test(gram, cfg).statistic - want_t) <= atol
+        partial_permutation = dataclasses.replace(cfg, method=Method.PARTIAL_PERMUTATION)
+        assert abs(run_causality(gram, partial_permutation).statistic - want_t) <= atol
         assert abs(pooled_permutation_test(gram, cfg).statistic - want_t) <= atol
 
         k2 = gram.matrix_nomerge
@@ -644,7 +650,7 @@ class TestDeltaSkipsHistoricalBlock:
         cfg = CausalityConfig(method=Method.NORMAL_APPROX, estimator=estimator)
         assert delta_statistic(poisoned, estimator) == delta_statistic(gram, estimator)
         assert draws(poisoned).tobytes() == draws(gram).tobytes()
-        assert normal_approx_test(poisoned, cfg) == normal_approx_test(gram, cfg)
+        assert run_causality(poisoned, cfg) == run_causality(gram, cfg)
 
 
 class TestNormalApprox:
@@ -685,17 +691,17 @@ class TestNormalApprox:
             Sample(pts, Arm.TREATMENT),
         )
         assert estimate_sigma_c_squared(gram) == pytest.approx(0.0, abs=1e-15)
-        out = normal_approx_test(gram, CausalityConfig(method=Method.NORMAL_APPROX))
+        out = run_causality(gram, CausalityConfig(method=Method.NORMAL_APPROX))
         assert out.critical_value == pytest.approx(0.0, abs=1e-15)
 
     @pytest.mark.parametrize("alpha", [0.01, 0.025, 0.05, 0.1, 0.2])
     def test_critical_value_formula(self, rng, alpha):
         gram = make_gram(rng)
-        out = normal_approx_test(gram, CausalityConfig(method=Method.NORMAL_APPROX, alpha=alpha))
+        out = run_causality(gram, CausalityConfig(method=Method.NORMAL_APPROX, alpha=alpha))
         sigma2 = estimate_sigma_c_squared(gram)
         scale = normal_scale(gram)
         assert scale == pytest.approx(np.sqrt(4.0 * (1.0 + gram.n / gram.m) * sigma2), abs=1e-12)
-        # normal_approx_test takes its quantile from the standard library's
+        # The normal approximation takes its quantile from the standard library's
         # NormalDist, a few ulps from the norm.ppf of SciPy.
         assert out.critical_value == -NormalDist().inv_cdf(alpha) * scale
         assert ulps(out.critical_value, norm.ppf(1.0 - alpha) * scale) <= 8

@@ -84,6 +84,15 @@ class TestVStatistic:
         with pytest.raises(IndexOutOfRange):
             mmd2_v(k, [], [1])
 
+    def test_mask_or_float_indices_refused(self, rng):
+        # Cast to integers, a mask reads positions 1, 0, 1, 0 and floats truncate.
+        k = _full_matrix(KernelSpec(bandwidth=1.0), rng.normal(size=(12, 1)))
+        for a in ([True, False, True, False], [0.9, 2.2]):
+            with pytest.raises(IndexOutOfRange, match="integer dtype"):
+                mmd2(k, a, [4, 5])
+        with pytest.raises(IndexOutOfRange, match="nonempty"):
+            mmd2(k, [], [4, 5])
+
 
 class TestUStatistic:
     def test_all_same_point_zero(self):

@@ -1,10 +1,18 @@
 """End-to-end pipeline: branch selection, seed replay, limit identities."""
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
 from ttpool import fusion
-from ttpool.causality import CausalityConfig, Method, standard_permutation_test
+from ttpool.causality import (
+    MERGED_METHODS,
+    CausalityConfig,
+    Method,
+    run_causality,
+    standard_permutation_test,
+)
 from ttpool.errors import ConfigError, DataError
 from ttpool.fusion import FusionConfig, FusionMode
 from ttpool.kernels import Arm, KernelSpec, Sample, build_gram
@@ -24,15 +32,21 @@ def make_arms(seed, m=25, l=30, n=35, shift_h=0.0, shift_t=0.0):
 def small_cfg(theta=0.4, mode=FusionMode.EQUIVALENCE, method=Method.PARTIAL_BOOTSTRAP):
     return TTPConfig(
         fusion=FusionConfig(theta=theta, num_bootstrap=200, mode=mode),
-        causality=CausalityConfig(num_resamples=200),
-        merged_method=method,
+        causality=CausalityConfig(num_resamples=200, method=method),
     )
 
 
 class TestConfigValidation:
     def test_merged_method_cannot_be_standard_permutation(self):
         with pytest.raises(ConfigError):
-            TTPConfig(merged_method=Method.STANDARD_PERMUTATION)
+            TTPConfig(causality=CausalityConfig(method=Method.STANDARD_PERMUTATION))
+
+    def test_merged_method_is_read_from_causality_method(self):
+        assert [f.name for f in fields(TTPConfig)] == ["kernel", "fusion", "causality"]
+        with pytest.raises(TypeError):
+            TTPConfig(merged_method=Method.NORMAL_APPROX)
+        cfg = TTPConfig(causality=CausalityConfig(method=Method.NORMAL_APPROX))
+        assert cfg.merged_method is Method.NORMAL_APPROX
 
     def test_partial_bootstrap_needs_a_resample_under_equivalence_fusion(self):
         no_draws = CausalityConfig(num_resamples=0)
@@ -42,7 +56,23 @@ class TestConfigValidation:
         # tests' reference sets hold the observed statistic.
         TTPConfig(fusion=FusionConfig(mode=FusionMode.CLASSIC_PERMUTATION), causality=no_draws)
         for method in (Method.PARTIAL_PERMUTATION, Method.NORMAL_APPROX):
-            TTPConfig(causality=no_draws, merged_method=method)
+            TTPConfig(causality=CausalityConfig(num_resamples=0, method=method))
+
+
+# TestConfigValidation refuses the standard permutation as causality.method.
+@pytest.mark.parametrize("method", MERGED_METHODS)
+def test_causality_method_is_the_method_that_runs(method):
+    fusion = FusionConfig(theta=np.inf, num_bootstrap=50)
+    cfg = TTPConfig(fusion=fusion, causality=CausalityConfig(num_resamples=50, method=method))
+    arms = make_arms(4, shift_t=0.5)
+    report = run_report(*arms, cfg, master_seed=6)
+    assert report.fusion.merged and report.causality.method is method
+    _, causality_seed = derive_stage_seeds(6)
+    gram = build_gram(cfg.kernel, *arms)
+    assert report.causality == run_causality(gram, replace(cfg.causality, seed=causality_seed))
+    scn = Scenario(MeanShift(0.5, 0.0), n=12, m=10, l=11, ttp=cfg, replicates=2, master_seed=6)
+    (result,) = run_sweep((scn,))
+    assert next(iter(result.per_method_rates)) == method.value
 
 
 class TestBranchConsistency:

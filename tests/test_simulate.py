@@ -46,8 +46,8 @@ from ttpool.simulate import (
     _null_replicate,
     _run_replicate,
     draw_arms,
-    null_distribution_study,
-    run_campaign,
+    null_study_sweep,
+    run_sweep,
 )
 
 
@@ -120,6 +120,16 @@ class TestScenarioValidation:
         with pytest.raises(ConfigError, match="distinct"):
             tiny_scenario(compare_methods=compare)
 
+    @pytest.mark.parametrize(
+        "ttp",
+        [TTPConfig(fusion=FusionConfig(seed=123)), TTPConfig(causality=CausalityConfig(seed=123))],
+    )
+    def test_stage_seed_rejected(self, ttp):
+        # A replicate takes its stage seeds from (master_seed, rep), so a
+        # configured one would be silently ignored.
+        with pytest.raises(ConfigError, match="derives its stage seeds from master_seed"):
+            tiny_scenario(ttp=ttp)
+
 
 def _blas_threads(_rep):
     return numpy_openblas().scipy_openblas_get_num_threads64_()
@@ -143,13 +153,13 @@ class TestWorkerPool:
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_rejected(self, no_process, workers):
         with pytest.raises(ConfigError, match="workers"):
-            run_campaign(tiny_scenario(reps=2), workers=workers)
+            run_sweep((tiny_scenario(reps=2),), workers=workers)
         with pytest.raises(ConfigError, match="workers"):
-            null_distribution_study(tiny_scenario(reps=2), workers=workers)
+            null_study_sweep(((tiny_scenario(reps=2), None),), (0.9, 0.95), 20, workers=workers)
 
     def test_serial_run_opens_no_pool(self, no_process):
-        run_campaign(tiny_scenario(reps=2), workers=1)
-        null_distribution_study(tiny_scenario(reps=2), ref_draws=3, workers=1)
+        run_sweep((tiny_scenario(reps=2),), workers=1)
+        null_study_sweep(((tiny_scenario(reps=2), None),), (0.9, 0.95), 3, workers=1)
 
     def test_pool_opens_no_more_processes_than_replicates(self, monkeypatch):
         sizes = []
@@ -208,11 +218,11 @@ class TestWorkerPool:
         monkeypatch.setattr(simulate, "ThreadPoolExecutor", recording)
         monkeypatch.setattr(simulate, "_cpus", lambda: 4)
         scn = tiny_scenario(reps=8, seed=3)
-        serial = run_campaign(scn, workers=1)
+        serial = run_sweep((scn,), workers=1)[0]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            pooled = run_campaign(scn, workers=4)
+            pooled = run_sweep((scn,), workers=4)[0]
         finally:
             sys.setswitchinterval(interval)
         assert sizes == [4]
@@ -279,21 +289,21 @@ class TestSeeding:
 
 class TestCampaign:
     def test_single_replicate_rates_are_indicator(self):
-        res = run_campaign(tiny_scenario(reps=1))
+        res = run_sweep((tiny_scenario(reps=1),))[0]
         assert res.merge_rate in (0.0, 1.0)
         assert res.reject_rate in (0.0, 1.0)
         assert res.stderr_merge == 0.0
         assert res.stderr_reject == 0.0
 
     def test_rates_are_exact_counts(self):
-        res = run_campaign(tiny_scenario(reps=7))
+        res = run_sweep((tiny_scenario(reps=7),))[0]
         assert (res.merge_rate * 7) == pytest.approx(round(res.merge_rate * 7))
         assert res.rng_algorithm
 
     def test_worker_count_invariance(self):
         scn = tiny_scenario(reps=8, seed=21)
-        seq = run_campaign(scn, workers=1)
-        par = run_campaign(scn, workers=3)
+        seq = run_sweep((scn,), workers=1)[0]
+        par = run_sweep((scn,), workers=3)[0]
         for field in dataclasses.fields(CampaignResult):
             if field.name in ("seconds",):
                 continue
@@ -303,7 +313,7 @@ class TestCampaign:
         scn = tiny_scenario(
             reps=4, compare_methods=(Method.PARTIAL_PERMUTATION, Method.NORMAL_APPROX)
         )
-        res = run_campaign(scn)
+        res = run_sweep((scn,))[0]
         assert set(res.per_method_rates) == {
             "partial_bootstrap",
             "partial_permutation",
@@ -313,8 +323,8 @@ class TestCampaign:
 
     def test_deterministic_rerun(self):
         scn = tiny_scenario(reps=5, seed=33)
-        a = run_campaign(scn)
-        b = run_campaign(scn)
+        a = run_sweep((scn,))[0]
+        b = run_sweep((scn,))[0]
         assert a.merge_rate == b.merge_rate
         assert a.per_method_rates == b.per_method_rates
 
@@ -364,7 +374,7 @@ class TestSharedDraws:
         scn = tiny_scenario(
             reps=6, seed=2, generator=MeanShift(0.6, 0.2), ttp=ttp, compare_methods=compare
         )
-        res = run_campaign(scn)
+        res = run_sweep((scn,))[0]
         merged = round(res.merge_rate * scn.replicates)
         assert 0 < merged < scn.replicates
         # Fusion draws twice; a merge runs 3 + 1 draws, no merge 1.
@@ -423,7 +433,7 @@ class TestSharedDraws:
         scns.append(tiny_scenario(reps=4, seed=9, n=11))
         swept = simulate.run_sweep(scns)
         for scn, result in zip(scns, swept):
-            alone = run_campaign(scn)
+            alone = run_sweep((scn,))[0]
             assert dataclasses.replace(result, seconds=0) == dataclasses.replace(alone, seconds=0)
 
     def test_cells_need_one_replicate_count(self, no_process):
@@ -468,7 +478,7 @@ class TestSharedNoBorrowingTest:
             for rep, (got, _) in enumerate(rows):
                 assert got == _run_replicate(scn, rep, {})
         for scn, result in zip(scns, simulate.run_sweep(scns)):
-            alone = run_campaign(scn)
+            alone = run_sweep((scn,))[0]
             assert dataclasses.replace(result, seconds=0) == dataclasses.replace(alone, seconds=0)
 
     def test_one_test_per_replicate_and_current_treatment_arms(self, monkeypatch):
@@ -593,7 +603,7 @@ class TestKSDistance:
 class TestNullStudy:
     def test_degenerate_two_replicates_well_formed(self):
         scn = tiny_scenario(reps=2)
-        rows = null_distribution_study(scn, probe_levels=(0.9,), ref_draws=5)
+        (rows,) = null_study_sweep(((scn, None),), probe_levels=(0.9,), ref_draws=5)
         assert len(rows) == 3  # three methods, one level
         for row in rows:
             assert 0.0 <= row.ks_distance <= 1.0
@@ -601,14 +611,13 @@ class TestNullStudy:
 
     def test_probe_generator_changes_reference_only(self):
         scn = tiny_scenario(reps=3)
-        base = null_distribution_study(
-            scn, probe_levels=(0.9,), ref_draws=5, methods=(Method.PARTIAL_BOOTSTRAP,)
+        (base,) = null_study_sweep(
+            ((scn, None),), probe_levels=(0.9,), ref_draws=5, methods=(Method.PARTIAL_BOOTSTRAP,)
         )
-        probed = null_distribution_study(
-            scn,
+        (probed,) = null_study_sweep(
+            ((scn, MeanShift(1.0, 0.0)),),
             probe_levels=(0.9,),
             ref_draws=5,
-            probe_generator=MeanShift(1.0, 0.0),
             methods=(Method.PARTIAL_BOOTSTRAP,),
         )
         assert base[0].true_quantile == probed[0].true_quantile
@@ -618,20 +627,21 @@ class TestNullStudy:
         # Without a probe generator the replicate's own Gram is reused; naming
         # the null generator as the probe rebuilds it from the same arms.
         scn = tiny_scenario(reps=4, seed=5)
-        reused = null_distribution_study(scn, ref_draws=7)
-        rebuilt = null_distribution_study(scn, ref_draws=7, probe_generator=scn.generator)
+        (reused,) = null_study_sweep(((scn, None),), (0.9, 0.95), ref_draws=7)
+        (rebuilt,) = null_study_sweep(((scn, scn.generator),), (0.9, 0.95), ref_draws=7)
         assert reused == rebuilt
 
     def test_worker_count_invariance(self):
         scn = tiny_scenario(reps=5, seed=2)
-        serial = null_distribution_study(scn, ref_draws=6, workers=1)
-        pooled = null_distribution_study(scn, ref_draws=6, workers=2)
+        (serial,) = null_study_sweep(((scn, None),), (0.9, 0.95), ref_draws=6, workers=1)
+        (pooled,) = null_study_sweep(((scn, None),), (0.9, 0.95), ref_draws=6, workers=2)
         assert serial == pooled
 
     @pytest.mark.parametrize("generator", [MeanShift(0.4, 0.0), VarShift(2.0, 1.0)])
     def test_non_null_generator_is_a_config_error(self, no_process, generator):
         with pytest.raises(ConfigError, match="requires Qc = Qt"):
-            null_distribution_study(tiny_scenario(reps=2, generator=generator), workers=2)
+            scn = tiny_scenario(reps=2, generator=generator)
+            null_study_sweep(((scn, None),), (0.9, 0.95), 20, workers=2)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -646,7 +656,10 @@ class TestNullStudy:
     )
     def test_bad_settings_are_config_errors(self, kwargs):
         with pytest.raises(ConfigError):
-            null_distribution_study(tiny_scenario(reps=2), **kwargs)
+            null_study_sweep(
+                ((tiny_scenario(reps=2), None),),
+                **{"probe_levels": (0.9, 0.95), "ref_draws": 20, **kwargs},
+            )
 
     @pytest.mark.parametrize("estimator", list(Estimator))
     def test_replicate_uses_the_tests_statistics_and_scale(self, estimator):
@@ -681,7 +694,8 @@ class TestNullStudy:
         # Past the scenario check, the statistics themselves refuse the arm.
         monkeypatch.setattr(Scenario, "__post_init__", lambda self: None)
         with pytest.raises(SampleTooSmall):
-            null_distribution_study(tiny_scenario(reps=2, ttp=ttp, **{arm: 1}), ref_draws=5)
+            scn = tiny_scenario(reps=2, ttp=ttp, **{arm: 1})
+            null_study_sweep(((scn, None),), (0.9, 0.95), ref_draws=5)
 
 
 class TestTwoArmBuiltOnFirstRead:

@@ -160,3 +160,68 @@ def test_foreign_imports_finds_a_third_party_module():
 @pytest.mark.parametrize("module", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_module_imports_only_numpy_and_the_standard_library(module):
     assert foreign_imports(module.read_text()) == []
+
+
+def exported_names(source: str) -> set[str]:
+    """Names that ``source``'s ``from … import`` statements bind."""
+    return {
+        alias.asname or alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+
+
+# One public name per concept: adding or removing one edits this list.
+PUBLIC_API = {
+    "Arm",
+    "CampaignResult",
+    "CausalityConfig",
+    "CausalityOutcome",
+    "ConfigError",
+    "DataError",
+    "DegenerateSample",
+    "DiagnosticsReport",
+    "DimensionMismatch",
+    "Estimator",
+    "FusionConfig",
+    "FusionMode",
+    "FusionOutcome",
+    "GramCache",
+    "IndexOutOfRange",
+    "KernelFamily",
+    "KernelSpec",
+    "MMDValue",
+    "MeanShift",
+    "Method",
+    "NullStudyRow",
+    "Sample",
+    "SampleTooSmall",
+    "Scenario",
+    "TTPConfig",
+    "TTPReport",
+    "TTPoolError",
+    "VarShift",
+    "ZeroBandwidth",
+    "build_gram",
+    "classic_fusion",
+    "consistency_diagnostics",
+    "derive_stage_seeds",
+    "equivalence_fusion",
+    "eval_kernel",
+    "mmd2",
+    "mmd2_slices",
+    "mmd2_v",
+    "null_study_sweep",
+    "pooled_permutation_test",
+    "resolve_bandwidth",
+    "run_causality",
+    "run_report",
+    "run_sweep",
+    "run_ttp",
+    "standard_permutation_test",
+}
+
+
+def test_package_exports_the_listed_public_api():
+    assert exported_names((PACKAGE / "__init__.py").read_text()) == PUBLIC_API
