@@ -174,6 +174,11 @@ def permutation_two_sample_stats(
     return mmd2_from_sums(s_aa, s_bb, s_ab, d_a, d_b, size_a, size_b, estimator)
 
 
+def permutation_plan(size_a: int, size_b: int) -> tuple:
+    """The mask plan of a permutation test: ``size_a`` of the pooled points join group a."""
+    return (Masks(size_a + size_b, size_a),)
+
+
 def two_sample_permutation(
     k_pooled: np.ndarray,
     size_a: int,
@@ -191,7 +196,7 @@ def two_sample_permutation(
     """
     a, b = slice(0, size_a), slice(size_a, size_a + size_b)
     statistic = mmd2_slices(k_pooled, a, b, estimator).squared
-    (masks,) = resample_weights(seed, num_resamples, Masks(size_a + size_b, size_a))
+    (masks,) = resample_weights(seed, num_resamples, *permutation_plan(size_a, size_b))
     perm = permutation_two_sample_stats(k_pooled, masks, size_a, size_b, estimator)
     return (statistic, *monte_carlo(statistic, perm, alpha, observed_joins=True))
 
@@ -216,6 +221,8 @@ def pooled_permutation_test(gram: GramCache, cfg: CausalityConfig) -> CausalityO
 
     Permutation test on the three-arm-bandwidth matrix; the merged
     historicals are exchanged with treatment as if they were concurrent.
+    Its outcome names ``Method.STANDARD_PERMUTATION`` with
+    ``merged_analysis`` set, as a classic-mode merge's report shows it.
     """
     return _two_sample_test(gram.matrix, gram.m + gram.l, gram.n, cfg, merged_analysis=True)
 
@@ -294,7 +301,7 @@ def partial_permutation_draws(
     k_xh = k[:, gram.historical_slice]
     hrow = np.concatenate([k_xh[:m].sum(axis=1), k_xh[big:].sum(axis=1)])
 
-    (masks,) = resample_weights(seed, num_resamples, Masks(m + n, m))  # 1 = permuted-current
+    (masks,) = resample_weights(seed, num_resamples, *permutation_plan(m, n))  # 1 = permuted-current
     cc, ct, tt, d_c, d_t = _mask_sums(k_ct, masks, estimator)
     ch = masks.astype(float) @ hrow
     th = hrow.sum() - ch

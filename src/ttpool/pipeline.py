@@ -15,11 +15,12 @@ from .causality import (
     Method,
     consistency_diagnostics,
     merged_record,
+    permutation_plan,
     run_causality,
     standard_permutation_test,
 )
 from .errors import ConfigError
-from .estimators import Masks, SharedSeed, defer_weights
+from .estimators import SharedSeed, defer_weights
 from .fusion import FusionConfig, FusionOutcome, fusion_record
 from .kernels import GramCache, KernelSpec, Sample, build_gram
 
@@ -33,6 +34,10 @@ class TTPConfig:
     (``fusion.fusion_record``) runs the merged-branch methods; a merge
     whose record names its own test runs that test, whatever
     ``causality.method`` says.
+
+    A run derives its stage seeds from its master seed alone (``run_report``,
+    ``simulate.Scenario``), so ``fusion.seed`` and ``causality.seed`` stay
+    unset here; ``run_ttp`` sets them from its own arguments.
     """
 
     kernel: KernelSpec = field(default_factory=KernelSpec)
@@ -40,6 +45,11 @@ class TTPConfig:
     causality: CausalityConfig = field(default_factory=CausalityConfig)
 
     def __post_init__(self) -> None:
+        if self.fusion.seed is not None or self.causality.seed is not None:
+            raise ConfigError(
+                "a run derives its stage seeds from master_seed; "
+                "leave fusion.seed and causality.seed unset"
+            )
         if merged_record(self.merged_method) is None:
             raise ConfigError("merged_method must be a merged-branch method")
         self.check_resamples((self.merged_method,))
@@ -83,18 +93,6 @@ def derive_stage_seeds(master_seed) -> tuple:
     return fusion_ss, causality_ss
 
 
-def _stage_seeds(cfg: TTPConfig, master_seed) -> tuple:
-    """Configured stage seeds; a stage without one takes its master substream."""
-    fusion_seed, causality_seed = cfg.fusion.seed, cfg.causality.seed
-    if fusion_seed is None or causality_seed is None:
-        derived_fusion, derived_causality = derive_stage_seeds(master_seed)
-        if fusion_seed is None:
-            fusion_seed = derived_fusion
-        if causality_seed is None:
-            causality_seed = derived_causality
-    return fusion_seed, causality_seed
-
-
 def _seed_record(master_seed, fusion_seed, causality_seed) -> dict:
     def describe(s):
         if isinstance(s, np.random.SeedSequence):
@@ -125,7 +123,7 @@ def _no_borrowing_test(gram: GramCache, cfg: CausalityConfig) -> CausalityOutcom
     arms = (gram.points[:m], gram.points[m + gram.l :])
     key = (
         Method.STANDARD_PERMUTATION,
-        seed.key(cfg.num_resamples, (Masks(m + n, m),)),
+        seed.key(cfg.num_resamples, permutation_plan(m, n)),
         cfg.alpha,
         cfg.estimator,
         gram.kernel,
@@ -191,9 +189,9 @@ def run_report(
     """One test-then-pool analysis of a dataset, in the fusion mode ``cfg`` names.
 
     Builds the Gram cache, runs ``run_ttp``, which picks the branch and
-    its test, with the configured stage seeds (a stage without one takes
-    its substream of ``master_seed``) and reports the outcomes, the
-    consistency diagnostics, both bandwidths and the seeds.
+    its test, with the stage seeds ``derive_stage_seeds(master_seed)``
+    gives, and reports the outcomes, the consistency diagnostics, both
+    bandwidths and the seeds.  ``cfg`` sets no stage seed (``TTPConfig``).
 
     The analysis runs inside ``blas.one_blas_thread``, as a campaign
     replicate does, and on two threads: this one and a helper that
@@ -208,12 +206,9 @@ def run_report(
     bandwidths have the bits they have on one thread, so the outcomes
     equal a campaign replicate's on the same arms and seeds.
     """
-    fusion_seed, causality_seed = _stage_seeds(cfg, master_seed)
+    fusion_seed, causality_seed = derive_stage_seeds(master_seed)
     store = {}
-    fusion_draws, causality_draws = (
-        SharedSeed(seed, store) if isinstance(seed, np.random.SeedSequence) else seed
-        for seed in (fusion_seed, causality_seed)
-    )
+    fusion_draws, causality_draws = (SharedSeed(s, store) for s in (fusion_seed, causality_seed))
     m, l, n = current.size, historical.size, treatment.size
     record = fusion_record(cfg.fusion.mode)
     deferred = [(fusion_draws, cfg.fusion.num_bootstrap, record.plan)]
@@ -222,7 +217,7 @@ def run_report(
         deferred.append((causality_draws, cfg.causality.num_resamples, plan))
     with one_blas_thread(), helper_thread():
         for draws, batch, plan in deferred:
-            if plan is not None and isinstance(draws, SharedSeed):
+            if plan is not None:
                 defer_weights(draws, batch, *plan(m, l, n))
         gram = build_gram(cfg.kernel, current, historical, treatment)
         diagnostics = submit(consistency_diagnostics, gram)

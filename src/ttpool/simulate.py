@@ -94,6 +94,8 @@ Generator = Union[MeanShift, VarShift]
 
 @dataclass(frozen=True)
 class Scenario:
+    """A synthetic study; replicate ``rep`` draws arms and stage seeds from (master_seed, rep)."""
+
     generator: Generator
     n: int
     m: int
@@ -115,11 +117,6 @@ class Scenario:
             raise ConfigError(
                 "merged_method and compare_methods must name distinct methods, got "
                 f"{[m.value for m in methods]}"
-            )
-        if self.ttp.fusion.seed is not None or self.ttp.causality.seed is not None:
-            raise ConfigError(
-                "a campaign derives its stage seeds from master_seed; "
-                "leave fusion.seed and causality.seed unset"
             )
         self.ttp.check_resamples(self.compare_methods)
 

@@ -58,6 +58,13 @@ class TestConfigValidation:
         for method in (Method.PARTIAL_PERMUTATION, Method.NORMAL_APPROX):
             TTPConfig(causality=CausalityConfig(num_resamples=0, method=method))
 
+    def test_stage_seed_refused(self):
+        # run_report derives both stage seeds from master_seed, and run_ttp
+        # sets them from its own arguments, so no run reads a configured one.
+        for stage in ({"fusion": FusionConfig(seed=1)}, {"causality": CausalityConfig(seed=1)}):
+            with pytest.raises(ConfigError, match="derives its stage seeds from master_seed"):
+                TTPConfig(**stage)
+
 
 # TestConfigValidation refuses the standard permutation as causality.method.
 @pytest.mark.parametrize("method", MERGED_METHODS)
@@ -116,19 +123,6 @@ class TestSeedReplay:
         assert report.seeds["master"] == 42
         assert report.seeds["fusion"] is not None
         assert report.seeds["causality"] is not None
-
-    def test_one_stage_seed_set_other_from_master(self):
-        arms = make_arms(7, shift_h=0.2, shift_t=0.4)
-        cfg = TTPConfig(fusion=FusionConfig(seed=1))
-        a = run_report(*arms, cfg, master_seed=5)
-        b = run_report(*arms, cfg, master_seed=5)
-        assert a.fusion == b.fusion
-        assert a.causality == b.causality
-        assert a.seeds == b.seeds
-        assert a.seeds["fusion"] == 1
-        assert a.seeds["causality"] is not None
-        _, causality_seed = derive_stage_seeds(5)
-        assert a.seeds["causality"]["spawn_key"] == list(causality_seed.spawn_key)
 
 
 class TestThetaLimits:

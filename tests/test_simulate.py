@@ -121,14 +121,13 @@ class TestScenarioValidation:
             tiny_scenario(compare_methods=compare)
 
     @pytest.mark.parametrize(
-        "ttp",
-        [TTPConfig(fusion=FusionConfig(seed=123)), TTPConfig(causality=CausalityConfig(seed=123))],
+        "ttp", [{"fusion": FusionConfig(seed=123)}, {"causality": CausalityConfig(seed=123)}]
     )
     def test_stage_seed_rejected(self, ttp):
         # A replicate takes its stage seeds from (master_seed, rep), so a
-        # configured one would be silently ignored.
+        # configured one would be silently ignored; TTPConfig refuses it.
         with pytest.raises(ConfigError, match="derives its stage seeds from master_seed"):
-            tiny_scenario(ttp=ttp)
+            tiny_scenario(ttp=TTPConfig(**ttp))
 
 
 def _blas_threads(_rep):
@@ -515,11 +514,26 @@ class TestSharedNoBorrowingTest:
         assert len(calls) == len(set(unmerged)) < len(unmerged)
 
 
+def _report_stage_seeds(scn, rep, n_methods, store):
+    """``simulate._replicate_seeds`` as ``run_report(master_seed=[scn.master_seed, rep])`` seeds.
+
+    Every method takes the report's causality seed; the tests compare the
+    first method's outcome, and a one-test branch fills every slot from it.
+    """
+    fusion_ss, causality_ss = pipeline.derive_stage_seeds([scn.master_seed, rep])
+    return SharedSeed(fusion_ss, store), [SharedSeed(causality_ss, store)] * n_methods
+
+
 class TestReplicateMatchesPipeline:
-    """A campaign replicate and the library run the same test on the same arms and seeds."""
+    """A campaign replicate and the library run the same test on the same arms and seeds.
+
+    A ``TTPConfig`` sets no stage seed, so the replicate takes the seeds
+    that ``run_report`` derives from its master seed (``_report_stage_seeds``).
+    """
 
     @pytest.mark.parametrize("mode", [FusionMode.EQUIVALENCE, FusionMode.CLASSIC_PERMUTATION])
-    def test_replicate_equals_pipeline(self, mode):
+    def test_replicate_equals_pipeline(self, mode, monkeypatch):
+        monkeypatch.setattr(simulate, "_replicate_seeds", _report_stage_seeds)
         scn = tiny_scenario(
             reps=40,
             seed=8,
@@ -533,17 +547,7 @@ class TestReplicateMatchesPipeline:
         branches = set()
         for rep in range(scn.replicates):
             fusion_outcome, outcomes = _run_replicate(scn, rep, {})
-            cfg = dataclasses.replace(
-                scn.ttp,
-                fusion=dataclasses.replace(
-                    scn.ttp.fusion, seed=np.random.SeedSequence([scn.master_seed, rep, 1])
-                ),
-                causality=dataclasses.replace(
-                    scn.ttp.causality,
-                    seed=np.random.SeedSequence([scn.master_seed, rep, 2]).spawn(1)[0],
-                ),
-            )
-            report = run_report(*draw_arms(scn, rep), cfg)
+            report = run_report(*draw_arms(scn, rep), scn.ttp, master_seed=[scn.master_seed, rep])
             assert fusion_outcome == report.fusion, rep
             assert outcomes[0] == report.causality, rep
             if mode is FusionMode.CLASSIC_PERMUTATION:
@@ -556,12 +560,14 @@ class TestReplicateMatchesPipeline:
         "n,m,l", [(400, 200, 400), (1000, 500, 1000)], ids=["400-200-400", "1000-500-1000"]
     )
     @pytest.mark.parametrize("shift_h,seed", [(0.0, 0), (1.0, 5)], ids=["merged", "unmerged"])
-    def test_report_equals_replicate_above_inner_dimension_400(self, n, m, l, shift_h, seed):
+    def test_report_equals_replicate_above_inner_dimension_400(
+        self, n, m, l, shift_h, seed, monkeypatch
+    ):
         # OpenBLAS rounds these products on one and on two threads apart, and
         # 600 resamples span two row blocks of every resampling product; the
         # report's two threads must give the pinned serial replicate's bits.
-        # At these seeds a report with the default BLAS threading gave other
-        # fusion and causality critical values.
+        # At these arms and the campaign's stage seeds, a report with the
+        # default BLAS threading gave other fusion and causality critical values.
         scn = Scenario(
             generator=MeanShift(0.2, shift_h),
             n=n,
@@ -574,16 +580,10 @@ class TestReplicateMatchesPipeline:
             replicates=1,
             master_seed=seed,
         )
+        monkeypatch.setattr(simulate, "_replicate_seeds", _report_stage_seeds)
         with one_blas_thread():  # as a campaign runs its replicates
             fusion_outcome, (outcome,) = _run_replicate(scn, 0, {})
-        cfg = dataclasses.replace(
-            scn.ttp,
-            fusion=dataclasses.replace(scn.ttp.fusion, seed=np.random.SeedSequence([seed, 0, 1])),
-            causality=dataclasses.replace(
-                scn.ttp.causality, seed=np.random.SeedSequence([seed, 0, 2]).spawn(1)[0]
-            ),
-        )
-        report = run_report(*draw_arms(scn, 0), cfg)
+        report = run_report(*draw_arms(scn, 0), scn.ttp, master_seed=[seed, 0])
         assert fusion_outcome.merged is (shift_h == 0.0)
         assert report.fusion == fusion_outcome
         assert report.causality == outcome

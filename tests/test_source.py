@@ -131,6 +131,44 @@ def test_only_fusion_names_a_fusion_mode(module):
     assert fusion_mode_members(module.read_text()) == []
 
 
+def plan_constructions(source: str) -> list[str]:
+    """The ``Counts(...)`` and ``Masks(...)`` calls that ``source`` makes, by name, sorted."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            if name in ("Counts", "Masks"):
+                names.append(name)
+    return sorted(names)
+
+
+def test_plan_constructions_finds_each_call():
+    source = (
+        "from .estimators import Counts, Masks\n"
+        "from . import estimators\n"
+        "plan = (Counts(m, m), estimators.Masks(m + n, m))\n"
+        "kind = Counts\n"
+    )
+    assert plan_constructions(source) == ["Counts", "Masks"]
+
+
+# A draw plan has one owner: the module whose test draws it.  Another
+# module asks that owner (``causality.permutation_plan``), so a key built
+# from the plan cannot drift from the draw.
+@pytest.mark.parametrize(
+    "module",
+    sorted(
+        p
+        for p in PACKAGE.glob("*.py")
+        if p.name not in ("estimators.py", "fusion.py", "causality.py")
+    ),
+    ids=lambda p: p.name,
+)
+def test_only_the_drawing_modules_build_a_draw_plan(module):
+    assert plan_constructions(module.read_text()) == []
+
+
 def foreign_imports(source: str) -> list[str]:
     """Modules ``source`` imports that are not relative, ``__future__``, NumPy or stdlib."""
     allowed = set(sys.stdlib_module_names) | {"__future__", "numpy"}
