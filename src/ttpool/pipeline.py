@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import secrets
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -35,9 +36,9 @@ class TTPConfig:
     whose record names its own test runs that test, whatever
     ``causality.method`` says.
 
-    A run derives its stage seeds from its master seed alone (``run_report``,
-    ``simulate.Scenario``), so ``fusion.seed`` and ``causality.seed`` stay
-    unset here; ``run_ttp`` sets them from its own arguments.
+    A run derives its stage seeds from its key alone (``derive_stage_seeds``),
+    so ``fusion.seed`` and ``causality.seed`` stay unset here; ``run_ttp``
+    sets them from its own arguments.
     """
 
     kernel: KernelSpec = field(default_factory=KernelSpec)
@@ -87,10 +88,46 @@ class TTPReport:
     seeds: dict
 
 
-def derive_stage_seeds(master_seed) -> tuple:
-    """Labeled substreams (fusion, causality) from one master seed."""
-    fusion_ss, causality_ss = np.random.SeedSequence(master_seed).spawn(2)
-    return fusion_ss, causality_ss
+#: The stages of a run, in the order the seed rule numbers them (``derive_stage_seeds``).
+_STAGES = ("data", "fusion", "causality", "reference")
+
+
+def stage_seed(key, stage: str) -> np.random.SeedSequence:
+    """The seed of the stage named ``stage`` of the run keyed ``key``."""
+    return np.random.SeedSequence([*key, _STAGES.index(stage)])
+
+
+def derive_stage_seeds(key, n_methods: int = 1) -> tuple:
+    """The fusion seed and one causality seed per method of the run keyed ``key``.
+
+    The one seed rule: stage ``s`` of the run keyed ``K`` draws from
+    ``SeedSequence([*K, s])`` (``stage_seed``).  0 is the data, 1 the
+    fusion, 2 the causality stage, spawned once per method, and 3 the
+    null-study reference.  ``run_report`` keys its run ``[master_seed]``
+    and campaign replicate ``rep`` keys its run ``[master_seed, rep]``,
+    so ``run_report(*draw_arms(scn, rep), scn.ttp, master_seed=[scn.master_seed, rep])``
+    is the replicate.
+    """
+    return stage_seed(key, "fusion"), stage_seed(key, "causality").spawn(n_methods)
+
+
+def _run_key(master_seed) -> tuple:
+    """``master_seed`` as ``run_report`` records it, and the key of its run.
+
+    ``None`` draws 128 bits of entropy once, so the report records a
+    master seed that replays it.  Anything but an integer >= 0, or a
+    non-empty list of them, is a ``ConfigError``.
+    """
+    if master_seed is None:
+        master_seed = secrets.randbits(128)
+    listed = isinstance(master_seed, (list, tuple))
+    words = list(master_seed) if listed else [master_seed]
+    if not words or not all(isinstance(w, (int, np.integer)) and w >= 0 for w in words):
+        raise ConfigError(
+            f"master_seed must be an integer >= 0 or a list of them, got {master_seed!r}"
+        )
+    key = [int(w) for w in words]
+    return (key if listed else key[0]), key
 
 
 def _seed_record(master_seed, fusion_seed, causality_seed) -> dict:
@@ -189,9 +226,14 @@ def run_report(
     """One test-then-pool analysis of a dataset, in the fusion mode ``cfg`` names.
 
     Builds the Gram cache, runs ``run_ttp``, which picks the branch and
-    its test, with the stage seeds ``derive_stage_seeds(master_seed)``
-    gives, and reports the outcomes, the consistency diagnostics, both
-    bandwidths and the seeds.  ``cfg`` sets no stage seed (``TTPConfig``).
+    its test, and reports the outcomes, the consistency diagnostics, both
+    bandwidths and the seeds.  The stage seeds are those of the run keyed
+    ``[master_seed]``, or ``master_seed`` itself when it is a list
+    (``derive_stage_seeds``), so ``master_seed=[scn.master_seed, rep]``
+    on ``simulate.draw_arms(scn, rep)`` replays campaign replicate ``rep``.
+    ``None`` draws a master seed once and records it in ``seeds["master"]``.
+    A negative or non-integer master seed is a ``ConfigError``.  ``cfg``
+    sets no stage seed (``TTPConfig``).
 
     The analysis runs inside ``blas.one_blas_thread``, as a campaign
     replicate does, and on two threads: this one and a helper that
@@ -204,9 +246,10 @@ def run_report(
     the helper finishes its draws and makes the diagnostics, and both
     share the row blocks of the resampling products.  Draws, blocks and
     bandwidths have the bits they have on one thread, so the outcomes
-    equal a campaign replicate's on the same arms and seeds.
+    equal those of the campaign replicate with the same key.
     """
-    fusion_seed, causality_seed = derive_stage_seeds(master_seed)
+    master_seed, key = _run_key(master_seed)
+    fusion_seed, (causality_seed,) = derive_stage_seeds(key)
     store = {}
     fusion_draws, causality_draws = (SharedSeed(s, store) for s in (fusion_seed, causality_seed))
     m, l, n = current.size, historical.size, treatment.size

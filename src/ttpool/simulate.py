@@ -29,7 +29,7 @@ from .blas import one_blas_thread
 from .errors import ConfigError, TTPoolError
 from .estimators import SharedSeed
 from .kernels import Arm, Sample, build_gram
-from .pipeline import TTPConfig, run_ttp
+from .pipeline import TTPConfig, derive_stage_seeds, run_ttp, stage_seed
 from .quantile import inf_quantile
 
 RNG_ALGORITHM = "numpy.random.Generator(PCG64).standard_normal"
@@ -94,7 +94,10 @@ Generator = Union[MeanShift, VarShift]
 
 @dataclass(frozen=True)
 class Scenario:
-    """A synthetic study; replicate ``rep`` draws arms and stage seeds from (master_seed, rep)."""
+    """A synthetic study; replicate ``rep`` is the run keyed ``[master_seed, rep]``.
+
+    ``pipeline.derive_stage_seeds`` gives the seed rule of its arms and stages.
+    """
 
     generator: Generator
     n: int
@@ -149,22 +152,18 @@ def _binomial_stderr(p: float, reps: int) -> float:
 
 
 def draw_arms(scn: Scenario, rep: int):
-    """Arm samples for replicate ``rep``; depends only on (master_seed, rep)."""
-    data_ss = np.random.SeedSequence([int(scn.master_seed), rep, 0])
-    rng = np.random.default_rng(data_ss)
+    """Arm samples for replicate ``rep``, drawn by the data stage of its run.
+
+    ``pipeline.run_report`` on these arms with ``master_seed=[scn.master_seed, rep]``
+    replays the replicate.
+    """
+    rng = np.random.default_rng(stage_seed([int(scn.master_seed), rep], "data"))
     c, h, t = scn.generator.draw(rng, scn.n, scn.m, scn.l)
     return (
         Sample(c, Arm.CURRENT),
         Sample(h, Arm.HISTORICAL),
         Sample(t, Arm.TREATMENT),
     )
-
-
-def _replicate_seeds(scn: Scenario, rep: int, n_methods: int, store: dict):
-    """The fusion seed and one causality seed per method, as ``SharedSeed``s over ``store``."""
-    fusion_ss = np.random.SeedSequence([int(scn.master_seed), rep, 1])
-    causality_seeds = np.random.SeedSequence([int(scn.master_seed), rep, 2]).spawn(n_methods)
-    return SharedSeed(fusion_ss, store), [SharedSeed(ss, store) for ss in causality_seeds]
 
 
 @contextmanager
@@ -190,10 +189,10 @@ def _run_replicate(scn: Scenario, rep: int, store: dict) -> tuple:
     """
     with _replicate_arms(scn, rep) as arms:
         gram = build_gram(scn.ttp.kernel, *arms)
-        fusion_ss, causality_seeds = _replicate_seeds(
-            scn, rep, 1 + len(scn.compare_methods), store
-        )
-        return run_ttp(gram, scn.ttp, fusion_ss, causality_seeds, scn.compare_methods)
+        key, n_methods = [int(scn.master_seed), rep], 1 + len(scn.compare_methods)
+        fusion_seed, causality_seeds = derive_stage_seeds(key, n_methods)
+        shared = [SharedSeed(seed, store) for seed in (fusion_seed, *causality_seeds)]
+        return run_ttp(gram, scn.ttp, shared[0], shared[1:], scn.compare_methods)
 
 
 #: glibc ``mallopt`` parameters (malloc.h), and the bound ``keep_freed_heap``
@@ -398,7 +397,7 @@ def _null_replicate(
         if probe_generator is not None:
             probe_arms = draw_arms(replace(scn, generator=probe_generator), rep)
             probe_gram = build_gram(scn.ttp.kernel, *probe_arms)
-        rng = np.random.default_rng(np.random.SeedSequence([int(scn.master_seed), rep, 3]))
+        rng = np.random.default_rng(stage_seed([int(scn.master_seed), rep], "reference"))
         truths, out = {}, {}
         for method in methods:
             statistic, draws, *_ = causality.merged_record(method)

@@ -364,7 +364,7 @@ def test_criterion_11_theta_limit_identities():
         never_merge &= not r0.fusion.merged
 
         gram = build_gram(KernelSpec(), *arms)
-        _, causality_seed = derive_stage_seeds(seed)
+        _, (causality_seed,) = derive_stage_seeds([seed])
         standalone = standard_permutation_test(
             gram,
             CausalityConfig(num_resamples=200, method=Method.STANDARD_PERMUTATION,

@@ -21,13 +21,13 @@ from ttpool.cli import EXIT_OK, main
 PAPER_SIZES = ["--set", "sizes.m=50", "--set", "sizes.l=100", "--set", "sizes.n=100"]
 
 DIGESTS = {
-    "test": "24419cec27b1f3887a0e72dc4adb279b90a43c3b84e9f453454cd888e9140731",
-    "test-merged": "4442b4ab1cad4d70b67b209959d5fa3f2529bbccc16adcf5cfb72b4395852009",
+    "test": "9809beb6da7c90f6eafaa4aec5366e11b8acac63c0da2088da1249330efea83b",
+    "test-merged": "160028afdeec77fc90e82c2ccd0645eec571c612dc6a8605e73e651fb738cc92",
     "simulate": "dbc6b8723d6297bbd2393b6cd33be28dbd0476d861b6eaf7c164716df09e395d",
     "simulate-classic": "7a7fad06c1f992f17802539fffa34d9e5e66790d830a95ef0b95f16059fa48f4",
     "null-study": "c6e20cee2171a8917a38ccc31dd4b97dc8ec2ac56d56e64120f43adbaa35f2fd",
     "null-study-sweep": "eaab10c109f00e3ba5e8dff60938dfd1f004d24e163f4d558563dbfc651ff2b3",
-    "test-normal": "c75b5f69780131b6b94c99da82440b12d299db835ee2d6a4d14fab1b58794800",
+    "test-normal": "2385891eceaf220ea7309e89315d2dc41feedab451bc1bd533b04e4278efa549",
     "simulate-modes": "bab2e459f511393ab9572da90ec4735cb3fafcc27f1943581fea2fe96a5145d5",
 }
 

@@ -74,7 +74,7 @@ def test_causality_method_is_the_method_that_runs(method):
     arms = make_arms(4, shift_t=0.5)
     report = run_report(*arms, cfg, master_seed=6)
     assert report.fusion.merged and report.causality.method is method
-    _, causality_seed = derive_stage_seeds(6)
+    _, (causality_seed,) = derive_stage_seeds([6])
     gram = build_gram(cfg.kernel, *arms)
     assert report.causality == run_causality(gram, replace(cfg.causality, seed=causality_seed))
     scn = Scenario(MeanShift(0.5, 0.0), n=12, m=10, l=11, ttp=cfg, replicates=2, master_seed=6)
@@ -124,6 +124,21 @@ class TestSeedReplay:
         assert report.seeds["fusion"] is not None
         assert report.seeds["causality"] is not None
 
+    def test_a_drawn_master_seed_is_recorded_and_replays_the_report(self):
+        # With no master seed, the report recorded None, and two calls gave
+        # different critical values that no seed could replay.
+        arms = make_arms(7, shift_h=0.2, shift_t=0.4)
+        first = run_report(*arms, small_cfg())
+        master = first.seeds["master"]
+        assert isinstance(master, int) and master >= 0
+        assert run_report(*arms, small_cfg(), master_seed=master) == first
+
+    @pytest.mark.parametrize("master_seed", [-1, 1.5, "abc", [3, -1], [3, 0.5], []])
+    def test_bad_master_seed_is_a_config_error(self, master_seed):
+        # -1 raised NumPy's ValueError, 1.5 and "abc" a TypeError.
+        with pytest.raises(ConfigError, match="master_seed must be an integer >= 0"):
+            run_report(*make_arms(7), small_cfg(), master_seed=master_seed)
+
 
 class TestThetaLimits:
     def test_theta_zero_equals_standalone_two_sample(self):
@@ -133,7 +148,7 @@ class TestThetaLimits:
             assert not report.fusion.merged
 
             gram = build_gram(KernelSpec(), *arms)
-            _, causality_seed = derive_stage_seeds(seed)
+            _, (causality_seed,) = derive_stage_seeds([seed])
             standalone = standard_permutation_test(
                 gram,
                 CausalityConfig(

@@ -514,26 +514,15 @@ class TestSharedNoBorrowingTest:
         assert len(calls) == len(set(unmerged)) < len(unmerged)
 
 
-def _report_stage_seeds(scn, rep, n_methods, store):
-    """``simulate._replicate_seeds`` as ``run_report(master_seed=[scn.master_seed, rep])`` seeds.
-
-    Every method takes the report's causality seed; the tests compare the
-    first method's outcome, and a one-test branch fills every slot from it.
-    """
-    fusion_ss, causality_ss = pipeline.derive_stage_seeds([scn.master_seed, rep])
-    return SharedSeed(fusion_ss, store), [SharedSeed(causality_ss, store)] * n_methods
-
-
 class TestReplicateMatchesPipeline:
-    """A campaign replicate and the library run the same test on the same arms and seeds.
+    """``run_report`` keyed ``[master_seed, rep]`` on ``draw_arms(scn, rep)`` is replicate ``rep``.
 
-    A ``TTPConfig`` sets no stage seed, so the replicate takes the seeds
-    that ``run_report`` derives from its master seed (``_report_stage_seeds``).
+    Both take their stage seeds from the one seed rule
+    (``pipeline.derive_stage_seeds``).
     """
 
     @pytest.mark.parametrize("mode", [FusionMode.EQUIVALENCE, FusionMode.CLASSIC_PERMUTATION])
-    def test_replicate_equals_pipeline(self, mode, monkeypatch):
-        monkeypatch.setattr(simulate, "_replicate_seeds", _report_stage_seeds)
+    def test_replicate_equals_pipeline(self, mode):
         scn = tiny_scenario(
             reps=40,
             seed=8,
@@ -560,9 +549,7 @@ class TestReplicateMatchesPipeline:
         "n,m,l", [(400, 200, 400), (1000, 500, 1000)], ids=["400-200-400", "1000-500-1000"]
     )
     @pytest.mark.parametrize("shift_h,seed", [(0.0, 0), (1.0, 5)], ids=["merged", "unmerged"])
-    def test_report_equals_replicate_above_inner_dimension_400(
-        self, n, m, l, shift_h, seed, monkeypatch
-    ):
+    def test_report_equals_replicate_above_inner_dimension_400(self, n, m, l, shift_h, seed):
         # OpenBLAS rounds these products on one and on two threads apart, and
         # 600 resamples span two row blocks of every resampling product; the
         # report's two threads must give the pinned serial replicate's bits.
@@ -580,13 +567,46 @@ class TestReplicateMatchesPipeline:
             replicates=1,
             master_seed=seed,
         )
-        monkeypatch.setattr(simulate, "_replicate_seeds", _report_stage_seeds)
         with one_blas_thread():  # as a campaign runs its replicates
             fusion_outcome, (outcome,) = _run_replicate(scn, 0, {})
         report = run_report(*draw_arms(scn, 0), scn.ttp, master_seed=[seed, 0])
         assert fusion_outcome.merged is (shift_h == 0.0)
         assert report.fusion == fusion_outcome
         assert report.causality == outcome
+
+    @pytest.mark.skipif(
+        numpy_openblas() is None,
+        reason="NumPy's bundled OpenBLAS (scipy_openblas64_) was not found",
+    )
+    @pytest.mark.parametrize("theta", [np.inf, 0.0], ids=["merged", "unmerged"])
+    def test_report_builds_its_gram_on_one_blas_thread(self, theta, monkeypatch):
+        # The test above passes on a 2-vCPU machine without the report's pin,
+        # so read the count where the report builds its Gram.  The count is
+        # set to two first, so this does not rest on the machine's default.
+        original = pipeline.build_gram
+        counts = []
+
+        def recording(*args):
+            counts.append(_blas_threads(None))
+            return original(*args)
+
+        monkeypatch.setattr(pipeline, "build_gram", recording)
+        ttp = TTPConfig(
+            fusion=FusionConfig(theta=theta, num_bootstrap=60),
+            causality=CausalityConfig(num_resamples=60),
+        )
+        scn = tiny_scenario(ttp=ttp)
+        lib = numpy_openblas()
+        saved = _blas_threads(None)
+        lib.scipy_openblas_set_num_threads64_(2)
+        try:
+            report = run_report(*draw_arms(scn, 0), scn.ttp, master_seed=[scn.master_seed, 0])
+            after = _blas_threads(None)
+        finally:
+            lib.scipy_openblas_set_num_threads64_(saved)
+        assert report.fusion.merged is (theta == np.inf)
+        assert counts == [1]
+        assert after == 2
 
 
 class TestKSDistance:

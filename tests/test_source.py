@@ -169,6 +169,37 @@ def test_only_the_drawing_modules_build_a_draw_plan(module):
     assert plan_constructions(module.read_text()) == []
 
 
+def seed_sequence_calls(source: str) -> int:
+    """How many ``SeedSequence(...)`` calls ``source`` makes."""
+    return sum(
+        isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) == "SeedSequence"
+        for node in ast.walk(ast.parse(source))
+    )
+
+
+def test_seed_sequence_calls_finds_each_call():
+    source = (
+        "import numpy as np\n"
+        "from numpy.random import SeedSequence\n"
+        "seeds = (np.random.SeedSequence([1, 2]), SeedSequence(3))\n"
+        "ok = isinstance(seeds[0], np.random.SeedSequence)\n"
+    )
+    assert seed_sequence_calls(source) == 2
+
+
+# The seed rule has one owner, ``pipeline.derive_stage_seeds``: a run's
+# streams are those its key names there, so a report and a campaign
+# replicate with one key cannot drift apart.
+@pytest.mark.parametrize(
+    "module",
+    sorted(p for p in PACKAGE.glob("*.py") if p.name != "pipeline.py"),
+    ids=lambda p: p.name,
+)
+def test_only_pipeline_builds_a_seed_sequence(module):
+    assert seed_sequence_calls(module.read_text()) == 0
+
+
 def foreign_imports(source: str) -> list[str]:
     """Modules ``source`` imports that are not relative, ``__future__``, NumPy or stdlib."""
     allowed = set(sys.stdlib_module_names) | {"__future__", "numpy"}
