@@ -50,6 +50,7 @@ from .estimators import (
     Counts,
     Estimator,
     Masks,
+    SharedSeed,
     batched_quad,
     block_total,
     mmd2_from_sums,
@@ -212,8 +213,27 @@ def _two_sample_test(
 
 
 def standard_permutation_test(gram: GramCache, cfg: CausalityConfig) -> CausalityOutcome:
-    """Two-sample test of current vs treatment on the two-arm-bandwidth matrix."""
-    return _two_sample_test(gram.matrix_nomerge, gram.m, gram.n, cfg, merged_analysis=False)
+    """Two-sample test of current vs treatment on the two-arm-bandwidth matrix.
+
+    With a ``SharedSeed`` ``cfg.seed`` the outcome is kept in its store
+    (``SharedSeed.kept``), keyed by all the test reads: the seed's mask
+    draw, B, α, the estimator, the kernel and the current and treatment
+    points.  So the cells of a campaign replicate that share those run it
+    once, as the no-borrowing test or as a compare method, whatever their
+    historical arm or fusion settings; the later cells neither build the
+    two-arm Gram nor draw the masks.  Any other seed runs the test.
+    """
+    m, n = gram.m, gram.n
+
+    def run() -> CausalityOutcome:
+        return _two_sample_test(gram.matrix_nomerge, m, n, cfg, merged_analysis=False)
+
+    if not isinstance(cfg.seed, SharedSeed):
+        return run()
+    arms = (gram.points[:m], gram.points[m + gram.l :])
+    reads = (Method.STANDARD_PERMUTATION, cfg.alpha, cfg.estimator, gram.kernel)
+    reads += tuple((arm.dtype.str, arm.shape, arm.tobytes()) for arm in arms)
+    return cfg.seed.kept(run, cfg.num_resamples, permutation_plan(m, n), *reads)
 
 
 def pooled_permutation_test(gram: GramCache, cfg: CausalityConfig) -> CausalityOutcome:

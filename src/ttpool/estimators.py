@@ -290,19 +290,17 @@ class Masks:
 
 @dataclass(frozen=True)
 class SharedSeed:
-    """A ``SeedSequence`` whose draws ``resample_weights`` keeps in ``store``.
+    """A ``SeedSequence`` and the replicate memo ``store`` that ``kept`` fills.
 
-    Each (seed, batch, plan) is drawn once; a later call with an equal
-    seed, batch and plan gets the stored arrays themselves, which are
-    the bytes a fresh draw would give.  Counts are stored as the smallest
-    unsigned integers that hold them and masks as ``bool``, so the store
-    stays small, and the arrays are read-only, so no reader can change
-    another's draws.  A campaign sweep gives each replicate one store,
-    which its cells share, because they have the same stage seeds;
-    ``pipeline.run_ttp`` keeps the no-borrowing test's outcome there too,
-    under a key that starts with the seed's ``key`` of its mask draw.
-    The store holds keys, draws and outcomes, never a ``SharedSeed``, so
-    it is freed with the replicate.
+    ``resample_weights`` keeps each (seed, batch, plan) draw there, so a
+    later draw gets the stored arrays themselves: the bytes a fresh draw
+    would give, counts as the smallest unsigned integers that hold them
+    and masks as ``bool``, read-only, so no reader can change another's
+    draws.  ``causality.standard_permutation_test`` keeps its outcome
+    there too, as the no-borrowing test or a compare method.  A campaign
+    sweep gives each replicate one store, which its cells share, because
+    they have the same stage seeds.  The store holds keys, draws and
+    outcomes, never a ``SharedSeed``, so it is freed with the replicate.
     ``defer_weights`` stores a draw that is still being made, for one
     reader: the first ``resample_weights`` of it takes it out of the store.
     """
@@ -310,14 +308,18 @@ class SharedSeed:
     seed: np.random.SeedSequence
     store: dict
 
-    def key(self, batch: int, plan: tuple) -> tuple:
+    def key(self, batch: int, plan: tuple, *extra) -> tuple:
         ss = self.seed
         # A SeedSequence's stream depends on these three fields alone.
-        return (repr(ss.entropy), ss.spawn_key, ss.pool_size, batch, plan)
+        return (repr(ss.entropy), ss.spawn_key, ss.pool_size, batch, plan, *extra)
 
-    def draw(self, batch: int, plan: tuple) -> list[np.ndarray]:
-        rng = np.random.default_rng(self.seed)
-        return [_draw(rng, batch, spec) for spec in plan]
+    def kept(self, make, batch: int, plan: tuple, *extra):
+        """The value kept under ``key(batch, plan, *extra)``; the first call keeps ``make()``."""
+        key = self.key(batch, plan, *extra)
+        value = self.store.get(key)
+        if value is None:
+            value = self.store[key] = make()
+        return value
 
 
 def _draw(rng: np.random.Generator, batch: int, spec) -> np.ndarray:
@@ -345,9 +347,7 @@ def defer_weights(seed: SharedSeed, batch: int, *plan) -> None:
     takes it out of the store, so its counts are freed with that reader's
     products.  A draw already stored is not drawn again.
     """
-    key = seed.key(batch, plan)
-    if key not in seed.store:
-        seed.store[key] = submit(seed.draw, batch, plan)
+    seed.kept(lambda: submit(resample_weights, seed.seed, batch, *plan), batch, plan)
 
 
 def resample_weights(seed, batch: int, *plan) -> list[np.ndarray]:
@@ -363,10 +363,7 @@ def resample_weights(seed, batch: int, *plan) -> list[np.ndarray]:
     if not isinstance(seed, SharedSeed):
         rng = np.random.default_rng(seed)
         return [_draw(rng, batch, spec) for spec in plan]
-    key = seed.key(batch, plan)
-    stored = seed.store.get(key)
-    if stored is None:
-        stored = seed.store[key] = seed.draw(batch, plan)
-    elif not isinstance(stored, list):  # a deferred draw
-        stored = seed.store.pop(key).result()
+    stored = seed.kept(lambda: resample_weights(seed.seed, batch, *plan), batch, plan)
+    if not isinstance(stored, list):  # a deferred draw
+        stored = seed.store.pop(seed.key(batch, plan)).result()
     return list(stored)

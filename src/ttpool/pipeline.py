@@ -16,7 +16,6 @@ from .causality import (
     Method,
     consistency_diagnostics,
     merged_record,
-    permutation_plan,
     run_causality,
     standard_permutation_test,
 )
@@ -106,9 +105,18 @@ def derive_stage_seeds(key, n_methods: int = 1) -> tuple:
     null-study reference.  ``run_report`` keys its run ``[master_seed]``
     and campaign replicate ``rep`` keys its run ``[master_seed, rep]``,
     so ``run_report(*draw_arms(scn, rep), scn.ttp, master_seed=[scn.master_seed, rep])``
-    is the replicate.
+    is the replicate.  NumPy pads a ``SeedSequence``'s entropy with zero
+    words, so ``[7, 1]`` and ``[7, 1, 0]`` give one stream: the fusion
+    counts of ``ttpool test --seed 7`` come from the data stream of
+    replicate 1 of ``simulate --seed 7``.  No run reads both; a key that
+    carried its length would part them, and move every stream.
     """
     return stage_seed(key, "fusion"), stage_seed(key, "causality").spawn(n_methods)
+
+
+def is_seed_word(word) -> bool:
+    """Whether ``word`` may be a word of a run key: an integer >= 0."""
+    return isinstance(word, (int, np.integer)) and word >= 0
 
 
 def _run_key(master_seed) -> tuple:
@@ -122,7 +130,7 @@ def _run_key(master_seed) -> tuple:
         master_seed = secrets.randbits(128)
     listed = isinstance(master_seed, (list, tuple))
     words = list(master_seed) if listed else [master_seed]
-    if not words or not all(isinstance(w, (int, np.integer)) and w >= 0 for w in words):
+    if not words or not all(map(is_seed_word, words)):
         raise ConfigError(
             f"master_seed must be an integer >= 0 or a list of them, got {master_seed!r}"
         )
@@ -131,45 +139,9 @@ def _run_key(master_seed) -> tuple:
 
 
 def _seed_record(master_seed, fusion_seed, causality_seed) -> dict:
-    def describe(s):
-        if isinstance(s, np.random.SeedSequence):
-            return {"entropy": s.entropy, "spawn_key": list(s.spawn_key)}
-        return s
-
-    return {
-        "master": describe(master_seed),
-        "fusion": describe(fusion_seed),
-        "causality": describe(causality_seed),
-    }
-
-
-def _no_borrowing_test(gram: GramCache, cfg: CausalityConfig) -> CausalityOutcome:
-    """``standard_permutation_test``, kept in the store of a ``SharedSeed`` ``cfg.seed``.
-
-    The outcome depends only on its key: the seed's mask stream, α, B,
-    the estimator, the kernel and the current and treatment points.  So
-    the cells of a campaign replicate, which share those, run it once,
-    whatever their historical arm or fusion settings; the later cells
-    neither build the two-arm Gram nor draw the masks.  Any other seed
-    runs the test.
-    """
-    seed = cfg.seed
-    if not isinstance(seed, SharedSeed):
-        return standard_permutation_test(gram, cfg)
-    m, n = gram.m, gram.n
-    arms = (gram.points[:m], gram.points[m + gram.l :])
-    key = (
-        Method.STANDARD_PERMUTATION,
-        seed.key(cfg.num_resamples, permutation_plan(m, n)),
-        cfg.alpha,
-        cfg.estimator,
-        gram.kernel,
-        *((arm.dtype.str, arm.shape, arm.tobytes()) for arm in arms),
-    )
-    outcome = seed.store.get(key)
-    if outcome is None:
-        outcome = seed.store[key] = standard_permutation_test(gram, cfg)
-    return outcome
+    stages = {"fusion": fusion_seed, "causality": causality_seed}
+    seeds = {k: {"entropy": s.entropy, "spawn_key": list(s.spawn_key)} for k, s in stages.items()}
+    return {"master": master_seed, **seeds}
 
 
 def run_ttp(
@@ -187,9 +159,10 @@ def run_ttp(
 
     * Not merged: standard permutation of current vs treatment on the
       two-arm bandwidth, seeded by the first seed.  With a ``SharedSeed``
-      the outcome is kept in its store, and a later cell of the replicate
-      with the same current and treatment arms and test settings takes it
-      from there (``_no_borrowing_test``).
+      the test keeps its outcome in the seed's store, and a later cell of
+      the replicate with the same current and treatment arms and test
+      settings takes it from there (``standard_permutation_test``); so
+      does a compare-method ``standard_permutation`` after a merge.
     * Merged, and the record has no ``merged_test``: each method on the
       fused control vs treatment with the three-arm bandwidth, each with
       its own seed.
@@ -211,7 +184,7 @@ def run_ttp(
                 for method, seed in zip(methods, causality_seeds)
             )
             return fusion, outcomes
-        test = record.merged_test if fusion.merged else _no_borrowing_test
+        test = record.merged_test if fusion.merged else standard_permutation_test
         outcome = test(gram, replace(cfg.causality, seed=causality_seeds[0]))
     return fusion, (outcome,) * len(methods)
 

@@ -29,7 +29,7 @@ from .blas import one_blas_thread
 from .errors import ConfigError, TTPoolError
 from .estimators import SharedSeed
 from .kernels import Arm, Sample, build_gram
-from .pipeline import TTPConfig, derive_stage_seeds, run_ttp, stage_seed
+from .pipeline import TTPConfig, derive_stage_seeds, is_seed_word, run_ttp, stage_seed
 from .quantile import inf_quantile
 
 RNG_ALGORITHM = "numpy.random.Generator(PCG64).standard_normal"
@@ -113,8 +113,8 @@ class Scenario:
             raise ConfigError("all arm sizes must be >= 2")
         if self.replicates < 1:
             raise ConfigError("replicates must be >= 1")
-        if self.master_seed < 0:
-            raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
+        if not is_seed_word(self.master_seed):
+            raise ConfigError(f"master_seed must be an integer >= 0, got {self.master_seed!r}")
         methods = [self.ttp.merged_method, *self.compare_methods]
         if len(set(methods)) < len(methods):
             raise ConfigError(
@@ -132,9 +132,11 @@ class CampaignResult:
     replicates; on a pool thread that includes its waits for the
     interpreter lock.  In a sweep, the first cell of a replicate to need a
     draw makes it; the later cells copy it.  Likewise the first cell of a
-    replicate that does not merge runs the standard permutation test, and
-    the later unmerged cells with its arms and test settings take its
-    outcome, so their seconds leave that test out.
+    replicate to need a standard permutation test, as its no-borrowing
+    test or as a compare method, runs it and keeps the outcome in the
+    replicate's store (``causality.standard_permutation_test``); the later
+    cells with its arms, seed and test settings take it, so their seconds
+    leave that test out.
     """
 
     scenario: Scenario
@@ -151,13 +153,18 @@ def _binomial_stderr(p: float, reps: int) -> float:
     return float(np.sqrt(p * (1.0 - p) / reps))
 
 
+def _replicate_key(scn: Scenario, rep: int) -> list:
+    """The key of replicate ``rep``'s run, which gives every stage seed of it."""
+    return [int(scn.master_seed), rep]
+
+
 def draw_arms(scn: Scenario, rep: int):
     """Arm samples for replicate ``rep``, drawn by the data stage of its run.
 
     ``pipeline.run_report`` on these arms with ``master_seed=[scn.master_seed, rep]``
     replays the replicate.
     """
-    rng = np.random.default_rng(stage_seed([int(scn.master_seed), rep], "data"))
+    rng = np.random.default_rng(stage_seed(_replicate_key(scn, rep), "data"))
     c, h, t = scn.generator.draw(rng, scn.n, scn.m, scn.l)
     return (
         Sample(c, Arm.CURRENT),
@@ -185,12 +192,13 @@ def _run_replicate(scn: Scenario, rep: int, store: dict) -> tuple:
 
     ``outcomes`` holds one causality outcome per method of ``(merged_method,
     *compare_methods)``, as ``run_ttp`` gives them.  The resampling draws
-    are kept in ``store`` for the other cells of the replicate.
+    and standard permutation outcomes are kept in ``store`` for the other
+    cells of the replicate (``estimators.SharedSeed``).
     """
     with _replicate_arms(scn, rep) as arms:
         gram = build_gram(scn.ttp.kernel, *arms)
-        key, n_methods = [int(scn.master_seed), rep], 1 + len(scn.compare_methods)
-        fusion_seed, causality_seeds = derive_stage_seeds(key, n_methods)
+        n_methods = 1 + len(scn.compare_methods)
+        fusion_seed, causality_seeds = derive_stage_seeds(_replicate_key(scn, rep), n_methods)
         shared = [SharedSeed(seed, store) for seed in (fusion_seed, *causality_seeds)]
         return run_ttp(gram, scn.ttp, shared[0], shared[1:], scn.compare_methods)
 
@@ -287,10 +295,11 @@ def _sweep_item(runs: tuple, rep: int) -> list[tuple[object, float]]:
     the item: each (seed, plan) is drawn once and read by the later
     cells.  A single cell stores its draws too; that measured no slower
     than drawing without a store.  The store also keeps the outcome of
-    the no-borrowing test (``pipeline.run_ttp``): cells that differ only
-    in the historical arm or the fusion settings have the same current
-    and treatment arms, so the first of them to need it runs it.  The
-    store lives as long as the item, on the thread that runs it.
+    each standard permutation test, the no-borrowing test or a compare
+    method (``causality.standard_permutation_test``): cells that differ
+    only in the historical arm or the fusion settings have the same
+    current and treatment arms, so the first of them to need it runs it.
+    The store lives as long as the item, on the thread that runs it.
     """
     store = {}
     out = []
@@ -342,9 +351,9 @@ def run_sweep(scenarios, workers: int = 1) -> list[CampaignResult]:
 
     ``_sweep`` of each cell's ``_run_replicate``, on ``workers`` threads.
     The cells of a replicate share its resampling draws, and the outcome
-    of the no-borrowing test among cells with its arms and settings; they
-    were the same bytes before, so each result equals ``run_sweep`` of
-    its cell alone.  ``workers < 1`` is a ``ConfigError``.
+    of a standard permutation test among cells with its arms, seed and
+    settings; they were the same bytes before, so each result equals
+    ``run_sweep`` of its cell alone.  ``workers < 1`` is a ``ConfigError``.
     """
     scenarios = tuple(scenarios)
     runs = [partial(_run_replicate, scn) for scn in scenarios]
@@ -397,7 +406,7 @@ def _null_replicate(
         if probe_generator is not None:
             probe_arms = draw_arms(replace(scn, generator=probe_generator), rep)
             probe_gram = build_gram(scn.ttp.kernel, *probe_arms)
-        rng = np.random.default_rng(stage_seed([int(scn.master_seed), rep], "reference"))
+        rng = np.random.default_rng(stage_seed(_replicate_key(scn, rep), "reference"))
         truths, out = {}, {}
         for method in methods:
             statistic, draws, *_ = causality.merged_record(method)

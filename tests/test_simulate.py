@@ -104,8 +104,19 @@ class TestScenarioValidation:
             tiny_scenario(reps=0)
 
     def test_negative_master_seed_rejected(self):
-        with pytest.raises(ConfigError, match="master_seed must be >= 0"):
+        with pytest.raises(ConfigError, match="master_seed must be an integer >= 0"):
             tiny_scenario(seed=-1)
+
+    @pytest.mark.parametrize("seed", [1.5, "3", None, [3, 1]])
+    def test_non_integer_master_seed_rejected(self, seed):
+        # 1.5 ran the campaign of seed 1 and recorded 1.5; "3" and None
+        # raised an untyped TypeError.
+        with pytest.raises(ConfigError, match="master_seed must be an integer >= 0"):
+            tiny_scenario(seed=seed)
+
+    def test_numpy_integer_master_seed_is_its_int(self):
+        got, want = (run_sweep((tiny_scenario(reps=2, seed=s),))[0] for s in (np.int64(5), 5))
+        assert dataclasses.replace(got, seconds=0) == dataclasses.replace(want, seconds=0)
 
     @pytest.mark.parametrize(
         "compare",
@@ -440,6 +451,20 @@ class TestSharedDraws:
             simulate.run_sweep([tiny_scenario(reps=2), tiny_scenario(reps=3)])
 
 
+def _standard_permutation_runs(monkeypatch) -> list:
+    """The configs of the runs of the standard permutation test, as they happen."""
+    calls = []
+    original = causality._two_sample_test
+
+    def counted(k_pooled, size_a, size_b, cfg, merged_analysis):
+        if not merged_analysis:
+            calls.append(cfg)
+        return original(k_pooled, size_a, size_b, cfg, merged_analysis)
+
+    monkeypatch.setattr(causality, "_two_sample_test", counted)
+    return calls
+
+
 class TestSharedNoBorrowingTest:
     """The cells of a replicate share its no-borrowing test, and only where it reads the same."""
 
@@ -481,14 +506,7 @@ class TestSharedNoBorrowingTest:
             assert dataclasses.replace(result, seconds=0) == dataclasses.replace(alone, seconds=0)
 
     def test_one_test_per_replicate_and_current_treatment_arms(self, monkeypatch):
-        calls = []
-        original = pipeline.standard_permutation_test
-
-        def counted(gram, cfg):
-            calls.append(1)
-            return original(gram, cfg)
-
-        monkeypatch.setattr(pipeline, "standard_permutation_test", counted)
+        calls = _standard_permutation_runs(monkeypatch)
         ttp = TTPConfig(
             fusion=FusionConfig(theta=0.6, num_bootstrap=60),
             causality=CausalityConfig(num_resamples=60),
@@ -512,6 +530,36 @@ class TestSharedNoBorrowingTest:
             if not fusion_outcome.merged
         ]
         assert len(calls) == len(set(unmerged)) < len(unmerged)
+
+    def test_a_compare_standard_permutation_is_shared_too(self, monkeypatch):
+        ttp = TTPConfig(
+            fusion=FusionConfig(theta=0.6, num_bootstrap=60),
+            causality=CausalityConfig(num_resamples=60),
+        )
+        scns = [
+            tiny_scenario(
+                reps=4,
+                seed=6,
+                generator=MeanShift(mu_c, mu_h),
+                ttp=ttp,
+                compare_methods=(Method.STANDARD_PERMUTATION,),
+            )
+            for mu_c in (0.0, 1.0)
+            for mu_h in (0.0, 0.1, 1.5)
+        ]
+        for scn, result in zip(scns, simulate.run_sweep(scns)):
+            alone = run_sweep((scn,))[0]
+            assert dataclasses.replace(result, seconds=0) == dataclasses.replace(alone, seconds=0)
+        calls = _standard_permutation_runs(monkeypatch)
+        per_cell = simulate._sweep([partial(_run_replicate, scn) for scn in scns], scns, 1)
+        merged = [
+            (rep, scn.generator.mu_c_minus_mu_t)
+            for scn, rows in zip(scns, per_cell)
+            for rep, ((fusion_outcome, _), _) in enumerate(rows)
+            if fusion_outcome.merged
+        ]
+        compared = [cfg for cfg in calls if cfg.method is Method.STANDARD_PERMUTATION]
+        assert len(compared) == len(set(merged)) < len(merged)
 
 
 class TestReplicateMatchesPipeline:

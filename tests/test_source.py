@@ -200,6 +200,36 @@ def test_only_pipeline_builds_a_seed_sequence(module):
     assert seed_sequence_calls(module.read_text()) == 0
 
 
+def store_uses(source: str) -> int:
+    """How many ``.store`` attributes ``source`` reads or writes."""
+    return sum(
+        isinstance(node, ast.Attribute) and node.attr == "store"
+        for node in ast.walk(ast.parse(source))
+    )
+
+
+def test_store_uses_finds_each_attribute():
+    source = (
+        "value = seed.store.get(key)\n"
+        "seed.store[key] = value\n"
+        "store = {}\n"
+        "restore(store)\n"
+    )
+    assert store_uses(source) == 2
+
+
+# The replicate memo has one owner, ``estimators.SharedSeed``: every entry
+# goes through ``SharedSeed.kept`` under a ``SharedSeed.key``, so no module
+# keys an entry by its own list of what the value depends on.
+@pytest.mark.parametrize(
+    "module",
+    sorted(p for p in PACKAGE.glob("*.py") if p.name != "estimators.py"),
+    ids=lambda p: p.name,
+)
+def test_only_estimators_uses_a_store(module):
+    assert store_uses(module.read_text()) == 0
+
+
 def foreign_imports(source: str) -> list[str]:
     """Modules ``source`` imports that are not relative, ``__future__``, NumPy or stdlib."""
     allowed = set(sys.stdlib_module_names) | {"__future__", "numpy"}
